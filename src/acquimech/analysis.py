@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (Instance, Mechanism, MultiInstance, MultiPolicy,
-                   noise_product, prior_product)
+                   item_margins, noise_product, prior_product)
 
 IC_TOL = 1e-7
 MONOTONE_TOL = 1e-9
@@ -125,11 +125,8 @@ def multi_expected_reward(mi: MultiInstance, policy: MultiPolicy) -> float:
     if policy.tensors.shape != (k,) + (inst.n,) * k + (inst.m,) * k:
         raise ValueError("policy shape does not match instance")
     X, Rk, dk = _flat(mi, policy)
-    values = inst.grid.values
-    vsel = np.array([[values[vt[i]] for vt in
-                      itertools.product(range(inst.n), repeat=k)]
-                     for i in range(k)])
-    return float(np.sum((vsel - inst.bar)[:, :, None] * X * (dk[:, None] * Rk)))
+    margins = item_margins(inst, k)
+    return float(np.sum(margins[:, :, None] * X * (dk[:, None] * Rk)))
 
 
 def multi_check_ic(mi: MultiInstance, policy: MultiPolicy,

@@ -18,13 +18,15 @@ import numpy as np
 from . import analysis, experiments, gen, multi_item, single_item
 from .core import (Instance, Mechanism, MultiInstance, instance_from_dict,
                    instance_to_dict)
-from .multi_item import SizeBudgetError, UnionInputs
+from .multi_item import SizeBudgetError
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_BAD_INPUT = 2
 EXIT_SIZE_BUDGET = 3
 
+#: ``solve`` runs the registered mechanism of the same name, in lower case
+#: with dashes for underscores.
 SOLVE_MECHANISMS = ("som", "tmm", "om1", "omk", "um-tmm", "um-om1", "umopt", "rm")
 
 SIZE_BUDGET_ENV = "ACQUIMECH_SIZE_BUDGET"
@@ -115,58 +117,53 @@ def _multi_summary(mi: MultiInstance, policy, label: str) -> dict:
     }
 
 
+def _rank_summary(policy) -> dict:
+    violations = multi_item.rm_ic_audit(policy)
+    return {
+        "mechanism": "RM",
+        "per_rank_accept": {r: policy.per_rank_accept[r].tolist()
+                            for r in multi_item.RANK_CLASSES},
+        "aggregate": {r: policy.aggregate[r].tolist()
+                      for r in multi_item.RANK_CLASSES},
+        "summary": {
+            "ic": not violations,
+            "violations": [
+                {"v1_index": v.v1_index, "v2_index": v.v2_index,
+                 "truthful_rank": v.truthful_rank,
+                 "better_rank": v.better_rank, "gain": v.gain}
+                for v in violations],
+        },
+    }
+
+
 def _cmd_solve(args) -> int:
     instance, k = _load_instance(args.instance)
-    name = args.mechanism
-    if name not in SOLVE_MECHANISMS:
-        raise CliError(f"unknown mechanism {name!r}; pick from {SOLVE_MECHANISMS}")
-    budget = _size_budget()
-    mi = MultiInstance(instance, k)
+    if args.mechanism not in SOLVE_MECHANISMS:
+        raise CliError(f"unknown mechanism {args.mechanism!r}; "
+                       f"pick from {SOLVE_MECHANISMS}")
+    name = next(n for n in experiments.REGISTRY
+                if n.lower().replace("_", "-") == args.mechanism)
+    kind, solve = experiments.REGISTRY[name]
+    solved = experiments.SolveMemo(MultiInstance(instance, k), _size_budget())
+    if kind == "rank" and k != 2:
+        raise CliError("ranking mechanism requires a k=2 instance")
     try:
-        if name == "som":
-            doc = _single_summary(instance, single_item.solve_som(instance))
-        elif name == "tmm":
-            params, mech, reward = single_item.tmm_optimal(instance)
-            doc = _single_summary(instance, mech)
-            doc["parameters"] = {
-                "b1_index": params.b1_index, "b2_index": params.b2_index,
-                "alpha": params.alpha, "v1_set": sorted(params.v1_set)}
-        elif name == "om1":
-            doc = _single_summary(instance, single_item.solve_om1(instance))
-        elif name == "omk":
-            doc = _multi_summary(mi, multi_item.solve_omk(mi, budget), "OMk")
-        elif name in ("um-tmm", "um-om1"):
-            base = (single_item.tmm_optimal(instance)[1] if name == "um-tmm"
-                    else single_item.solve_om1(instance))
-            inputs = UnionInputs((base,) * k)
-            policy = multi_item.union_policy(mi, inputs, budget)
-            doc = _multi_summary(mi, policy, name.upper().replace("-", "_"))
-        elif name == "umopt":
-            inputs, policy = multi_item.solve_umopt(mi, budget)
-            doc = _multi_summary(mi, policy, "UMOPT")
-            doc["components"] = [m.matrix.tolist() for m in inputs.mechanisms]
-        else:  # rm
-            if k != 2:
-                raise CliError("ranking mechanism requires a k=2 instance")
-            policy = multi_item.ranking_mechanism(mi)
-            violations = multi_item.rm_ic_audit(policy)
-            doc = {
-                "mechanism": "RM",
-                "per_rank_accept": {r: policy.per_rank_accept[r].tolist()
-                                    for r in multi_item.RANK_CLASSES},
-                "aggregate": {r: policy.aggregate[r].tolist()
-                              for r in multi_item.RANK_CLASSES},
-                "summary": {
-                    "ic": not violations,
-                    "violations": [
-                        {"v1_index": v.v1_index, "v2_index": v.v2_index,
-                         "truthful_rank": v.truthful_rank,
-                         "better_rank": v.better_rank, "gain": v.gain}
-                        for v in violations],
-                },
-            }
+        result = solve(solved)
     except SizeBudgetError as exc:
         raise CliError(str(exc), EXIT_SIZE_BUDGET) from exc
+    if kind == "single":
+        doc = _single_summary(instance, result)
+    elif kind == "multi":
+        doc = _multi_summary(solved.mi, result, name)
+    else:
+        doc = _rank_summary(result)
+    if name == "TMM":
+        params = solved.tmm[0]
+        doc["parameters"] = {
+            "b1_index": params.b1_index, "b2_index": params.b2_index,
+            "alpha": params.alpha, "v1_set": sorted(params.v1_set)}
+    elif name == "UMOPT":
+        doc["components"] = [m.matrix.tolist() for m in solved.umopt[0].mechanisms]
     _emit(json.dumps(doc, indent=2), args.out)
     return EXIT_OK
 

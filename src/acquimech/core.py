@@ -34,6 +34,8 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 def _check_ascending(x: np.ndarray, name: str) -> None:
     if x.ndim != 1 or x.size < 1:
         raise ValueError(f"{name} must be a non-empty 1-d sequence")
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"{name} must be finite")
     if x.size > 1 and not np.all(np.diff(x) > 0):
         raise ValueError(f"{name} must be strictly ascending with no duplicates")
 
@@ -103,7 +105,7 @@ class Mechanism:
         mat = np.array(self.matrix, dtype=float)
         if mat.ndim != 2:
             raise ValueError("acquiring matrix must be 2-d")
-        if mat.min() < -ENTRY_TOL or mat.max() > 1 + ENTRY_TOL:
+        if not (mat.min() >= -ENTRY_TOL and mat.max() <= 1 + ENTRY_TOL):  # rejects NaN
             raise ValueError(
                 f"acquiring probabilities outside [0, 1]: range "
                 f"[{mat.min()}, {mat.max()}]")
@@ -135,7 +137,7 @@ class MultiPolicy:
 
     def __post_init__(self):
         t = np.array(self.tensors, dtype=float)
-        if t.min() < -ENTRY_TOL or t.max() > 1 + ENTRY_TOL:
+        if not (t.min() >= -ENTRY_TOL and t.max() <= 1 + ENTRY_TOL):  # rejects NaN
             raise ValueError("policy entries outside [0, 1]")
         object.__setattr__(self, "tensors", _frozen(np.clip(t, 0.0, 1.0)))
 
@@ -151,17 +153,20 @@ def validate_instance(raw_values, raw_scores, raw_prior, raw_score_model,
     The prior and each noise-model row must sum to 1 within ``PROB_SUM_TOL``
     and are rescaled proportionally to sum exactly 1.
 
-    Raises ``ValueError`` on dimension mismatch, negative probabilities,
-    out-of-tolerance totals, or non-ascending grids.
+    Raises ``ValueError`` on dimension mismatch, non-finite numbers,
+    negative probabilities, out-of-tolerance totals, or non-ascending grids.
     """
     grid = QualityGrid(raw_values, raw_scores)
     prior = np.asarray(raw_prior, dtype=float)
     model = np.asarray(raw_score_model, dtype=float)
+    bar = float(bar)
     if prior.shape != (grid.n,):
         raise ValueError(f"prior has shape {prior.shape}, expected ({grid.n},)")
     if model.shape != (grid.n, grid.m):
         raise ValueError(
             f"score model has shape {model.shape}, expected ({grid.n}, {grid.m})")
+    if not (np.isfinite(prior).all() and np.isfinite(model).all() and np.isfinite(bar)):
+        raise ValueError("prior, score model and bar must be finite")
     if prior.min() < 0:
         raise ValueError("negative probability in prior")
     if model.min() < 0:
@@ -177,7 +182,7 @@ def validate_instance(raw_values, raw_scores, raw_prior, raw_score_model,
         raise ValueError(
             f"score model rows {np.nonzero(bad)[0].tolist()} sum to "
             f"{row_sums[bad].tolist()}, off by more than {PROB_SUM_TOL}")
-    return Instance(grid, prior / prior.sum(), model / row_sums[:, None], float(bar))
+    return Instance(grid, prior / prior.sum(), model / row_sums[:, None], bar)
 
 
 def posterior_mean(instance: Instance, score_index: int) -> Optional[float]:
@@ -231,6 +236,13 @@ def prior_product(prior: np.ndarray, k: int) -> np.ndarray:
     for _ in range(k - 1):
         out = np.multiply.outer(out, prior)
     return out
+
+
+def item_margins(instance: Instance, k: int) -> np.ndarray:
+    """Collector margin ``v_i - t`` of item i under each quality tuple,
+    shape (k, n**k), tuples in the row-major order of :func:`prior_product`."""
+    tuples = np.indices((instance.n,) * k).reshape(k, -1)
+    return instance.grid.values[tuples] - instance.bar
 
 
 def instance_to_dict(instance: Instance, item_count: int = 1) -> dict:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence, TextIO
 
 import numpy as np
@@ -163,6 +164,54 @@ def _multi_record(mi: MultiInstance, policy) -> tuple[float, float, tuple]:
     return reward, overall, tuple(rates.tolist())
 
 
+class SolveMemo:
+    """The solver results of one instance, each solver run at most once.
+
+    TMM feeds both TMM and UM_TMM, and OM1 feeds OM1, kxOM1 and UM_OM1.
+    Solvers are looked up as module attributes when called.
+    """
+
+    def __init__(self, mi: MultiInstance, size_budget: int | None = None):
+        self.mi = mi
+        self.instance = mi.base
+        self.size_budget = size_budget
+
+    @cached_property
+    def tmm(self):
+        """(params, mechanism, reward) of the optimal two-menu mechanism."""
+        return single_item.tmm_optimal(self.instance)
+
+    @cached_property
+    def om1(self) -> Mechanism:
+        return single_item.solve_om1(self.instance)
+
+    @cached_property
+    def umopt(self):
+        """(components, policy) of the optimal union mechanism."""
+        return multi_item.solve_umopt(self.mi, size_budget=self.size_budget)
+
+    def union(self, mechanism: Mechanism):
+        inputs = multi_item.UnionInputs((mechanism,) * self.mi.item_count)
+        return multi_item.union_policy(self.mi, inputs, size_budget=self.size_budget)
+
+
+#: Every mechanism by name: its kind ("single" solves to a Mechanism,
+#: "multi" to a MultiPolicy, "rank" to a RankPolicy) and how it is solved
+#: from a SolveMemo.  kxOM1 is k independent OM1 copies, so its per-item
+#: numbers are OM1's.
+REGISTRY = {
+    "SOM": ("single", lambda s: single_item.solve_som(s.instance)),
+    "TMM": ("single", lambda s: s.tmm[1]),
+    "OM1": ("single", lambda s: s.om1),
+    "kxOM1": ("single", lambda s: s.om1),
+    "OMk": ("multi", lambda s: multi_item.solve_omk(s.mi, size_budget=s.size_budget)),
+    "UM_TMM": ("multi", lambda s: s.union(s.tmm[1])),
+    "UM_OM1": ("multi", lambda s: s.union(s.om1)),
+    "UMOPT": ("multi", lambda s: s.umopt[1]),
+    "RM": ("rank", lambda s: multi_item.ranking_mechanism(s.mi)),
+}
+
+
 def run_sweep(config: SweepConfig,
               size_budget: int | None = None) -> list[SweepRecord]:
     """Synthesize one instance per variance and run every requested mechanism.
@@ -178,31 +227,14 @@ def run_sweep(config: SweepConfig,
         model = build_score_model(config.family, variance, grid)
         instance = validate_instance(grid.values, grid.scores, prior, model,
                                      config.bar)
-        mi = MultiInstance(instance, config.item_count)
+        solved = SolveMemo(MultiInstance(instance, config.item_count), size_budget)
         for name in config.mechanisms:
-            if name == "SOM":
-                triple = _single_record(instance, single_item.solve_som(instance))
-            elif name == "TMM":
-                _, mech, _ = single_item.tmm_optimal(instance)
-                triple = _single_record(instance, mech)
-            elif name == "OM1":
-                triple = _single_record(instance, single_item.solve_om1(instance))
-            elif name == "kxOM1":
-                # k independent copies: per-item numbers equal the single-item ones
-                triple = _single_record(instance, single_item.solve_om1(instance))
-            elif name == "OMk":
-                policy = multi_item.solve_omk(mi, size_budget=size_budget)
-                triple = _multi_record(mi, policy)
-            elif name == "UM_TMM":
-                _, mech, _ = single_item.tmm_optimal(instance)
-                inputs = multi_item.UnionInputs((mech,) * mi.item_count)
-                policy = multi_item.union_policy(mi, inputs, size_budget=size_budget)
-                triple = _multi_record(mi, policy)
-            elif name == "UMOPT":
-                _, policy = multi_item.solve_umopt(mi, size_budget=size_budget)
-                triple = _multi_record(mi, policy)
-            else:  # pragma: no cover - guarded by SweepConfig validation
-                raise ValueError(name)
+            kind, solve = REGISTRY[name]
+            result = solve(solved)
+            if kind == "single":
+                triple = _single_record(instance, result)
+            else:
+                triple = _multi_record(solved.mi, result)
             records.append(SweepRecord(config.family, float(variance), name,
                                        triple[0], triple[1], triple[2]))
     return records

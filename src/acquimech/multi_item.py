@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .core import (Instance, Mechanism, MultiInstance, MultiPolicy,
-                   noise_product, prior_product)
+                   item_margins, noise_product, prior_product)
 from .lp import LpProblem, OPTIMAL, solve_lp
 
 #: Refuse LPs and policy tensors beyond this many variables/cells by default.
@@ -41,73 +41,73 @@ def _policy_shape(n: int, m: int, k: int) -> tuple[int, ...]:
     return (k,) + (n,) * k + (m,) * k
 
 
-def _flat_products(mi: MultiInstance):
-    """Flattened joint noise (NV, NS) and joint prior (NV,) plus tuple lists."""
+def _joint_weights(mi: MultiInstance):
+    """Flattened joint noise (NV, NS), and each variable's reward weight
+    (v_i - t) prod_j d(v_j) r(v_j, s_j) flattened from (k, NV, NS).
+
+    One item multiplies in the single-item order ((v - t) d(v)) r(v, s):
+    OM1-alt pins the objective as a constraint row, and its second-stage
+    vertex moves with the last bit of the weights.
+    """
     inst, k = mi.base, mi.item_count
-    n, m = inst.n, inst.m
-    Rk = noise_product(inst.score_model, k).reshape(n**k, m**k)
-    dk = prior_product(inst.prior, k).reshape(n**k)
-    vts = list(itertools.product(range(n), repeat=k))
-    sts = list(itertools.product(range(m), repeat=k))
-    return Rk, dk, vts, sts
+    Rk = noise_product(inst.score_model, k).reshape(inst.n**k, inst.m**k)
+    dk = prior_product(inst.prior, k).reshape(inst.n**k)
+    margins = item_margins(inst, k)
+    if k == 1:
+        return Rk, ((margins * dk)[:, :, None] * Rk).ravel()
+    return Rk, (margins[:, :, None] * (dk[:, None] * Rk)[None, :, :]).ravel()
 
 
-def _objective_coeffs(mi: MultiInstance, Rk, dk, vts) -> np.ndarray:
-    """Per-variable reward weight (v_i - t) * prod_j r(v_j,s_j) d(v_j),
-    shaped (k, NV, NS)."""
-    inst, k = mi.base, mi.item_count
-    values = inst.grid.values
-    vsel = np.array([[values[vt[i]] for vt in vts] for i in range(k)])
-    return (vsel - inst.bar)[:, :, None] * (dk[:, None] * Rk)[None, :, :]
+def _ic_monotone_rows(Rk: np.ndarray, m: int, k: int) -> sp.csr_matrix:
+    """IC rows, then monotonicity rows, all ``<= 0``, over x_i(a, b) at
+    column ``(i * NV + a) * NS + b`` for quality tuple a and score tuple b.
+
+    IC row (a, ap), a-major over distinct tuples, is ``sum_i sum_b Rk[a, b]
+    (x_i(ap, b) - x_i(a, b))``, zeros of Rk kept as entries.  Monotone row
+    (i, a, b) is ``x_i(a, b - stride_i) - x_i(a, b)`` for each b whose i-th
+    score is above the lowest.  The COO arrays are freed on return, before
+    the solver runs.
+    """
+    NV, NS = Rk.shape
+    a, ap = np.nonzero(~np.eye(NV, dtype=bool))
+    # IC entries in the order (row, item, [reported, true], score)
+    blocks = np.arange(k)[:, None] * NV + np.stack([ap, a], axis=1)[:, None, :]
+    ic_cols = blocks[..., None] * NS + np.arange(NS)
+    ic_data = np.broadcast_to(np.stack([Rk[a], -Rk[a]], axis=1)[:, None], ic_cols.shape)
+    own_score_above_lowest = np.indices((m,) * k).reshape(k, 1, NS) != 0
+    hi = np.flatnonzero(np.broadcast_to(own_score_above_lowest, (k, NV, NS)))
+    lo = hi - m ** (k - 1 - hi // (NV * NS))
+    n_ic, n_rows = a.size, a.size + hi.size
+    rows = np.concatenate([np.repeat(np.arange(n_ic), 2 * k * NS),
+                           np.repeat(np.arange(n_ic, n_rows), 2)])
+    cols = np.concatenate([ic_cols.ravel(), np.stack([lo, hi], axis=1).ravel()])
+    data = np.concatenate([ic_data.ravel(), np.tile([1.0, -1.0], hi.size)])
+    return sp.csr_matrix((data, (rows, cols)), shape=(n_rows, k * NV * NS))
+
+
+def omk_problem(mi: MultiInstance) -> LpProblem:
+    """The OMk LP: maximize the joint expected margin over policies
+    x_i(v-tuple, s-tuple) in [0, 1].
+
+    IC compares the owner's total expected acquisitions for every pair of
+    reported quality tuples under the true tuple's noise; monotonicity is
+    per item in its own score, other scores fixed.  With one item this is
+    the OM1 LP.
+    """
+    Rk, c = _joint_weights(mi)
+    A = _ic_monotone_rows(Rk, mi.base.m, mi.item_count)
+    return LpProblem(c, A, np.zeros(A.shape[0]), np.zeros(c.size), np.ones(c.size))
 
 
 def solve_omk(mi: MultiInstance, size_budget: int | None = None) -> MultiPolicy:
     """Jointly optimal IC monotone policy via one LP over all k items.
 
-    Variables x_i(v-tuple, s-tuple); IC compares the owner's total expected
-    acquisitions for every pair of reported quality tuples under the true
-    tuple's noise; monotonicity is per item in its own score, other scores
-    fixed.  Grows as k * n^k * m^k, hence the size budget.
+    Grows as k * n^k * m^k variables, hence the size budget.
     """
     inst, k = mi.base, mi.item_count
     n, m = inst.n, inst.m
-    NV, NS = n**k, m**k
-    nvars = k * NV * NS
-    _check_budget(nvars, size_budget)
-    Rk, dk, vts, sts = _flat_products(mi)
-    c = _objective_coeffs(mi, Rk, dk, vts).ravel()
-
-    def var(i: int, a: int, b: int) -> int:
-        return (i * NV + a) * NS + b
-
-    rows_i, cols_i, data = [], [], []
-    row_id = 0
-    b_all = np.arange(NS)
-    for a in range(NV):          # true quality tuple
-        for ap in range(NV):     # reported
-            if a == ap:
-                continue
-            for i in range(k):
-                rows_i.append(np.full(2 * NS, row_id))
-                cols_i.append(np.concatenate([var(i, ap, 0) + b_all,
-                                              var(i, a, 0) + b_all]))
-                data.append(np.concatenate([Rk[a], -Rk[a]]))
-            row_id += 1
-    for i in range(k):
-        stride = m ** (k - 1 - i)
-        for a in range(NV):
-            for b, st in enumerate(sts):
-                if st[i] == 0:
-                    continue
-                rows_i.append(np.array([row_id, row_id]))
-                cols_i.append(np.array([var(i, a, b - stride), var(i, a, b)]))
-                data.append(np.array([1.0, -1.0]))
-                row_id += 1
-    A = sp.csr_matrix((np.concatenate(data),
-                       (np.concatenate(rows_i), np.concatenate(cols_i))),
-                      shape=(row_id, nvars))
-    problem = LpProblem(c, A, np.zeros(row_id), np.zeros(nvars), np.ones(nvars))
-    sol = solve_lp(problem)
+    _check_budget(k * n**k * m**k, size_budget)
+    sol = solve_lp(omk_problem(mi))
     if sol.status != OPTIMAL:
         raise RuntimeError(f"OMk LP unexpectedly {sol.status}")
     values = np.clip(sol.values, 0.0, 1.0)   # shave solver box noise
@@ -265,6 +265,28 @@ def union_policy(mi: MultiInstance, inputs: UnionInputs,
     return MultiPolicy(tensors)
 
 
+def _umopt_rows(inst: Instance, k: int) -> sp.csr_matrix:
+    """UMOPT rows over [x, y], all ``<= 0``: for each profile (v, s),
+    profile-major, ``sum_i x_i(v, s) - sum_i y_i(v_i, s_i)`` and its
+    negation; then the one-item IC and monotonicity block of each component
+    y_i, whose columns start at ``nx + i * n * m``."""
+    n, m = inst.n, inst.m
+    P = (n * m) ** k
+    nx = k * P
+    items = np.arange(k)[:, None]
+    digits = np.indices((n,) * k + (m,) * k).reshape(2 * k, P)   # (v, s) per profile
+    profile_cols = np.concatenate([items * P + np.arange(P),
+                                   nx + (items * n + digits[:k]) * m + digits[k:]]).T
+    sign = np.repeat([1.0, -1.0], k)
+    coupling = sp.csr_matrix((np.tile(np.concatenate([sign, -sign]), P),
+                              (np.repeat(np.arange(2 * P), 2 * k),
+                               np.repeat(profile_cols, 2, axis=0).ravel())),
+                             shape=(2 * P, nx + k * n * m))
+    blocks = sp.block_diag([_ic_monotone_rows(inst.score_model, m, 1)] * k)
+    return sp.vstack([coupling, sp.hstack([sp.csr_matrix((blocks.shape[0], nx)), blocks])],
+                     format="csr")
+
+
 def solve_umopt(mi: MultiInstance,
                 size_budget: int | None = None) -> tuple[UnionInputs, MultiPolicy]:
     """Optimal union mechanism: jointly pick k IC monotone single-item
@@ -279,55 +301,12 @@ def solve_umopt(mi: MultiInstance,
     """
     inst, k = mi.base, mi.item_count
     n, m = inst.n, inst.m
-    NV, NS = n**k, m**k
-    nx = k * NV * NS
+    nx = k * n**k * m**k
     ny = k * n * m
     _check_budget(nx + ny, size_budget)
-    Rk, dk, vts, sts = _flat_products(mi)
-    c = np.concatenate([_objective_coeffs(mi, Rk, dk, vts).ravel(), np.zeros(ny)])
-
-    def xvar(i: int, a: int, b: int) -> int:
-        return (i * NV + a) * NS + b
-
-    def yvar(i: int, v: int, s: int) -> int:
-        return nx + (i * n + v) * m + s
-
-    rows_i, cols_i, data = [], [], []
-    row_id = 0
-
-    def add_row(cols, vals):
-        nonlocal row_id
-        rows_i.append(np.full(len(cols), row_id))
-        cols_i.append(np.asarray(cols))
-        data.append(np.asarray(vals, dtype=float))
-        row_id += 1
-
-    # mass coupling per profile, as a pair of <= rows
-    for a, vt in enumerate(vts):
-        for b, st in enumerate(sts):
-            cols = [xvar(i, a, b) for i in range(k)] + \
-                   [yvar(i, vt[i], st[i]) for i in range(k)]
-            vals = [1.0] * k + [-1.0] * k
-            add_row(cols, vals)
-            add_row(cols, [-v for v in vals])
-    # single-item IC and monotonicity on each component
-    R = inst.score_model
-    for i in range(k):
-        for v in range(n):
-            for vp in range(n):
-                if v == vp:
-                    continue
-                cols = [yvar(i, vp, s) for s in range(m)] + \
-                       [yvar(i, v, s) for s in range(m)]
-                add_row(cols, np.concatenate([R[v], -R[v]]))
-        for v in range(n):
-            for s in range(1, m):
-                add_row([yvar(i, v, s - 1), yvar(i, v, s)], [1.0, -1.0])
-
-    A = sp.csr_matrix((np.concatenate(data),
-                       (np.concatenate(rows_i), np.concatenate(cols_i))),
-                      shape=(row_id, nx + ny))
-    problem = LpProblem(c, A, np.zeros(row_id),
+    c = np.concatenate([_joint_weights(mi)[1], np.zeros(ny)])
+    A = _umopt_rows(inst, k)
+    problem = LpProblem(c, A, np.zeros(A.shape[0]),
                         np.zeros(nx + ny), np.ones(nx + ny))
     sol = solve_lp(problem)
     if sol.status != OPTIMAL:

@@ -13,8 +13,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+import scipy.sparse as sp
 
-from .core import Instance, Mechanism
+from . import analysis, multi_item
+from .core import Instance, Mechanism, MultiInstance
 from .lp import LpProblem, LpSolution, OPTIMAL, solve_lp
 
 #: Sentinel threshold meaning "no score triggers acquisition" (an all-zero row).
@@ -32,10 +34,6 @@ def _tail(score_model: np.ndarray, b: Optional[int]) -> np.ndarray:
     if b is None:
         return np.zeros(score_model.shape[0])
     return score_model[:, b:].sum(axis=1)
-
-
-def _reward(instance: Instance, matrix: np.ndarray) -> float:
-    return float(np.sum(_margin(instance)[:, None] * matrix * instance.score_model))
 
 
 def solve_som(instance: Instance) -> Mechanism:
@@ -193,39 +191,17 @@ def tmm_optimal(instance: Instance) -> tuple[TmmParams, Mechanism, float]:
                         best = (reward, b1, b2, alpha)
     _, b1, b2, alpha = best
     params, mech = tmm_build(instance, b1, b2, alpha)
-    return params, mech, _reward(instance, mech.matrix)
+    return params, mech, analysis.expected_reward(instance, mech)
 
 
 def om1_problem(instance: Instance) -> LpProblem:
     """The optimal-mechanism LP: maximize expected margin over acquiring
     matrices subject to incentive compatibility and score monotonicity.
 
-    Variables are x(v, s) in [0, 1], flattened row-major.  IC compares every
-    ordered quality pair under the true-quality noise row; monotonicity is
-    enforced on consecutive score columns.
+    This is the OMk LP with one item.  Variables are x(v, s) in [0, 1],
+    flattened row-major.
     """
-    n, m = instance.n, instance.m
-    R = instance.score_model
-    c = (_margin(instance)[:, None] * R).ravel()
-    rows, rhs = [], []
-    for v in range(n):
-        for vp in range(n):
-            if v == vp:
-                continue
-            row = np.zeros((n, m))
-            row[vp] += R[v]
-            row[v] -= R[v]
-            rows.append(row.ravel())
-            rhs.append(0.0)
-    for v in range(n):
-        for s in range(1, m):
-            row = np.zeros((n, m))
-            row[v, s - 1] = 1.0
-            row[v, s] = -1.0
-            rows.append(row.ravel())
-            rhs.append(0.0)
-    A = np.asarray(rows) if rows else None
-    return LpProblem(c, A, np.asarray(rhs), np.zeros(n * m), np.ones(n * m))
+    return multi_item.omk_problem(MultiInstance(instance, 1))
 
 
 def _solved(problem: LpProblem) -> LpSolution:
@@ -252,7 +228,7 @@ def om1_alternate_optimum(instance: Instance) -> Mechanism:
     """
     base = om1_problem(instance)
     z = _solved(base).objective_value
-    A = np.vstack([base.constraint_matrix, -base.objective])
+    A = sp.vstack([base.constraint_matrix, sp.csr_matrix(-base.objective)])
     rhs = np.concatenate([base.constraint_rhs, [-(z - 1e-9)]])
     stage2 = LpProblem(np.ones(base.num_variables), A, rhs, base.lower, base.upper)
     sol = _solved(stage2)

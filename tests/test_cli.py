@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from acquimech import instance_to_dict, solve_som
-from acquimech.cli import main
+from acquimech.cli import SOLVE_MECHANISMS, main
 
 
 @pytest.fixture()
@@ -44,6 +44,56 @@ def test_solve_om1(capsys, example1_path):
     doc = json.loads(out)
     assert doc["summary"]["reward"] == pytest.approx(0.0017039, abs=1e-6)
     assert doc["summary"]["ic"] and doc["summary"]["monotone"]
+
+
+#: (label, reward key, value) for example1 with k = 2, recorded before
+#: ``solve`` dispatched through ``experiments.REGISTRY``; rm reports its
+#: audit instead of a reward.
+SOLVE_EXPECTED = {
+    "som": ("SOM", "reward", 0.004874791874791862),
+    "tmm": ("TMM", "reward", 0.0017038765831869228),
+    "om1": ("OM1", "reward", 0.0017038765831869458),
+    "omk": ("OMk", "reward_total", 0.03900918335107906),
+    "um-tmm": ("UM_TMM", "reward_total", 0.014613467521741853),
+    "um-om1": ("UM_OM1", "reward_total", 0.015838491252842073),
+    "umopt": ("UMOPT", "reward_total", 0.02588086854473735),
+    "rm": ("RM", None, None),
+}
+
+
+@pytest.mark.parametrize("name", SOLVE_MECHANISMS)
+def test_solve_every_mechanism(capsys, example1_k2_path, name):
+    code, out, _ = run(capsys, "solve", "--instance", example1_k2_path,
+                       "--mechanism", name)
+    assert code == 0
+    doc = json.loads(out)
+    label, key, value = SOLVE_EXPECTED[name]
+    assert doc["mechanism"] == label
+    if key is None:
+        assert doc["summary"]["ic"] is False and doc["summary"]["violations"]
+    else:
+        assert doc["summary"][key] == pytest.approx(value, abs=1e-9)
+        assert doc["summary"]["ic"] is True
+
+
+def test_solve_non_finite_bar_is_bad_input(capsys, tmp_path, example1):
+    doc = instance_to_dict(example1)
+    doc["t"] = float("nan")
+    path = tmp_path / "nan_bar.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "solve", "--instance", str(path),
+                         "--mechanism", "om1")
+    assert code == 2
+    assert out == "" and "finite" in err
+
+
+def test_verify_nan_matrix_is_bad_input(capsys, tmp_path, example1_path):
+    matrix_path = tmp_path / "nan.json"
+    matrix_path.write_text(json.dumps(np.full((4, 4), np.nan).tolist()))
+    code, out, err = run(capsys, "verify", "--instance", example1_path,
+                         "--matrix", str(matrix_path))
+    assert code == 2
+    assert out == "" and "outside [0, 1]" in err
 
 
 def test_solve_rm_requires_two_items(capsys, example1_path):

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from acquimech import (Mechanism, acquire_probability, instance_from_dict,
-                       instance_to_dict, noise_product, posterior_mean,
-                       prior_product, validate_instance)
+from acquimech import (Mechanism, MultiPolicy, acquire_probability,
+                       instance_from_dict, instance_to_dict, noise_product,
+                       posterior_mean, prior_product, validate_instance)
 from acquimech.gen import random_instance
 
 GRID4 = [0.0, 1 / 3, 2 / 3, 1.0]
@@ -101,6 +101,29 @@ def test_mechanism_box_validation():
     # solver-level noise is clipped into the box
     m = Mechanism([[1.0 + 1e-10, -1e-10]])
     assert m.matrix.min() >= 0.0 and m.matrix.max() <= 1.0
+
+
+@pytest.mark.parametrize("field, value", [
+    ("prior", [np.nan, 0.5, 0.3, 0.2]),
+    ("model", [[np.nan, 1.0, 0.0, 0.0]] + np.eye(4)[1:].tolist()),
+    ("bar", np.nan),
+    ("bar", np.inf),
+    ("values", GRID4[:3] + [np.inf]),
+])
+def test_non_finite_instance_rejected(field, value):
+    args = {"values": GRID4, "scores": GRID4, "prior": [0.25] * 4,
+            "model": np.eye(4), "bar": 0.5}
+    args[field] = value
+    with pytest.raises(ValueError, match="finite"):
+        validate_instance(args["values"], args["scores"], args["prior"],
+                          args["model"], args["bar"])
+
+
+def test_non_finite_mechanism_and_policy_rejected():
+    with pytest.raises(ValueError, match="outside"):
+        Mechanism(np.full((2, 2), np.nan))
+    with pytest.raises(ValueError, match="outside"):
+        MultiPolicy(np.full((2, 2, 2, 2, 2), np.nan))
 
 
 def test_instance_arrays_are_immutable(example1):

@@ -1,12 +1,13 @@
 import io
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
 from acquimech import (SweepConfig, build_score_model, discretize_prior,
-                       omniscient_reward, paper_checks, run_sweep,
+                       omniscient_reward, paper_checks, run_sweep, single_item,
                        validate_instance, write_sweep_csv)
 from acquimech.core import QualityGrid
 from acquimech.experiments import LOGNORMAL_MEAN_FLOOR, _cell_edges
@@ -135,6 +136,20 @@ def test_sweep_multi_mechanisms_record_per_item_values():
     for r in records.values():
         assert 0.0 <= r.overall_rate <= 1.0 + 1e-9
         assert len(r.per_quality_rates) == 3
+
+
+def test_sweep_solves_tmm_and_om1_once_per_variance(monkeypatch):
+    calls = Counter()
+    for name in ("tmm_optimal", "solve_om1"):
+        def counted(*args, _name=name, _solve=getattr(single_item, name)):
+            calls[_name] += 1
+            return _solve(*args)
+        monkeypatch.setattr(single_item, name, counted)
+    config = make_config(values=(0.0, 0.5, 1.0), scores=(0.0, 0.5, 1.0),
+                         variance_grid=(0.1, 0.3), item_count=2,
+                         mechanisms=("TMM", "UM_TMM", "OM1", "kxOM1"))
+    assert len(run_sweep(config)) == 8
+    assert calls == {"tmm_optimal": 2, "solve_om1": 2}
 
 
 def test_csv_schema():

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from acquimech import (Mechanism, MultiInstance, RANK_CLASSES, SizeBudgetError,
-                       UnionInputs, expected_reward, multi_check_ic,
-                       multi_check_monotone, multi_expected_reward,
-                       ranking_mechanism, rm_ic_audit, solve_om1, solve_omk,
-                       solve_umopt, tmm_optimal, union_compose, union_policy,
+from acquimech import (Mechanism, MultiInstance, MultiPolicy, RANK_CLASSES,
+                       SizeBudgetError, UnionInputs, expected_reward,
+                       multi_check_ic, multi_check_monotone,
+                       multi_expected_reward, omk_problem, ranking_mechanism,
+                       rm_ic_audit, solve_om1, solve_omk, solve_umopt,
+                       tmm_optimal, union_compose, union_policy,
                        validate_instance)
 from acquimech.experiments import THM7_PRINTED_AGGREGATES
 from acquimech.gen import random_instance
@@ -31,6 +32,48 @@ def test_omk_reduces_to_om1_at_k_one():
         joint = multi_expected_reward(mi, solve_omk(mi))
         single = expected_reward(inst, solve_om1(inst))
         assert joint == pytest.approx(single, abs=1e-9)
+
+
+def _report_independent_policy(rng, n, m, k):
+    """Each x_i depends only on the scores and never decreases in its own."""
+    x = rng.uniform(0.0, 1.0, (k,) + (m,) * k)
+    for i in range(k):
+        x[i] = np.maximum.accumulate(x[i], axis=i)
+    return np.broadcast_to(x.reshape((k,) + (1,) * k + (m,) * k),
+                           (k,) + (n,) * k + (m,) * k)
+
+
+def test_builder_rows_agree_with_checkers():
+    """omk_problem's rows and the analysis checkers state IC and
+    monotonicity independently: a row is violated exactly when the checker
+    reports the same violation."""
+    rng = np.random.default_rng(11)
+    tol, margin = 1e-7, 1e-9
+    outcomes = set()
+    for trial in range(80):
+        k = 1 + trial % 2
+        inst = small_instance(rng)
+        n, m = inst.n, inst.m
+        mi = MultiInstance(inst, k)
+        x = _report_independent_policy(rng, n, m, k)
+        if trial % 4 == 1:
+            x = rng.uniform(0.0, 1.0, x.shape)
+        elif trial % 4 >= 2:
+            x = x + 10.0 ** rng.uniform(-9, -3) * rng.standard_normal(x.shape)
+        policy = MultiPolicy(np.clip(x, 0.0, 1.0))
+        rows = omk_problem(mi).constraint_matrix @ policy.tensors.ravel()
+        if np.any(np.abs(rows - tol) < margin):
+            continue
+        NV = n**k
+        pairs = [(a, ap) for a in range(NV) for ap in range(NV) if a != ap]
+        ic_rows, mono_rows = rows[:len(pairs)], rows[len(pairs):]
+        ic = multi_check_ic(mi, policy, tol=tol)
+        mono = multi_check_monotone(mi, policy, tol=tol)
+        assert {pairs[r] for r in np.nonzero(ic_rows > tol)[0]} == \
+            {v.indices for v in ic.violations}
+        assert np.count_nonzero(mono_rows > tol) == len(mono.violations)
+        outcomes.add(ic.passed and mono.passed)
+    assert outcomes == {True, False}
 
 
 def test_omk_two_item_registry_value(registry):
