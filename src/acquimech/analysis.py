@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (Instance, Mechanism, MultiInstance, MultiPolicy,
-                   item_margins, noise_product, prior_product)
+                   noise_product, prior_product)
+from .multi_item import joint_weights
 
 IC_TOL = 1e-7
 MONOTONE_TOL = 1e-9
@@ -50,29 +51,26 @@ def _report(violations: list[Violation], tol: float) -> VerificationReport:
 
 def expected_reward(instance: Instance, mechanism: Mechanism) -> float:
     """Collector's expected margin under truthful reporting:
-    sum_{v,s} (v - t) d(v) x(v,s) r(v,s)."""
+    sum_{v,s} (v - t) d(v) x(v,s) r(v,s), the OM1 LP objective at x."""
     if mechanism.matrix.shape != (instance.n, instance.m):
         raise ValueError("mechanism shape does not match instance grid")
-    margin = (instance.grid.values - instance.bar) * instance.prior
-    return float(np.sum(margin[:, None] * mechanism.matrix * instance.score_model))
+    return float(joint_weights(MultiInstance(instance))[1] @ mechanism.matrix.ravel())
+
+
+def _ic_report(accept: np.ndarray, tol: float) -> VerificationReport:
+    """Every report ap that beats the truth a by more than ``tol``, row-major,
+    where ``accept[a, ap]`` is what the owner gets reporting ap under a."""
+    gain = accept - np.diag(accept)[:, None]
+    a, ap = np.nonzero((gain > tol) & ~np.eye(len(gain), dtype=bool))
+    return _report([Violation(f"reporting {j} beats truth {i}", (i, j), float(gain[i, j]))
+                    for i, j in zip(a.tolist(), ap.tolist())], tol)
 
 
 def check_ic(instance: Instance, mechanism: Mechanism,
              tol: float = IC_TOL) -> VerificationReport:
     """Truth-telling must maximize the owner's acquisition probability."""
     X, R = mechanism.matrix, instance.score_model
-    accept = (X @ R.T).T        # accept[v, vp]: report vp under truth v's noise
-    truth = np.diag(accept)
-    violations = []
-    for v in range(instance.n):
-        for vp in range(instance.n):
-            if vp == v:
-                continue
-            gain = accept[v, vp] - truth[v]
-            if gain > tol:
-                violations.append(Violation(
-                    f"reporting {vp} beats truth {v}", (v, vp), float(gain)))
-    return _report(violations, tol)
+    return _ic_report((X @ R.T).T, tol)   # report vp under truth v's noise
 
 
 def check_monotone(mechanism: Mechanism,
@@ -124,30 +122,15 @@ def multi_expected_reward(mi: MultiInstance, policy: MultiPolicy) -> float:
     inst, k = mi.base, mi.item_count
     if policy.tensors.shape != (k,) + (inst.n,) * k + (inst.m,) * k:
         raise ValueError("policy shape does not match instance")
-    X, Rk, dk = _flat(mi, policy)
-    margins = item_margins(inst, k)
-    return float(np.sum(margins[:, :, None] * X * (dk[:, None] * Rk)))
+    return float(joint_weights(mi)[1] @ policy.tensors.ravel())
 
 
 def multi_check_ic(mi: MultiInstance, policy: MultiPolicy,
                    tol: float = IC_TOL) -> VerificationReport:
     """Reporting any other quality tuple must not raise total acquisitions."""
     X, Rk, _ = _flat(mi, policy)
-    # accept[a, ap] = owner's expected total acquisitions reporting tuple ap
-    # while the true tuple is a
-    accept = np.einsum("ivs,ws->wv", X, Rk)
-    truth = np.diag(accept)
-    violations = []
-    NV = accept.shape[0]
-    for a in range(NV):
-        for ap in range(NV):
-            if a == ap:
-                continue
-            gain = accept[a, ap] - truth[a]
-            if gain > tol:
-                violations.append(Violation(
-                    f"reporting tuple {ap} beats truth {a}", (a, ap), float(gain)))
-    return _report(violations, tol)
+    # owner's expected total acquisitions reporting tuple ap under true tuple a
+    return _ic_report(Rk @ X.sum(axis=0).T, tol)
 
 
 def multi_check_monotone(mi: MultiInstance, policy: MultiPolicy,

@@ -217,12 +217,18 @@ def _cmd_sweep(args) -> int:
         records = experiments.run_sweep(config, size_budget=_size_budget())
     except SizeBudgetError as exc:
         raise CliError(str(exc), EXIT_SIZE_BUDGET) from exc
+    except ValueError as exc:   # the prior, grids or bar the config describes
+        raise CliError(f"invalid sweep config {args.config}: {exc}") from exc
     with open(args.out, "w", encoding="utf-8") as fh:
         experiments.write_sweep_csv(records, fh)
     return EXIT_OK
 
 
 def _cmd_gen(args) -> int:
+    if args.levels < 2:
+        raise CliError("--levels must be at least 2")
+    if args.k < 1:
+        raise CliError("--k must be a positive integer")
     if args.consistent:
         instance = gen.random_consistent_instance(args.seed, max_levels=args.levels)
     else:

@@ -107,7 +107,6 @@ class SweepConfig:
     bar: float
     mechanisms: tuple[str, ...]
     item_count: int = 1
-    seed: int = 0
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -136,7 +135,6 @@ class SweepConfig:
                 bar=float(doc["t"]),
                 mechanisms=tuple(doc["mechanisms"]),
                 item_count=int(doc.get("k", 1)),
-                seed=int(doc.get("seed", 0)),
             )
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed sweep config: {exc}") from exc

@@ -19,15 +19,13 @@ def _grid(rng: np.random.Generator, levels: int) -> np.ndarray:
     return vals
 
 
-def random_instance(seed, min_levels: int = 2, max_levels: int = 5,
-                    square: bool = False) -> Instance:
-    """A random valid instance; quality and score grids drawn independently
-    unless ``square`` ties them to the same support."""
+def random_instance(seed, min_levels: int = 2, max_levels: int = 5) -> Instance:
+    """A random valid instance; quality and score grids drawn independently."""
     rng = _rng(seed)
     n = int(rng.integers(min_levels, max_levels + 1))
-    m = n if square else int(rng.integers(min_levels, max_levels + 1))
+    m = int(rng.integers(min_levels, max_levels + 1))
     values = _grid(rng, n)
-    scores = values if square else _grid(rng, m)
+    scores = _grid(rng, m)
     prior = rng.dirichlet(np.full(n, 2.0))
     model = rng.dirichlet(np.full(m, 1.0), size=n)
     bar = float(rng.uniform(values[0], values[-1]))

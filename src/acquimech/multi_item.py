@@ -41,9 +41,13 @@ def _policy_shape(n: int, m: int, k: int) -> tuple[int, ...]:
     return (k,) + (n,) * k + (m,) * k
 
 
-def _joint_weights(mi: MultiInstance):
+def joint_weights(mi: MultiInstance):
     """Flattened joint noise (NV, NS), and each variable's reward weight
     (v_i - t) prod_j d(v_j) r(v_j, s_j) flattened from (k, NV, NS).
+
+    The weights are the one reward formula: the OMk, OM1 and UMOPT LP
+    objectives and ``analysis.expected_reward``/``multi_expected_reward``
+    all take them, so a reported LP reward is the LP's own ``c @ x``.
 
     One item multiplies in the single-item order ((v - t) d(v)) r(v, s):
     OM1-alt pins the objective as a constraint row, and its second-stage
@@ -94,7 +98,7 @@ def omk_problem(mi: MultiInstance) -> LpProblem:
     per item in its own score, other scores fixed.  With one item this is
     the OM1 LP.
     """
-    Rk, c = _joint_weights(mi)
+    Rk, c = joint_weights(mi)
     A = _ic_monotone_rows(Rk, mi.base.m, mi.item_count)
     return LpProblem(c, A, np.zeros(A.shape[0]), np.zeros(c.size), np.ones(c.size))
 
@@ -304,7 +308,7 @@ def solve_umopt(mi: MultiInstance,
     nx = k * n**k * m**k
     ny = k * n * m
     _check_budget(nx + ny, size_budget)
-    c = np.concatenate([_joint_weights(mi)[1], np.zeros(ny)])
+    c = np.concatenate([joint_weights(mi)[1], np.zeros(ny)])
     A = _umopt_rows(inst, k)
     problem = LpProblem(c, A, np.zeros(A.shape[0]),
                         np.zeros(nx + ny), np.ones(nx + ny))

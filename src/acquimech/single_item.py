@@ -165,9 +165,9 @@ def tmm_optimal(instance: Instance) -> tuple[TmmParams, Mechanism, float]:
     piecewise linear in alpha with breakpoints where some quality flips
     menus; at a breakpoint the flipping owner is indifferent and contributes
     the same reward either way, so the curve is continuous and evaluating
-    {0, 1} plus all interior breakpoints cannot lose the supremum.  Both
-    menu assignments adjacent to each breakpoint are scored anyway to guard
-    the argmax against rounding in the membership test.
+    {0, 1} plus all interior breakpoints cannot lose the supremum.  Each
+    owner takes the better menu, ``max(alpha * tail1, tail2)``, so the score
+    does not depend on which menu an indifferent owner is assigned.
     """
     margin = _margin(instance)
     thresholds: list[Optional[int]] = list(range(instance.m)) + [NEVER]
@@ -181,14 +181,9 @@ def tmm_optimal(instance: Instance) -> tuple[TmmParams, Mechanism, float]:
                 breaks = np.where(tail1 > 0, tail2 / tail1, np.inf)
             cand.update(float(a) for a in breaks if 0.0 < a < 1.0)
             for alpha in sorted(cand):
-                accept_lottery = alpha * tail1
-                strict = accept_lottery > tail2
-                loose = accept_lottery >= tail2
-                for in_v1 in (strict, loose):
-                    accept = np.where(in_v1, accept_lottery, tail2)
-                    reward = float(margin @ accept)
-                    if reward > best[0]:
-                        best = (reward, b1, b2, alpha)
+                reward = float(margin @ np.maximum(alpha * tail1, tail2))
+                if reward > best[0]:
+                    best = (reward, b1, b2, alpha)
     _, b1, b2, alpha = best
     params, mech = tmm_build(instance, b1, b2, alpha)
     return params, mech, analysis.expected_reward(instance, mech)

@@ -6,9 +6,10 @@ import pytest
 from acquimech import (Mechanism, MultiInstance, MultiPolicy, UnionInputs,
                        acquiring_rate, check_ic, check_monotone,
                        expected_reward, multi_acquiring_rate, multi_check_ic,
-                       multi_check_monotone, multi_expected_reward,
-                       omniscient_reward, reward_gap_vs_omniscient, solve_om1,
-                       solve_som, total_bias, union_policy, validate_instance)
+                       multi_check_monotone, multi_expected_reward, om1_problem,
+                       omk_problem, omniscient_reward, reward_gap_vs_omniscient,
+                       solve_om1, solve_omk, solve_som, total_bias,
+                       union_policy, validate_instance)
 from acquimech.gen import random_instance
 
 GRID4 = [0.0, 1 / 3, 2 / 3, 1.0]
@@ -160,3 +161,53 @@ def test_verification_report_serializes(example1):
     assert doc["passed"] is False
     assert doc["violations"][0]["indices"] == [0, 2, 3]
     assert isinstance(doc["tolerance"], float)
+
+
+def independent_copies(matrix: np.ndarray, k: int) -> MultiPolicy:
+    """x_i(v, s) = matrix[v_i, s_i]: k copies of one single-item mechanism."""
+    n, m = matrix.shape
+    tensors = np.empty((k,) + (n,) * k + (m,) * k)
+    for i in range(k):
+        shape = [1] * (2 * k)
+        shape[i], shape[k + i] = n, m
+        tensors[i] = matrix.reshape(shape)
+    return MultiPolicy(tensors)
+
+
+def test_lp_optimum_reward_is_the_lp_objective():
+    """The reported reward of an LP optimum is the LP's own objective c @ x,
+    bit for bit."""
+    for seed in range(40):
+        inst = random_instance(seed, max_levels=3)
+        om1 = solve_om1(inst)
+        assert expected_reward(inst, om1) == \
+            float(om1_problem(inst).objective @ om1.matrix.ravel())
+        mi = MultiInstance(inst, 2)
+        omk = solve_omk(mi)
+        assert multi_expected_reward(mi, omk) == \
+            float(omk_problem(mi).objective @ omk.tensors.ravel())
+
+
+def test_single_and_multi_ic_scans_agree_at_k_one():
+    rng = np.random.default_rng(3)
+    found = 0
+    for seed in range(20):
+        inst = random_instance(seed, max_levels=6)
+        mech = Mechanism(rng.uniform(0.0, 1.0, (inst.n, inst.m)))
+        single = check_ic(inst, mech)
+        multi = multi_check_ic(MultiInstance(inst, 1), MultiPolicy(mech.matrix[None]))
+        assert multi.to_dict() == single.to_dict()
+        found += len(single.violations)
+    assert found > 0
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_multi_rate_of_independent_om1_copies_is_om1_rate(k):
+    for seed in range(6):
+        inst = random_instance(seed, max_levels=3)
+        om1 = solve_om1(inst)
+        rates, overall = acquiring_rate(inst, om1)
+        multi_rates, multi_overall = multi_acquiring_rate(
+            MultiInstance(inst, k), independent_copies(om1.matrix, k))
+        assert multi_rates == pytest.approx(rates, abs=1e-12)
+        assert multi_overall == pytest.approx(overall, abs=1e-12)

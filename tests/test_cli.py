@@ -233,6 +233,47 @@ def test_sweep_rejects_bad_config(capsys, tmp_path):
     assert code == 2 and "malformed" in err
 
 
+SWEEP_CONFIG = {
+    "family": "normal", "prior_mean": 0.3, "prior_sd": 0.25,
+    "variance_grid": [0.0, 0.3], "V": [0.0, 0.5, 1.0],
+    "S": [0.0, 0.5, 1.0], "t": 0.25, "mechanisms": ["SOM", "TMM"],
+}
+
+
+@pytest.mark.parametrize("bad", [
+    {"prior_sd": -1.0},
+    {"prior_mean": float("nan")},
+    {"V": [0.0, 0.5, 0.5]},
+    {"prior_mean": 50.0, "prior_sd": 0.01},    # no mass on the grid
+], ids=["negative-sd", "nan-mean", "duplicate-values", "mass-off-grid"])
+def test_sweep_bad_config_values_are_bad_input(capsys, tmp_path, bad):
+    config_path = tmp_path / "bad.json"
+    config_path.write_text(json.dumps({**SWEEP_CONFIG, **bad}))
+    out_csv = tmp_path / "x.csv"
+    code, out, err = run(capsys, "sweep", "--config", str(config_path),
+                         "--out", str(out_csv))
+    assert code == 2 and out == "" and not out_csv.exists()
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_sweep_config_ignores_extra_keys(capsys, tmp_path):
+    config_path = tmp_path / "sweep.json"
+    config_path.write_text(json.dumps({**SWEEP_CONFIG, "seed": 3}))
+    code, _, _ = run(capsys, "sweep", "--config", str(config_path),
+                     "--out", str(tmp_path / "x.csv"))
+    assert code == 0
+
+
+@pytest.mark.parametrize("argv", [["--levels", "1"], ["--levels", "0"],
+                                  ["--levels", "1", "--consistent"],
+                                  ["--k", "0"], ["--k", "-2"]])
+def test_gen_bad_arguments_are_bad_input(capsys, tmp_path, argv):
+    out_path = tmp_path / "inst.json"
+    code, out, err = run(capsys, "gen", *argv, "--out", str(out_path))
+    assert code == 2 and out == "" and not out_path.exists()
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_gen_produces_loadable_instance(capsys, tmp_path):
     out_path = tmp_path / "inst.json"
     code, _, _ = run(capsys, "gen", "--seed", "7", "--consistent",

@@ -93,7 +93,7 @@ def test_score_model_rows_stochastic_any_variance():
 def make_config(**overrides):
     base = dict(family="normal", prior_mean=0.3, prior_sd=0.25,
                 variance_grid=(0.0, 0.2), values=GRID7, scores=GRID7,
-                bar=0.25, mechanisms=("SOM",), item_count=1, seed=0)
+                bar=0.25, mechanisms=("SOM",), item_count=1)
     base.update(overrides)
     return SweepConfig(**base)
 
