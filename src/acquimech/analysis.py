@@ -7,7 +7,6 @@ themselves.  All expectations are exact finite sums over the discrete grids.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,7 +107,16 @@ def acquiring_rate(instance: Instance,
     return per_quality, float(instance.prior @ per_quality)
 
 
+def _check_shape(mi: MultiInstance, policy: MultiPolicy) -> None:
+    """A policy of the right size but the wrong shape would otherwise be
+    reshaped into a different policy."""
+    inst, k = mi.base, mi.item_count
+    if policy.tensors.shape != (k,) + (inst.n,) * k + (inst.m,) * k:
+        raise ValueError("policy shape does not match instance")
+
+
 def _flat(mi: MultiInstance, policy: MultiPolicy):
+    _check_shape(mi, policy)
     inst, k = mi.base, mi.item_count
     n, m = inst.n, inst.m
     X = policy.tensors.reshape(k, n**k, m**k)
@@ -119,9 +127,7 @@ def _flat(mi: MultiInstance, policy: MultiPolicy):
 
 def multi_expected_reward(mi: MultiInstance, policy: MultiPolicy) -> float:
     """Joint expected margin sum_{v,s} sum_i (v_i - t) x_i prod_j r d."""
-    inst, k = mi.base, mi.item_count
-    if policy.tensors.shape != (k,) + (inst.n,) * k + (inst.m,) * k:
-        raise ValueError("policy shape does not match instance")
+    _check_shape(mi, policy)
     return float(joint_weights(mi)[1] @ policy.tensors.ravel())
 
 
@@ -136,6 +142,7 @@ def multi_check_ic(mi: MultiInstance, policy: MultiPolicy,
 def multi_check_monotone(mi: MultiInstance, policy: MultiPolicy,
                          tol: float = MONOTONE_TOL) -> VerificationReport:
     """Each x_i must be nondecreasing in its own score, all else fixed."""
+    _check_shape(mi, policy)
     k = mi.item_count
     violations = []
     for i in range(k):
@@ -150,21 +157,17 @@ def multi_check_monotone(mi: MultiInstance, policy: MultiPolicy,
 
 def multi_acquiring_rate(mi: MultiInstance,
                          policy: MultiPolicy) -> tuple[np.ndarray, float]:
-    """Positional average acquisition probability per own quality level."""
+    """Positional average acquisition probability per own quality level:
+    the prior-weighted mean of E[x_i | true tuple a] over every position i
+    and tuple a with a_i = v."""
     inst, k = mi.base, mi.item_count
     n = inst.n
     X, Rk, dk = _flat(mi, policy)
-    vts = list(itertools.product(range(n), repeat=k))
-    per_quality = np.zeros(n)
-    joint = np.einsum("ivs,vs->iv", X, Rk)   # E[x_i | true tuple v]
-    for v in range(n):
-        total, wsum = 0.0, 0.0
-        for i in range(k):
-            for a, vt in enumerate(vts):
-                if vt[i] != v:
-                    continue
-                w = dk[a]
-                total += w * joint[i, a]
-                wsum += w
-        per_quality[v] = total / wsum if wsum > 0 else 0.0
+    joint = np.einsum("ivs,vs->iv", X, Rk)   # E[x_i | true tuple a]
+    own = np.indices((n,) * k).reshape(k, -1).ravel()   # a_i, (i, a) row-major
+    w = np.broadcast_to(dk, joint.shape)
+    # bincount adds in (i, a) order, one bin per level
+    total = np.bincount(own, weights=(w * joint).ravel(), minlength=n)
+    wsum = np.bincount(own, weights=w.ravel(), minlength=n)
+    per_quality = np.divide(total, wsum, out=np.zeros(n), where=wsum > 0)
     return per_quality, float(inst.prior @ per_quality)

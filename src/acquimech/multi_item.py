@@ -3,12 +3,13 @@
 Covers the joint LP-optimal mechanism OMk, the ordinal ranking mechanism for
 two items together with its incentive audit (it is not truthful), and union
 mechanisms that run k single-item mechanisms and greedily redistribute the
-pooled acquisition mass toward the highest-quality items.
+pooled acquisition mass toward the highest-quality items.  The items are
+i.i.d., so the OMk and UMOPT LPs are solved with one variable per orbit of
+the item permutations and expanded back to full policies.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,51 +63,117 @@ def joint_weights(mi: MultiInstance):
     return Rk, (margins[:, :, None] * (dk[:, None] * Rk)[None, :, :]).ravel()
 
 
-def _ic_monotone_rows(Rk: np.ndarray, m: int, k: int) -> sp.csr_matrix:
-    """IC rows, then monotonicity rows, all ``<= 0``, over x_i(a, b) at
-    column ``(i * NV + a) * NS + b`` for quality tuple a and score tuple b.
+def _pair_codes(n: int, m: int, k: int) -> np.ndarray:
+    """Code ``v_i * m + s_i`` of each item i in every profile (v-tuple,
+    s-tuple), shape (k, (n * m)**k), profiles row-major as in the policy."""
+    digits = np.indices((n,) * k + (m,) * k).reshape(2 * k, -1)
+    return digits[:k] * m + digits[k:]
+
+
+def _multiset_key(codes: np.ndarray, base: int) -> np.ndarray:
+    """One integer per column of ``codes`` (entries below ``base``), equal
+    for two columns exactly when they hold the same multiset of codes."""
+    key = np.zeros(codes.shape[1:], dtype=np.int64)
+    for row in np.sort(codes, axis=0):
+        key = key * base + row
+    return key
+
+
+def _first_of_each(key: np.ndarray) -> np.ndarray:
+    """Positions of the first occurrence of each distinct key, ascending."""
+    return np.sort(np.unique(key, return_index=True)[1])
+
+
+def item_orbits(n: int, m: int, k: int) -> tuple[np.ndarray, int]:
+    """Orbit of every policy variable x_i(a, b), at column ``(i * NV + a) *
+    NS + b``, under permutations of the k items, and the number of orbits.
+
+    Two variables share an orbit when their own (quality, score) pair is the
+    same and so is the multiset of the other k - 1 items' pairs.  Orbits are
+    numbered in the order of their first column; there are n m C(nm + k - 2,
+    k - 1) of them.  The OMk and UMOPT LPs do not change when the i.i.d.
+    items are permuted, so they have an optimum that is constant on orbits.
+    """
+    size = k * (n * m) ** k
+    if k == 1:
+        return np.arange(size), size
+    pair = _pair_codes(n, m, k)
+    key = np.concatenate([pair[i] * (n * m) ** (k - 1)
+                          + _multiset_key(np.delete(pair, i, axis=0), n * m)
+                          for i in range(k)])
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    rank = np.empty(first.size, dtype=np.intp)
+    rank[np.argsort(first)] = np.arange(first.size)
+    return rank[inverse], first.size
+
+
+def _orbit_sum(values: np.ndarray, orbit: np.ndarray, count: int) -> np.ndarray:
+    """Sum of ``values`` over the columns of each orbit.  With one column per
+    orbit ``values`` is returned as it is: the sum would turn -0.0 into 0.0."""
+    if count == values.size:
+        return values
+    return np.bincount(orbit, weights=values, minlength=count)
+
+
+def _ic_monotone_rows(Rk: np.ndarray, n: int, m: int, k: int,
+                      orbit: np.ndarray, count: int) -> sp.csr_matrix:
+    """IC rows, then monotonicity rows, all ``<= 0``, over one variable per
+    :func:`item_orbits` orbit of x_i(a, b) (quality tuple a, score tuple b).
 
     IC row (a, ap), a-major over distinct tuples, is ``sum_i sum_b Rk[a, b]
     (x_i(ap, b) - x_i(a, b))``, zeros of Rk kept as entries.  Monotone row
     (i, a, b) is ``x_i(a, b - stride_i) - x_i(a, b)`` for each b whose i-th
-    score is above the lowest.  The COO arrays are freed on return, before
-    the solver runs.
+    score is above the lowest.  Permuting the items maps rows onto rows, so
+    only the first row of each row orbit is emitted: IC rows per multiset of
+    (a_j, ap_j) pairs, monotone rows per orbit of x_i(a, b).  Columns go
+    through ``orbit`` and the CSR build sums the duplicates; with one item
+    nothing merges.  The COO arrays are freed on return, before the solver
+    runs.
     """
     NV, NS = Rk.shape
     a, ap = np.nonzero(~np.eye(NV, dtype=bool))
+    own_score_above_lowest = np.indices((m,) * k).reshape(k, 1, NS) != 0
+    hi = np.flatnonzero(np.broadcast_to(own_score_above_lowest, (k, NV, NS)))
+    quality = np.indices((n,) * k).reshape(k, NV)
+    first = _first_of_each(_multiset_key(quality[:, a] * n + quality[:, ap], n * n))
+    a, ap = a[first], ap[first]
+    hi = hi[_first_of_each(orbit[hi])]
     # IC entries in the order (row, item, [reported, true], score)
     blocks = np.arange(k)[:, None] * NV + np.stack([ap, a], axis=1)[:, None, :]
     ic_cols = blocks[..., None] * NS + np.arange(NS)
     ic_data = np.broadcast_to(np.stack([Rk[a], -Rk[a]], axis=1)[:, None], ic_cols.shape)
-    own_score_above_lowest = np.indices((m,) * k).reshape(k, 1, NS) != 0
-    hi = np.flatnonzero(np.broadcast_to(own_score_above_lowest, (k, NV, NS)))
     lo = hi - m ** (k - 1 - hi // (NV * NS))
     n_ic, n_rows = a.size, a.size + hi.size
     rows = np.concatenate([np.repeat(np.arange(n_ic), 2 * k * NS),
                            np.repeat(np.arange(n_ic, n_rows), 2)])
-    cols = np.concatenate([ic_cols.ravel(), np.stack([lo, hi], axis=1).ravel()])
+    cols = orbit[np.concatenate([ic_cols.ravel(), np.stack([lo, hi], axis=1).ravel()])]
     data = np.concatenate([ic_data.ravel(), np.tile([1.0, -1.0], hi.size)])
-    return sp.csr_matrix((data, (rows, cols)), shape=(n_rows, k * NV * NS))
+    return sp.csr_matrix((data, (rows, cols)), shape=(n_rows, count))
 
 
 def omk_problem(mi: MultiInstance) -> LpProblem:
     """The OMk LP: maximize the joint expected margin over policies
-    x_i(v-tuple, s-tuple) in [0, 1].
+    x_i(v-tuple, s-tuple) in [0, 1], one variable per :func:`item_orbits`
+    orbit.
 
     IC compares the owner's total expected acquisitions for every pair of
     reported quality tuples under the true tuple's noise; monotonicity is
     per item in its own score, other scores fixed.  With one item this is
     the OM1 LP.
     """
+    inst, k = mi.base, mi.item_count
     Rk, c = joint_weights(mi)
-    A = _ic_monotone_rows(Rk, mi.base.m, mi.item_count)
-    return LpProblem(c, A, np.zeros(A.shape[0]), np.zeros(c.size), np.ones(c.size))
+    orbit, count = item_orbits(inst.n, inst.m, k)
+    A = _ic_monotone_rows(Rk, inst.n, inst.m, k, orbit, count)
+    return LpProblem(_orbit_sum(c, orbit, count), A, np.zeros(A.shape[0]),
+                     np.zeros(count), np.ones(count))
 
 
 def solve_omk(mi: MultiInstance, size_budget: int | None = None) -> MultiPolicy:
     """Jointly optimal IC monotone policy via one LP over all k items.
 
-    Grows as k * n^k * m^k variables, hence the size budget.
+    The policy has k * n^k * m^k cells, hence the size budget; the LP has one
+    variable per orbit and is expanded back to every cell.
     """
     inst, k = mi.base, mi.item_count
     n, m = inst.n, inst.m
@@ -115,7 +182,8 @@ def solve_omk(mi: MultiInstance, size_budget: int | None = None) -> MultiPolicy:
     if sol.status != OPTIMAL:
         raise RuntimeError(f"OMk LP unexpectedly {sol.status}")
     values = np.clip(sol.values, 0.0, 1.0)   # shave solver box noise
-    return MultiPolicy(values.reshape(_policy_shape(n, m, k)))
+    orbit, _ = item_orbits(n, m, k)
+    return MultiPolicy(values[orbit].reshape(_policy_shape(n, m, k)))
 
 
 @dataclass(frozen=True)
@@ -220,38 +288,35 @@ class UnionInputs:
     mechanisms: tuple[Mechanism, ...]
 
 
+def _union_shares(ys, qualities) -> np.ndarray:
+    """The greedy redistribution of the pooled mass Gamma = sum_i ys[i]
+    (summed item by item, left to right), stacked over the items.
+
+    Item i gets ``clip((Gamma - above_i) / ties_i, 0, 1)``, where above_i
+    counts the items of higher quality index than item i and ties_i those
+    of the same index, item i included.  So items strictly above the
+    bracketing level get 1, items at it split the remainder evenly and items
+    below get 0.  Gamma <= GAMMA_ZERO_TOL has no bracketing level and gets
+    all zeros (the only allocation with the right total).  ``ys[i]`` and
+    ``qualities[i]`` broadcast against each other.
+    """
+    gamma = sum(ys)
+    q = np.stack(np.broadcast_arrays(*qualities))
+    above = (q[None] > q[:, None]).sum(axis=1)
+    ties = (q[None] == q[:, None]).sum(axis=1)
+    x = np.clip((gamma - above) / ties, 0.0, 1.0)
+    return np.where(gamma > GAMMA_ZERO_TOL, x, 0.0)
+
+
 def union_compose(mi: MultiInstance, inputs: UnionInputs,
                   quality_indices: tuple[int, ...],
                   score_indices: tuple[int, ...]) -> np.ndarray:
-    """Redistribute the pooled acquisition mass of one realized profile.
-
-    Gamma = sum_i y_i(v_i, s_i) is reallocated greedily by quality: items
-    strictly above the bracketing level v(q) get probability 1, items at
-    v(q) split the remainder evenly, items below get 0.  Gamma = 0 has no
-    bracketing level and returns all zeros (the only allocation with the
-    right total).
+    """Redistribute the pooled acquisition mass Gamma = sum_i y_i(v_i, s_i)
+    of one realized profile greedily by quality (see :func:`_union_shares`).
     """
-    k = mi.item_count
-    values = mi.base.grid.values
     ys = [float(inputs.mechanisms[i].matrix[quality_indices[i], score_indices[i]])
-          for i in range(k)]
-    gamma = sum(ys)
-    x = np.zeros(k)
-    if gamma <= GAMMA_ZERO_TOL:
-        return x
-    vvals = [values[q] for q in quality_indices]
-    for level in sorted(set(vvals), reverse=True):
-        above = sum(1 for v in vvals if v > level)
-        at_least = sum(1 for v in vvals if v >= level)
-        if above < gamma <= at_least:
-            share = (gamma - above) / (at_least - above)
-            for i, v in enumerate(vvals):
-                if v > level:
-                    x[i] = 1.0
-                elif v == level:
-                    x[i] = share
-            return x
-    raise AssertionError(f"no bracketing level for gamma={gamma}")
+          for i in range(mi.item_count)]
+    return _union_shares(ys, quality_indices)
 
 
 def union_policy(mi: MultiInstance, inputs: UnionInputs,
@@ -260,34 +325,35 @@ def union_policy(mi: MultiInstance, inputs: UnionInputs,
     inst, k = mi.base, mi.item_count
     n, m = inst.n, inst.m
     _check_budget(k * n**k * m**k, size_budget)
-    tensors = np.zeros(_policy_shape(n, m, k))
-    for vt in itertools.product(range(n), repeat=k):
-        for st in itertools.product(range(m), repeat=k):
-            x = union_compose(mi, inputs, vt, st)
-            for i in range(k):
-                tensors[(i,) + vt + st] = x[i]
-    return MultiPolicy(tensors)
+    ys, qualities = [], []
+    for i in range(k):
+        shape = [1] * (2 * k)   # item i's own quality and score axes
+        shape[i], shape[k + i] = n, m
+        ys.append(inputs.mechanisms[i].matrix.reshape(shape))
+        qualities.append(np.arange(n).reshape(shape[:k] + [1] * k))
+    return MultiPolicy(_union_shares(ys, qualities))
 
 
-def _umopt_rows(inst: Instance, k: int) -> sp.csr_matrix:
-    """UMOPT rows over [x, y], all ``<= 0``: for each profile (v, s),
-    profile-major, ``sum_i x_i(v, s) - sum_i y_i(v_i, s_i)`` and its
-    negation; then the one-item IC and monotonicity block of each component
-    y_i, whose columns start at ``nx + i * n * m``."""
+def _umopt_rows(inst: Instance, k: int, orbit: np.ndarray, count: int) -> sp.csr_matrix:
+    """UMOPT rows over [x, y], all ``<= 0``: x has one variable per
+    :func:`item_orbits` orbit and y, at column ``count + v * m + s``, is the
+    one component shared by all items.  For each profile orbit (multiset of
+    the k (v_i, s_i) pairs), in the order of its first profile,
+    ``sum_i x_i(v, s) - sum_i y(v_i, s_i)`` and its negation; then the
+    one-item IC and monotonicity block of y."""
     n, m = inst.n, inst.m
-    P = (n * m) ** k
-    nx = k * P
-    items = np.arange(k)[:, None]
-    digits = np.indices((n,) * k + (m,) * k).reshape(2 * k, P)   # (v, s) per profile
-    profile_cols = np.concatenate([items * P + np.arange(P),
-                                   nx + (items * n + digits[:k]) * m + digits[k:]]).T
+    pair = _pair_codes(n, m, k)
+    P = pair.shape[1]
+    first = _first_of_each(_multiset_key(pair, n * m))
+    profile_cols = np.concatenate([orbit[np.arange(k)[:, None] * P + first],
+                                   count + pair[:, first]]).T
     sign = np.repeat([1.0, -1.0], k)
-    coupling = sp.csr_matrix((np.tile(np.concatenate([sign, -sign]), P),
-                              (np.repeat(np.arange(2 * P), 2 * k),
+    coupling = sp.csr_matrix((np.tile(np.concatenate([sign, -sign]), first.size),
+                              (np.repeat(np.arange(2 * first.size), 2 * k),
                                np.repeat(profile_cols, 2, axis=0).ravel())),
-                             shape=(2 * P, nx + k * n * m))
-    blocks = sp.block_diag([_ic_monotone_rows(inst.score_model, m, 1)] * k)
-    return sp.vstack([coupling, sp.hstack([sp.csr_matrix((blocks.shape[0], nx)), blocks])],
+                             shape=(2 * first.size, count + n * m))
+    block = _ic_monotone_rows(inst.score_model, n, m, 1, *item_orbits(n, m, 1))
+    return sp.vstack([coupling, sp.hstack([sp.csr_matrix((block.shape[0], count)), block])],
                      format="csr")
 
 
@@ -298,24 +364,24 @@ def solve_umopt(mi: MultiInstance,
 
     The LP couples free tensors x_i to the components through
     ``sum_i x_i(v, s) = sum_i y_i(v_i, s_i)`` per profile and maximizes the
-    joint reward.  The returned policy re-applies the greedy redistribution
-    to the optimal components; per profile both allocate the same mass to
-    maximize the acquired margin under unit caps, so the objective is
-    unchanged.
+    joint reward.  Permuting the items leaves it unchanged, so it is solved
+    with x constant on orbits and one component y shared by all items; the
+    k returned components are identical.  The returned policy re-applies the
+    greedy redistribution to the optimal components; per profile both
+    allocate the same mass to maximize the acquired margin under unit caps,
+    so the objective is unchanged.
     """
     inst, k = mi.base, mi.item_count
     n, m = inst.n, inst.m
-    nx = k * n**k * m**k
-    ny = k * n * m
-    _check_budget(nx + ny, size_budget)
-    c = np.concatenate([joint_weights(mi)[1], np.zeros(ny)])
-    A = _umopt_rows(inst, k)
-    problem = LpProblem(c, A, np.zeros(A.shape[0]),
-                        np.zeros(nx + ny), np.ones(nx + ny))
+    _check_budget(k * n**k * m**k + k * n * m, size_budget)
+    orbit, count = item_orbits(n, m, k)
+    c = np.concatenate([_orbit_sum(joint_weights(mi)[1], orbit, count), np.zeros(n * m)])
+    A = _umopt_rows(inst, k, orbit, count)
+    problem = LpProblem(c, A, np.zeros(A.shape[0]), np.zeros(c.size), np.ones(c.size))
     sol = solve_lp(problem)
     if sol.status != OPTIMAL:
         raise RuntimeError(f"UMOPT LP unexpectedly {sol.status}")
-    ys = np.clip(sol.values[nx:], 0.0, 1.0).reshape(k, n, m)
-    inputs = UnionInputs(tuple(
-        Mechanism(ys[i], label=f"UMOPT-component-{i}") for i in range(k)))
+    y = Mechanism(np.clip(sol.values[count:], 0.0, 1.0).reshape(n, m),
+                  label="UMOPT-component")
+    inputs = UnionInputs((y,) * k)
     return inputs, union_policy(mi, inputs, size_budget=size_budget)

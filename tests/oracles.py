@@ -10,7 +10,7 @@ import itertools
 import numpy as np
 
 from acquimech import union_compose
-from acquimech.lp import LpProblem
+from acquimech.lp import OPTIMAL, LpProblem, solve_lp
 
 
 def dense_tmm_search(instance, step=1e-3):
@@ -92,3 +92,110 @@ def naive_union_reward(mi, inputs):
             total += w * sum((inst.grid.values[vt[i]] - inst.bar) * x[i]
                              for i in range(k))
     return total
+
+
+def _profiles(inst, k):
+    """Every (quality tuple, score tuple, probability d * r of the pair)."""
+    out = []
+    for vt in itertools.product(range(inst.n), repeat=k):
+        for st in itertools.product(range(inst.m), repeat=k):
+            w = 1.0
+            for i in range(k):
+                w *= inst.prior[vt[i]] * inst.score_model[vt[i], st[i]]
+            out.append((vt, st, w))
+    return out
+
+
+def _row(size, entries):
+    row = np.zeros(size)
+    for j, coef in entries:
+        row[j] += coef
+    return row
+
+
+def _single_item_rows(inst, size, col):
+    """IC and monotonicity rows of one acquiring matrix, col(v, s) its columns."""
+    R, rows = inst.score_model, []
+    for v in range(inst.n):
+        for vp in range(inst.n):
+            if v != vp:
+                rows.append((_row(size, [(col(vp, s), R[v, s]) for s in range(inst.m)]
+                                  + [(col(v, s), -R[v, s]) for s in range(inst.m)]), 0.0))
+        for s in range(1, inst.m):
+            rows.append((_row(size, [(col(v, s - 1), 1.0), (col(v, s), -1.0)]), 0.0))
+    return rows
+
+
+def _optimum(c, rows):
+    sol = solve_lp(LpProblem.from_rows(c, rows, [(0.0, 1.0)] * len(c)))
+    assert sol.status == OPTIMAL
+    return sol.objective_value
+
+
+def full_omk_optimum(mi):
+    """Optimum of the OMk LP over every x_i(v, s), built entry by entry.
+
+    IC: for true tuple v and any other report vp, sum_i sum_s r(v, s)
+    (x_i(vp, s) - x_i(v, s)) <= 0.  Monotone: each x_i is nondecreasing in
+    its own score.  Objective: sum d(v) r(v, s) (v_i - t) x_i(v, s).
+    """
+    inst, k = mi.base, mi.item_count
+    V, t, R = inst.grid.values, inst.bar, inst.score_model
+    profiles = _profiles(inst, k)
+    col = {(i, vt, st): j for j, (i, (vt, st, _)) in
+           enumerate(itertools.product(range(k), profiles))}
+    c = np.zeros(len(col))
+    for i in range(k):
+        for vt, st, w in profiles:
+            c[col[(i, vt, st)]] = (V[vt[i]] - t) * w
+    sts = list(itertools.product(range(inst.m), repeat=k))
+    vts = list(itertools.product(range(inst.n), repeat=k))
+
+    def noise(vt, st):
+        return np.prod([R[vt[j], st[j]] for j in range(k)])
+
+    rows = []
+    for vt in vts:
+        for vp in vts:
+            if vp != vt:
+                rows.append((_row(c.size, [(col[(i, vp, st)], noise(vt, st))
+                                           for i in range(k) for st in sts]
+                                  + [(col[(i, vt, st)], -noise(vt, st))
+                                     for i in range(k) for st in sts]), 0.0))
+    for i in range(k):
+        for vt in vts:
+            for st in sts:
+                if st[i] > 0:
+                    lower = st[:i] + (st[i] - 1,) + st[i + 1:]
+                    rows.append((_row(c.size, [(col[(i, vt, lower)], 1.0),
+                                               (col[(i, vt, st)], -1.0)]), 0.0))
+    return _optimum(c, rows)
+
+
+def full_umopt_optimum(mi):
+    """Optimum of the UMOPT LP with k separate components y_i, built entry
+    by entry: free x_i(v, s) with sum_i x_i(v, s) = sum_i y_i(v_i, s_i) at
+    every profile, and each y_i IC and monotone."""
+    inst, k = mi.base, mi.item_count
+    V, t, n, m = inst.grid.values, inst.bar, inst.n, inst.m
+    profiles = _profiles(inst, k)
+    nx = k * len(profiles)
+    size = nx + k * n * m
+
+    def x(i, p):
+        return i * len(profiles) + p
+
+    def y(i):
+        return lambda v, s: nx + (i * n + v) * m + s
+
+    c = np.zeros(size)
+    rows = []
+    for p, (vt, st, w) in enumerate(profiles):
+        for i in range(k):
+            c[x(i, p)] = (V[vt[i]] - t) * w
+        coupling = _row(size, [(x(i, p), 1.0) for i in range(k)]
+                        + [(y(i)(vt[i], st[i]), -1.0) for i in range(k)])
+        rows += [(coupling, 0.0), (-coupling, 0.0)]
+    for i in range(k):
+        rows += _single_item_rows(inst, size, y(i))
+    return _optimum(c, rows)

@@ -11,6 +11,7 @@ from acquimech import (Mechanism, MultiInstance, MultiPolicy, UnionInputs,
                        solve_om1, solve_omk, solve_som, total_bias,
                        union_policy, validate_instance)
 from acquimech.gen import random_instance
+from acquimech.multi_item import item_orbits, joint_weights
 
 GRID4 = [0.0, 1 / 3, 2 / 3, 1.0]
 
@@ -145,6 +146,16 @@ def test_multi_policy_shape_mismatch(registry):
         multi_expected_reward(mi, MultiPolicy(np.zeros((2, 3, 3, 4, 4))))
 
 
+def test_mis_shaped_policy_of_the_right_size_is_rejected(example1):
+    """(2, 16, 16) has as many cells as the (2, 4, 4, 4, 4) policy of
+    example1 with two items."""
+    mi = MultiInstance(example1, 2)
+    policy = MultiPolicy(np.full((2, 16, 16), 0.5))
+    for check in (multi_check_ic, multi_check_monotone, multi_acquiring_rate):
+        with pytest.raises(ValueError, match="shape"):
+            check(mi, policy)
+
+
 def test_multi_rates_bounded_and_consistent():
     inst = random_instance(9, max_levels=3)
     mi = MultiInstance(inst, 2)
@@ -175,8 +186,9 @@ def independent_copies(matrix: np.ndarray, k: int) -> MultiPolicy:
 
 
 def test_lp_optimum_reward_is_the_lp_objective():
-    """The reported reward of an LP optimum is the LP's own objective c @ x,
-    bit for bit."""
+    """The reported reward of an LP optimum is the LP's own objective: c @ x
+    bit for bit for OM1.  The OMk LP has one variable per item-permutation
+    orbit, so its c @ z sums the same terms in another order."""
     for seed in range(40):
         inst = random_instance(seed, max_levels=3)
         om1 = solve_om1(inst)
@@ -184,8 +196,12 @@ def test_lp_optimum_reward_is_the_lp_objective():
             float(om1_problem(inst).objective @ om1.matrix.ravel())
         mi = MultiInstance(inst, 2)
         omk = solve_omk(mi)
-        assert multi_expected_reward(mi, omk) == \
-            float(omk_problem(mi).objective @ omk.tensors.ravel())
+        reward = multi_expected_reward(mi, omk)
+        assert reward == float(joint_weights(mi)[1] @ omk.tensors.ravel())
+        orbit, _ = item_orbits(inst.n, inst.m, 2)
+        z = omk.tensors.ravel()[np.unique(orbit, return_index=True)[1]]
+        assert reward == pytest.approx(float(omk_problem(mi).objective @ z),
+                                       rel=0, abs=1e-15)
 
 
 def test_single_and_multi_ic_scans_agree_at_k_one():

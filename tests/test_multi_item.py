@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -6,15 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acquimech import (Mechanism, MultiInstance, MultiPolicy, RANK_CLASSES,
-                       SizeBudgetError, UnionInputs, expected_reward,
-                       multi_check_ic, multi_check_monotone,
+                       SizeBudgetError, UnionInputs, check_ic, check_monotone,
+                       expected_reward, multi_check_ic, multi_check_monotone,
                        multi_expected_reward, omk_problem, ranking_mechanism,
                        rm_ic_audit, solve_om1, solve_omk, solve_umopt,
                        tmm_optimal, union_compose, union_policy,
                        validate_instance)
 from acquimech.experiments import THM7_PRINTED_AGGREGATES
+from acquimech.multi_item import item_orbits
 from acquimech.gen import random_instance
-from oracles import naive_union_reward
+from oracles import full_omk_optimum, full_umopt_optimum, naive_union_reward
 
 GRID4 = [0.0, 1 / 3, 2 / 3, 1.0]
 
@@ -43,10 +45,27 @@ def _report_independent_policy(rng, n, m, k):
                            (k,) + (n,) * k + (m,) * k)
 
 
+def _symmetrized(x, k):
+    """x averaged over the k! permutations of the items (k <= 2)."""
+    if k == 1:
+        return x
+    swap = (1, 0, 3, 2)
+    return np.stack([(x[0] + x[1].transpose(swap)) / 2,
+                     (x[1] + x[0].transpose(swap)) / 2])
+
+
+def _column_key(i, vt, st):
+    """Orbit of x_i(vt, st): own pair, then the multiset of the others."""
+    pairs = list(zip(vt, st))
+    return pairs[i], tuple(sorted(pairs[:i] + pairs[i + 1:]))
+
+
 def test_builder_rows_agree_with_checkers():
     """omk_problem's rows and the analysis checkers state IC and
     monotonicity independently: a row is violated exactly when the checker
-    reports the same violation."""
+    reports a violation in that row's orbit.  With one item every orbit is
+    one row; with two, the policies are item-symmetrized and the rows
+    evaluated at the orbit representatives."""
     rng = np.random.default_rng(11)
     tol, margin = 1e-7, 1e-9
     outcomes = set()
@@ -60,18 +79,32 @@ def test_builder_rows_agree_with_checkers():
             x = rng.uniform(0.0, 1.0, x.shape)
         elif trial % 4 >= 2:
             x = x + 10.0 ** rng.uniform(-9, -3) * rng.standard_normal(x.shape)
-        policy = MultiPolicy(np.clip(x, 0.0, 1.0))
-        rows = omk_problem(mi).constraint_matrix @ policy.tensors.ravel()
+        policy = MultiPolicy(_symmetrized(np.clip(x, 0.0, 1.0), k))
+        orbit, _ = item_orbits(n, m, k)
+        z = policy.tensors.ravel()[np.unique(orbit, return_index=True)[1]]
+        rows = omk_problem(mi).constraint_matrix @ z
         if np.any(np.abs(rows - tol) < margin):
             continue
-        NV = n**k
-        pairs = [(a, ap) for a in range(NV) for ap in range(NV) if a != ap]
-        ic_rows, mono_rows = rows[:len(pairs)], rows[len(pairs):]
+        vts = list(itertools.product(range(n), repeat=k))
+        sts = list(itertools.product(range(m), repeat=k))
+        # row orbits in the builder's order: the first row of each
+        ic_keys = list(dict.fromkeys(tuple(sorted(zip(a, ap)))
+                                     for a in vts for ap in vts if a != ap))
+        mono_keys = list(dict.fromkeys(_column_key(i, vt, st) for i in range(k)
+                                       for vt in vts for st in sts if st[i] > 0))
+        assert rows.size == len(ic_keys) + len(mono_keys)
+        ic_rows, mono_rows = rows[:len(ic_keys)], rows[len(ic_keys):]
         ic = multi_check_ic(mi, policy, tol=tol)
         mono = multi_check_monotone(mi, policy, tol=tol)
-        assert {pairs[r] for r in np.nonzero(ic_rows > tol)[0]} == \
-            {v.indices for v in ic.violations}
-        assert np.count_nonzero(mono_rows > tol) == len(mono.violations)
+        assert {ic_keys[r] for r in np.nonzero(ic_rows > tol)[0]} == \
+            {tuple(sorted(zip(vts[a], vts[ap]))) for a, ap in
+             (v.indices for v in ic.violations)}
+        reported = set()
+        for v in mono.violations:
+            i, vt, st = v.indices[0], v.indices[1:1 + k], list(v.indices[1 + k:])
+            st[i] += 1   # the violation is indexed at the lower score
+            reported.add(_column_key(i, vt, tuple(st)))
+        assert {mono_keys[r] for r in np.nonzero(mono_rows > tol)[0]} == reported
         outcomes.add(ic.passed and mono.passed)
     assert outcomes == {True, False}
 
@@ -96,6 +129,62 @@ def test_omk_size_budget(registry):
     mi = MultiInstance(registry["thm9_omk_vs_um"], 2)
     with pytest.raises(SizeBudgetError):
         solve_omk(mi, size_budget=100)
+
+
+# --- orbit-space LPs --------------------------------------------------------
+
+@pytest.mark.parametrize("n,m,k", [(1, 1, 1), (3, 4, 1), (2, 3, 2), (3, 2, 3), (2, 2, 4)])
+def test_item_orbits(n, m, k):
+    orbit, count = item_orbits(n, m, k)
+    assert count == n * m * math.comb(n * m + k - 2, k - 1)
+    if k == 1:
+        assert np.array_equal(orbit, np.arange(n * m))
+    # same orbit exactly when the keys agree, numbered by first column
+    ids: dict = {}
+    for col, (i, vt, st) in enumerate(itertools.product(
+            range(k), itertools.product(range(n), repeat=k),
+            itertools.product(range(m), repeat=k))):
+        assert orbit[col] == ids.setdefault(_column_key(i, vt, st), len(ids))
+    assert len(ids) == count
+
+
+#: (k, seed): k = 2 with n, m <= 3, and k = 3 with n = m = 2
+ORBIT_CASES = [(2, seed) for seed in range(10)] + [(3, seed) for seed in range(6)]
+
+
+def orbit_case(k, seed):
+    return MultiInstance(random_instance(seed, 2, 3 if k == 2 else 2), k)
+
+
+@pytest.mark.parametrize("k,seed", ORBIT_CASES)
+def test_orbit_omk_matches_full_space_oracle(k, seed):
+    mi = orbit_case(k, seed)
+    policy = solve_omk(mi)
+    assert multi_expected_reward(mi, policy) == pytest.approx(
+        full_omk_optimum(mi), rel=0, abs=1e-9)
+    assert multi_check_ic(mi, policy, tol=1e-7).passed
+    assert multi_check_monotone(mi, policy, tol=1e-7).passed
+
+
+@pytest.mark.parametrize("k,seed", ORBIT_CASES)
+def test_orbit_umopt_matches_full_space_oracle(k, seed):
+    mi = orbit_case(k, seed)
+    inputs, policy = solve_umopt(mi)
+    assert multi_expected_reward(mi, policy) == pytest.approx(
+        full_umopt_optimum(mi), rel=0, abs=1e-9)
+    assert len(inputs.mechanisms) == k
+    for mech in inputs.mechanisms:
+        assert np.array_equal(mech.matrix, inputs.mechanisms[0].matrix)
+    assert check_ic(mi.base, inputs.mechanisms[0], tol=1e-7).passed
+    assert check_monotone(inputs.mechanisms[0], tol=1e-7).passed
+    assert multi_check_ic(mi, policy, tol=1e-7).passed
+    assert multi_check_monotone(mi, policy, tol=1e-7).passed
+
+
+def test_orbit_cases_are_not_trivial():
+    """The oracle comparisons above would prove little on zero optima."""
+    positive = [full_omk_optimum(orbit_case(k, seed)) > 1e-3 for k, seed in ORBIT_CASES]
+    assert sum(positive[:10]) >= 5 and sum(positive[10:]) >= 3
 
 
 # --- ranking mechanism ------------------------------------------------------
