@@ -1,8 +1,9 @@
 """Truthful item-acquiring mechanisms over discrete quality/score grids."""
 
 from .core import (Instance, Mechanism, MultiInstance, MultiPolicy, QualityGrid,
-                   acquire_probability, instance_from_dict, instance_to_dict,
-                   noise_product, posterior_mean, prior_product, validate_instance)
+                   VerificationReport, Violation, acquire_probability,
+                   instance_from_dict, instance_to_dict, noise_product,
+                   posterior_mean, prior_product, validate_instance)
 from .lp import LpProblem, LpSolution, solve_lp
 from .single_item import (NEVER, ConsistencyReport, TmmParams,
                           best_threshold_mechanism, check_consistency, menu_size,
@@ -12,9 +13,8 @@ from .multi_item import (DEFAULT_SIZE_BUDGET, RANK_CLASSES, RankPolicy,
                          RmViolation, SizeBudgetError, UnionInputs, omk_problem,
                          ranking_mechanism, rm_ic_audit, solve_omk, solve_umopt,
                          union_compose, union_policy)
-from .analysis import (VerificationReport, Violation, acquiring_rate, check_ic,
-                       check_monotone, expected_reward, multi_acquiring_rate,
-                       multi_check_ic, multi_check_monotone,
+from .analysis import (acquiring_rate, check_ic, check_monotone, expected_reward,
+                       multi_acquiring_rate, multi_check_ic, multi_check_monotone,
                        multi_expected_reward, omniscient_reward,
                        reward_gap_vs_omniscient, total_bias)
 from .experiments import (MECHANISMS, SweepConfig, SweepRecord, build_score_model,

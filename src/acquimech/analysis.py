@@ -7,45 +7,15 @@ themselves.  All expectations are exact finite sums over the discrete grids.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import (Instance, Mechanism, MultiInstance, MultiPolicy,
+                   VerificationReport, Violation, _ic_report, _report,
                    noise_product, prior_product)
 from .multi_item import joint_weights
 
 IC_TOL = 1e-7
 MONOTONE_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class Violation:
-    description: str
-    indices: tuple
-    magnitude: float
-
-
-@dataclass(frozen=True)
-class VerificationReport:
-    passed: bool
-    violations: tuple[Violation, ...]
-    tolerance: float
-
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "tolerance": self.tolerance,
-            "violations": [
-                {"description": v.description, "indices": list(v.indices),
-                 "magnitude": v.magnitude}
-                for v in self.violations
-            ],
-        }
-
-
-def _report(violations: list[Violation], tol: float) -> VerificationReport:
-    return VerificationReport(not violations, tuple(violations), tol)
 
 
 def expected_reward(instance: Instance, mechanism: Mechanism) -> float:
@@ -54,15 +24,6 @@ def expected_reward(instance: Instance, mechanism: Mechanism) -> float:
     if mechanism.matrix.shape != (instance.n, instance.m):
         raise ValueError("mechanism shape does not match instance grid")
     return float(joint_weights(MultiInstance(instance))[1] @ mechanism.matrix.ravel())
-
-
-def _ic_report(accept: np.ndarray, tol: float) -> VerificationReport:
-    """Every report ap that beats the truth a by more than ``tol``, row-major,
-    where ``accept[a, ap]`` is what the owner gets reporting ap under a."""
-    gain = accept - np.diag(accept)[:, None]
-    a, ap = np.nonzero((gain > tol) & ~np.eye(len(gain), dtype=bool))
-    return _report([Violation(f"reporting {j} beats truth {i}", (i, j), float(gain[i, j]))
-                    for i, j in zip(a.tolist(), ap.tolist())], tol)
 
 
 def check_ic(instance: Instance, mechanism: Mechanism,

@@ -26,8 +26,10 @@ EXIT_BAD_INPUT = 2
 EXIT_SIZE_BUDGET = 3
 
 #: ``solve`` runs the registered mechanism of the same name, in lower case
-#: with dashes for underscores.
-SOLVE_MECHANISMS = ("som", "tmm", "om1", "omk", "um-tmm", "um-om1", "umopt", "rm")
+#: with dashes for underscores; kxOM1 is OM1 per item, so it has no name here.
+_SOLVE_NAMES = {name.lower().replace("_", "-"): name
+                for name in experiments.REGISTRY if name != "kxOM1"}
+SOLVE_MECHANISMS = tuple(_SOLVE_NAMES)
 
 SIZE_BUDGET_ENV = "ACQUIMECH_SIZE_BUDGET"
 
@@ -138,11 +140,10 @@ def _rank_summary(policy) -> dict:
 
 def _cmd_solve(args) -> int:
     instance, k = _load_instance(args.instance)
-    if args.mechanism not in SOLVE_MECHANISMS:
+    name = _SOLVE_NAMES.get(args.mechanism)
+    if name is None:
         raise CliError(f"unknown mechanism {args.mechanism!r}; "
                        f"pick from {SOLVE_MECHANISMS}")
-    name = next(n for n in experiments.REGISTRY
-                if n.lower().replace("_", "-") == args.mechanism)
     kind, solve = experiments.REGISTRY[name]
     solved = experiments.SolveMemo(MultiInstance(instance, k), _size_budget())
     if kind == "rank" and k != 2:

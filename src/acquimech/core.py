@@ -1,4 +1,5 @@
-"""Problem instances, acquiring matrices, and shared probability computations.
+"""Problem instances, acquiring matrices, shared probability computations,
+and the verification reports with the one incentive-compatibility scan.
 
 An instance couples a discrete quality grid V, a score grid S, a prior d over
 qualities, a row-stochastic appraiser noise model R (entry ``r(v, s)`` is the
@@ -23,6 +24,61 @@ PROB_SUM_TOL = 1e-3
 
 #: Mechanism entries may sit outside [0, 1] by at most this much (LP noise).
 ENTRY_TOL = 1e-9
+
+
+@dataclass(frozen=True)
+class Violation:
+    description: str
+    indices: tuple
+    magnitude: float
+
+
+@dataclass(frozen=True)
+class VerificationReport:
+    passed: bool
+    violations: tuple[Violation, ...]
+    tolerance: float
+
+    def to_dict(self) -> dict:
+        return {
+            "passed": self.passed,
+            "tolerance": self.tolerance,
+            "violations": [
+                {"description": v.description, "indices": list(v.indices),
+                 "magnitude": v.magnitude}
+                for v in self.violations
+            ],
+        }
+
+
+def _report(violations: list[Violation], tol: float) -> VerificationReport:
+    return VerificationReport(not violations, tuple(violations), tol)
+
+
+def _ic_report(accept: np.ndarray, tol: float,
+               truth: Optional[np.ndarray] = None) -> VerificationReport:
+    """Every report ap that beats the truth by more than ``tol``, row-major,
+    where ``accept[a, ap]`` is what the owner of row a gets reporting ap and
+    ``truth[a]`` is row a's truthful report (by default a itself).
+
+    This is the one incentive-compatibility scan: single-item, k-item and
+    ranking-mechanism audits all run through it.
+    """
+    rows = np.arange(accept.shape[0])
+    truth = rows if truth is None else truth
+    gain = accept - accept[rows, truth][:, None]
+    lying = np.arange(accept.shape[1]) != truth[:, None]
+    a, ap = np.nonzero((gain > tol) & lying)
+    return _report([Violation(f"reporting {j} beats truth {i}", (i, j), float(gain[i, j]))
+                    for i, j in zip(a.tolist(), ap.tolist())], tol)
+
+
+def check_item_count(raw) -> int:
+    """``raw`` as an item count k; raises ValueError unless it is a positive
+    integer (a bool or a fraction is not one)."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, np.integer)) or raw < 1:
+        raise ValueError(f"k must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -120,8 +176,7 @@ class MultiInstance:
     item_count: int = 1
 
     def __post_init__(self):
-        if self.item_count < 1:
-            raise ValueError("item_count must be >= 1")
+        check_item_count(self.item_count)
 
 
 @dataclass(frozen=True)
@@ -266,7 +321,5 @@ def instance_from_dict(doc: dict) -> tuple[Instance, int]:
         prior, model, bar = doc["d"], doc["R"], doc["t"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"instance document missing key: {exc}") from exc
-    k = int(doc.get("k", 1))
-    if k < 1:
-        raise ValueError("k must be a positive integer")
+    k = check_item_count(doc.get("k", 1))
     return validate_instance(values, scores, prior, model, bar), k

@@ -17,7 +17,8 @@ import numpy as np
 from scipy import stats
 
 from . import analysis, multi_item, single_item
-from .core import Instance, Mechanism, MultiInstance, QualityGrid, validate_instance
+from .core import (Instance, Mechanism, MultiInstance, QualityGrid, check_item_count,
+                   validate_instance)
 
 FAMILIES = ("normal", "lognormal")
 
@@ -117,10 +118,11 @@ class SweepConfig:
         if unknown:
             raise ValueError(f"unknown mechanisms {sorted(unknown)}")
         vg = self.variance_grid
+        if not vg:
+            raise ValueError("variance grid must be nonempty")
         if any(v < 0 for v in vg) or any(b < a for a, b in zip(vg, vg[1:])):
             raise ValueError("variance grid must be ascending and nonnegative")
-        if self.item_count < 1:
-            raise ValueError("item_count must be >= 1")
+        check_item_count(self.item_count)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SweepConfig":
@@ -134,7 +136,7 @@ class SweepConfig:
                 scores=tuple(float(v) for v in doc["S"]),
                 bar=float(doc["t"]),
                 mechanisms=tuple(doc["mechanisms"]),
-                item_count=int(doc.get("k", 1)),
+                item_count=doc.get("k", 1),
             )
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed sweep config: {exc}") from exc
@@ -363,8 +365,8 @@ class PaperCheck:
 def paper_checks(name: str) -> list[PaperCheck]:
     """Reproduce one registered comparison and diff it against the published
     values.  Raises KeyError for unknown names."""
-    registry = paper_registry()
-    instance = registry[name]
+    instance = paper_registry()[name]
+    solved = SolveMemo(MultiInstance(instance, PAPER_ITEM_COUNT.get(name, 1)))
     checks: list[PaperCheck] = []
 
     def add(label, expected, actual, tol):
@@ -377,19 +379,17 @@ def paper_checks(name: str) -> list[PaperCheck]:
         add("ic_violations", 0, len(ic.violations), 0)
         add("monotone_violations", 0, len(mono.violations), 0)
         add("menu_size", 3, single_item.menu_size(printed), 0)
-        lp_obj = analysis.expected_reward(instance, single_item.solve_om1(instance))
+        lp_obj = analysis.expected_reward(instance, solved.om1)
         add("printed_matrix_matches_lp_objective",
             analysis.expected_reward(instance, printed), lp_obj, 1e-6)
     elif name == "thm6_tmm_vs_som":
         som_reward = analysis.expected_reward(instance, single_item.solve_som(instance))
-        _, _, tmm_reward = single_item.tmm_optimal(instance)
         add("som_reward", 0.0, som_reward, 1e-9)
-        add("tmm_reward", 0.0002075, tmm_reward, 1e-4)
+        add("tmm_reward", 0.0002075, solved.tmm[2], 1e-4)
     elif name == "thm6_om1_vs_tmm":
-        _, _, tmm_reward = single_item.tmm_optimal(instance)
-        om1 = single_item.solve_om1(instance)
-        add("tmm_reward", 0.0, tmm_reward, 1e-6)
-        add("om1_objective", 0.000503, analysis.expected_reward(instance, om1), 1e-4)
+        add("tmm_reward", 0.0, solved.tmm[2], 1e-6)
+        add("om1_objective", 0.000503,
+            analysis.expected_reward(instance, solved.om1), 1e-4)
     elif name == "thm7":
         policy = multi_item.ranking_mechanism(MultiInstance(instance, 2))
         for rank in multi_item.RANK_CLASSES:
@@ -404,21 +404,17 @@ def paper_checks(name: str) -> list[PaperCheck]:
         if hit:
             add("audit_gain_2_3rds_vs_0", 0.05, hit[0].gain, 1e-3)
     elif name == "thm9_omk_vs_um":
-        mi = MultiInstance(instance, 2)
-        om1 = single_item.solve_om1(instance)
-        um = multi_item.union_policy(mi, multi_item.UnionInputs((om1, om1)))
-        add("um_om1_reward", 0.0, analysis.multi_expected_reward(mi, um), 1e-6)
-        omk = multi_item.solve_omk(mi)
+        um = solved.union(solved.om1)
+        add("um_om1_reward", 0.0, analysis.multi_expected_reward(solved.mi, um), 1e-6)
+        omk = REGISTRY["OMk"][1](solved)
         add("omk_objective", 0.0085264,
-            analysis.multi_expected_reward(mi, omk), 1e-4)
+            analysis.multi_expected_reward(solved.mi, omk), 1e-4)
     elif name == "thm9_um_vs_kxom1":
-        mi = MultiInstance(instance, 2)
-        om1 = single_item.solve_om1(instance)
-        kx = 2 * analysis.expected_reward(instance, om1)
-        um = multi_item.union_policy(mi, multi_item.UnionInputs((om1, om1)))
+        kx = 2 * analysis.expected_reward(instance, solved.om1)
+        um = solved.union(solved.om1)
         add("kxom1_reward", 0.0, kx, 1e-6)
         add("um_om1_reward", 0.0248746,
-            analysis.multi_expected_reward(mi, um), 1e-4)
+            analysis.multi_expected_reward(solved.mi, um), 1e-4)
     else:  # pragma: no cover
         raise KeyError(name)
     return checks

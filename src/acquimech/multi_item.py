@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .core import (Instance, Mechanism, MultiInstance, MultiPolicy,
+from .core import (Instance, Mechanism, MultiInstance, MultiPolicy, _ic_report,
                    item_margins, noise_product, prior_product)
 from .lp import LpProblem, OPTIMAL, solve_lp
 
@@ -94,9 +94,6 @@ def item_orbits(n: int, m: int, k: int) -> tuple[np.ndarray, int]:
     k - 1) of them.  The OMk and UMOPT LPs do not change when the i.i.d.
     items are permuted, so they have an optimum that is constant on orbits.
     """
-    size = k * (n * m) ** k
-    if k == 1:
-        return np.arange(size), size
     pair = _pair_codes(n, m, k)
     key = np.concatenate([pair[i] * (n * m) ** (k - 1)
                           + _multiset_key(np.delete(pair, i, axis=0), n * m)
@@ -105,14 +102,6 @@ def item_orbits(n: int, m: int, k: int) -> tuple[np.ndarray, int]:
     rank = np.empty(first.size, dtype=np.intp)
     rank[np.argsort(first)] = np.arange(first.size)
     return rank[inverse], first.size
-
-
-def _orbit_sum(values: np.ndarray, orbit: np.ndarray, count: int) -> np.ndarray:
-    """Sum of ``values`` over the columns of each orbit.  With one column per
-    orbit ``values`` is returned as it is: the sum would turn -0.0 into 0.0."""
-    if count == values.size:
-        return values
-    return np.bincount(orbit, weights=values, minlength=count)
 
 
 def _ic_monotone_rows(Rk: np.ndarray, n: int, m: int, k: int,
@@ -162,11 +151,11 @@ def omk_problem(mi: MultiInstance) -> LpProblem:
     the OM1 LP.
     """
     inst, k = mi.base, mi.item_count
-    Rk, c = joint_weights(mi)
+    Rk, weights = joint_weights(mi)
     orbit, count = item_orbits(inst.n, inst.m, k)
     A = _ic_monotone_rows(Rk, inst.n, inst.m, k, orbit, count)
-    return LpProblem(_orbit_sum(c, orbit, count), A, np.zeros(A.shape[0]),
-                     np.zeros(count), np.ones(count))
+    c = np.bincount(orbit, weights=weights, minlength=count)   # summed per orbit
+    return LpProblem(c, A, np.zeros(A.shape[0]), np.zeros(count), np.ones(count))
 
 
 def solve_omk(mi: MultiInstance, size_budget: int | None = None) -> MultiPolicy:
@@ -200,6 +189,12 @@ class RankPolicy:
     aggregate: dict
 
 
+def _rank_classes(values: np.ndarray) -> np.ndarray:
+    """Index into :data:`RANK_CLASSES` of the true order of every quality
+    pair (a, b), shape (n, n): v_a above, equal to or below v_b."""
+    return 1 - np.sign(np.subtract.outer(values, values)).astype(np.intp)
+
+
 def ranking_mechanism(mi: MultiInstance) -> RankPolicy:
     """Ordinal two-item mechanism: acquire item i iff its posterior mean given
     both scores and the reported order clears the bar.
@@ -213,21 +208,15 @@ def ranking_mechanism(mi: MultiInstance) -> RankPolicy:
     n, m = inst.n, inst.m
     d, R, t = inst.prior, inst.score_model, inst.bar
     values = inst.grid.values
-    pairs = {
-        "greater": [(a, b) for a in range(n) for b in range(n) if values[a] > values[b]],
-        "equal": [(a, b) for a in range(n) for b in range(n) if values[a] == values[b]],
-        "smaller": [(a, b) for a in range(n) for b in range(n) if values[a] < values[b]],
-    }
+    rank_of = _rank_classes(values)
     accept, aggregate = {}, {}
-    for rank in RANK_CLASSES:
-        members = pairs[rank]
+    for r, rank in enumerate(RANK_CLASSES):
+        pa, pb = np.nonzero(rank_of == r)   # member pairs, row-major
         acc = np.zeros((2, m, m))
-        if members:
-            w_pair = np.array([d[a] * d[b] for a, b in members])
-            r1 = np.array([R[a] for a, _ in members])    # (P, m)
-            r2 = np.array([R[b] for _, b in members])
-            v1 = np.array([values[a] for a, _ in members])
-            v2 = np.array([values[b] for _, b in members])
+        if pa.size:
+            w_pair = d[pa] * d[pb]
+            r1, r2 = R[pa], R[pb]    # (P, m)
+            v1, v2 = values[pa], values[pb]
             # cell weights w(pair, s1, s2) = d(a) d(b) r(a,s1) r(b,s2)
             w = w_pair[:, None, None] * r1[:, :, None] * r2[:, None, :]
             total = w.sum(axis=0)
@@ -256,29 +245,20 @@ class RmViolation:
     gain: float
 
 
-def _truthful_rank(values: np.ndarray, a: int, b: int) -> str:
-    if values[a] > values[b]:
-        return "greater"
-    if values[a] < values[b]:
-        return "smaller"
-    return "equal"
-
-
 def rm_ic_audit(policy: RankPolicy, tol: float = 1e-9) -> list[RmViolation]:
-    """All quality pairs where misreporting the order beats the truth."""
+    """All quality pairs where misreporting the order beats the truth, pair
+    (a, b) row-major, then reported rank in :data:`RANK_CLASSES` order.
+
+    This is the IC scan with one row per pair, one column per reported rank
+    and the pair's true order as its truthful report.
+    """
     n = policy.aggregate["greater"].shape[0]
-    out = []
-    for a in range(n):
-        for b in range(n):
-            truth = _truthful_rank(policy.values, a, b)
-            honest = policy.aggregate[truth][a, b]
-            for rank in RANK_CLASSES:
-                if rank == truth:
-                    continue
-                gain = policy.aggregate[rank][a, b] - honest
-                if gain > tol:
-                    out.append(RmViolation(a, b, truth, rank, float(gain)))
-    return out
+    accept = np.stack([policy.aggregate[r] for r in RANK_CLASSES], axis=-1)
+    truth = _rank_classes(policy.values).ravel()
+    report = _ic_report(accept.reshape(n * n, len(RANK_CLASSES)), tol, truth)
+    return [RmViolation(row // n, row % n, RANK_CLASSES[truth[row]],
+                        RANK_CLASSES[rank], v.magnitude)
+            for v in report.violations for row, rank in [v.indices]]
 
 
 @dataclass(frozen=True)
@@ -375,7 +355,8 @@ def solve_umopt(mi: MultiInstance,
     n, m = inst.n, inst.m
     _check_budget(k * n**k * m**k + k * n * m, size_budget)
     orbit, count = item_orbits(n, m, k)
-    c = np.concatenate([_orbit_sum(joint_weights(mi)[1], orbit, count), np.zeros(n * m)])
+    c = np.concatenate([np.bincount(orbit, weights=joint_weights(mi)[1], minlength=count),
+                        np.zeros(n * m)])
     A = _umopt_rows(inst, k, orbit, count)
     problem = LpProblem(c, A, np.zeros(A.shape[0]), np.zeros(c.size), np.ones(c.size))
     sol = solve_lp(problem)

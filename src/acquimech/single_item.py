@@ -207,11 +207,10 @@ def _solved(problem: LpProblem) -> LpSolution:
 
 
 def solve_om1(instance: Instance) -> Mechanism:
-    """LP-optimal incentive-compatible monotone mechanism."""
-    sol = _solved(om1_problem(instance))
-    # basic variables can sit a solver tolerance outside the box
-    matrix = np.clip(sol.values.reshape(instance.n, instance.m), 0.0, 1.0)
-    return Mechanism(matrix, label="OM1")
+    """LP-optimal incentive-compatible monotone mechanism: OMk with one item,
+    so it shares OMk's size budget of n * m cells."""
+    policy = multi_item.solve_omk(MultiInstance(instance))
+    return Mechanism(policy.tensors[0], label="OM1")
 
 
 def om1_alternate_optimum(instance: Instance) -> Mechanism:

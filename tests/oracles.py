@@ -9,7 +9,7 @@ import itertools
 
 import numpy as np
 
-from acquimech import union_compose
+from acquimech import RmViolation, union_compose
 from acquimech.lp import OPTIMAL, LpProblem, solve_lp
 
 
@@ -92,6 +92,26 @@ def naive_union_reward(mi, inputs):
             total += w * sum((inst.grid.values[vt[i]] - inst.bar) * x[i]
                              for i in range(k))
     return total
+
+
+def naive_rm_audit(policy, tol):
+    """Ranking-mechanism audit by plain loops: for every quality pair (a, b),
+    row-major, and every reported order other than the true one, the gain
+    over reporting the true order when it exceeds ``tol``."""
+    values, out = policy.values, []
+    for a in range(len(values)):
+        for b in range(len(values)):
+            if values[a] > values[b]:
+                truth = "greater"
+            elif values[a] < values[b]:
+                truth = "smaller"
+            else:
+                truth = "equal"
+            for rank in ("greater", "equal", "smaller"):
+                gain = policy.aggregate[rank][a, b] - policy.aggregate[truth][a, b]
+                if rank != truth and gain > tol:
+                    out.append(RmViolation(a, b, truth, rank, float(gain)))
+    return out
 
 
 def _profiles(inst, k):

@@ -87,6 +87,16 @@ def test_solve_non_finite_bar_is_bad_input(capsys, tmp_path, example1):
     assert out == "" and "finite" in err
 
 
+@pytest.mark.parametrize("k", [2.7, True])
+def test_solve_non_integral_k_is_bad_input(capsys, tmp_path, example1, k):
+    path = tmp_path / "fractional_k.json"
+    path.write_text(json.dumps({**instance_to_dict(example1), "k": k}))
+    code, out, err = run(capsys, "solve", "--instance", str(path),
+                         "--mechanism", "om1")
+    assert code == 2
+    assert out == "" and "positive integer" in err
+
+
 def test_verify_nan_matrix_is_bad_input(capsys, tmp_path, example1_path):
     matrix_path = tmp_path / "nan.json"
     matrix_path.write_text(json.dumps(np.full((4, 4), np.nan).tolist()))
@@ -245,7 +255,11 @@ SWEEP_CONFIG = {
     {"prior_mean": float("nan")},
     {"V": [0.0, 0.5, 0.5]},
     {"prior_mean": 50.0, "prior_sd": 0.01},    # no mass on the grid
-], ids=["negative-sd", "nan-mean", "duplicate-values", "mass-off-grid"])
+    {"variance_grid": []},
+    {"k": 2.5},
+    {"k": True},
+], ids=["negative-sd", "nan-mean", "duplicate-values", "mass-off-grid",
+        "empty-variance-grid", "fractional-k", "bool-k"])
 def test_sweep_bad_config_values_are_bad_input(capsys, tmp_path, bad):
     config_path = tmp_path / "bad.json"
     config_path.write_text(json.dumps({**SWEEP_CONFIG, **bad}))

@@ -153,12 +153,13 @@ def test_json_round_trip(example1):
     assert np.allclose(inst.prior, example1.prior)
     assert np.allclose(inst.score_model, example1.score_model)
     assert inst.bar == example1.bar
-    # k defaults to 1 and must be positive
+    # k defaults to 1 and must be a positive integer
     doc.pop("k")
     assert instance_from_dict(doc)[1] == 1
-    doc["k"] = 0
-    with pytest.raises(ValueError):
-        instance_from_dict(doc)
+    for bad in (0, 2.7, True, "2"):
+        doc["k"] = bad
+        with pytest.raises(ValueError, match="positive integer"):
+            instance_from_dict(doc)
 
 
 def test_json_missing_key():

@@ -14,9 +14,10 @@ from acquimech import (Mechanism, MultiInstance, MultiPolicy, RANK_CLASSES,
                        tmm_optimal, union_compose, union_policy,
                        validate_instance)
 from acquimech.experiments import THM7_PRINTED_AGGREGATES
-from acquimech.multi_item import item_orbits
+from acquimech.multi_item import RankPolicy, item_orbits
 from acquimech.gen import random_instance
-from oracles import full_omk_optimum, full_umopt_optimum, naive_union_reward
+from oracles import (full_omk_optimum, full_umopt_optimum, naive_rm_audit,
+                     naive_union_reward)
 
 GRID4 = [0.0, 1 / 3, 2 / 3, 1.0]
 
@@ -246,9 +247,33 @@ def test_rm_audit_reports_published_violation(registry):
 def test_rm_audit_empty_when_ranks_identical(registry):
     policy = ranking_mechanism(MultiInstance(registry["thm7"], 2))
     flat = {r: np.ones_like(policy.aggregate[r]) for r in RANK_CLASSES}
-    from acquimech.multi_item import RankPolicy
     same = RankPolicy(policy.values, policy.per_rank_accept, flat)
     assert rm_ic_audit(same) == []
+
+
+@st.composite
+def rank_policies(draw):
+    """Quality values with ties, and aggregates on a 1/8 grid, so that many
+    entries tie and many gains are exactly 1/8."""
+    n = draw(st.integers(1, 4))
+    values = np.array(draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]),
+                                    min_size=n, max_size=n)))
+    cells = st.lists(st.integers(0, 16), min_size=n * n, max_size=n * n)
+    aggregate = {r: np.array(draw(cells)).reshape(n, n) / 8 for r in RANK_CLASSES}
+    return RankPolicy(values, {}, aggregate)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rank_policies(), st.sampled_from([1 / 8, 1e-9, 0.0]))
+def test_rm_audit_matches_plain_loops(policy, tol):
+    assert rm_ic_audit(policy, tol) == naive_rm_audit(policy, tol)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_rm_audit_matches_plain_loops_on_solved_policies(registry, seed):
+    inst = registry["thm7"] if seed == 0 else random_instance(seed, max_levels=4)
+    policy = ranking_mechanism(MultiInstance(inst, 2))
+    assert rm_ic_audit(policy) == naive_rm_audit(policy, 1e-9)
 
 
 # --- union mechanisms -------------------------------------------------------
