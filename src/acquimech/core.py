@@ -81,6 +81,14 @@ def check_item_count(raw) -> int:
     return int(raw)
 
 
+def check_number(raw, name: str) -> float:
+    """``raw`` as a float; raises ValueError on a bool, which ``float`` would
+    read as 0 or 1 (a JSON ``true`` is not a number)."""
+    if isinstance(raw, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a number, got {raw!r}")
+    return float(raw)
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=float)
     a.setflags(write=False)
@@ -214,7 +222,7 @@ def validate_instance(raw_values, raw_scores, raw_prior, raw_score_model,
     grid = QualityGrid(raw_values, raw_scores)
     prior = np.asarray(raw_prior, dtype=float)
     model = np.asarray(raw_score_model, dtype=float)
-    bar = float(bar)
+    bar = check_number(bar, "bar")
     if prior.shape != (grid.n,):
         raise ValueError(f"prior has shape {prior.shape}, expected ({grid.n},)")
     if model.shape != (grid.n, grid.m):

@@ -18,7 +18,7 @@ from scipy import stats
 
 from . import analysis, multi_item, single_item
 from .core import (Instance, Mechanism, MultiInstance, QualityGrid, check_item_count,
-                   validate_instance)
+                   check_number, validate_instance)
 
 FAMILIES = ("normal", "lognormal")
 
@@ -129,12 +129,12 @@ class SweepConfig:
         try:
             return cls(
                 family=doc["family"],
-                prior_mean=float(doc["prior_mean"]),
-                prior_sd=float(doc["prior_sd"]),
+                prior_mean=check_number(doc["prior_mean"], "prior_mean"),
+                prior_sd=check_number(doc["prior_sd"], "prior_sd"),
                 variance_grid=tuple(float(v) for v in doc["variance_grid"]),
                 values=tuple(float(v) for v in doc["V"]),
                 scores=tuple(float(v) for v in doc["S"]),
-                bar=float(doc["t"]),
+                bar=check_number(doc["t"], "t"),
                 mechanisms=tuple(doc["mechanisms"]),
                 item_count=doc.get("k", 1),
             )

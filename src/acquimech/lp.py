@@ -1,8 +1,9 @@
 """Bounded-variable linear programs in inequality form.
 
 Problems are ``maximize c @ x  s.t.  A x <= b,  lo <= x <= hi``.  Solving is
-delegated to HiGHS dual simplex (via scipy), which is deterministic and
-returns basic (vertex) solutions, so repeated solves of the same problem are
+delegated to HiGHS dual simplex (Huangfu & Hall, Math. Prog. Comp. 2018)
+through the bindings bundled with scipy, which is deterministic and returns
+basic (vertex) solutions, so repeated solves of the same problem are
 bit-identical and golden tests can pin objectives.  Infeasible and unbounded
 problems are reported through the solution status, never by raising.
 """
@@ -14,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import linprog
+from scipy.optimize._highspy import _core as highs
 
 #: Constraint slack accepted in an optimal solution.
 FEASIBILITY_TOL = 1e-7
@@ -25,12 +26,24 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
-_STATUS = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}
+_STATUS = {highs.HighsModelStatus.kOptimal: OPTIMAL,
+           highs.HighsModelStatus.kInfeasible: INFEASIBLE,
+           highs.HighsModelStatus.kUnbounded: UNBOUNDED}
 
-#: Sparse constraint matrices with at most this many cells are passed to the
-#: solver dense: scipy's sparse input path costs about 0.5 ms a call, more
-#: than HiGHS spends on a single-item LP.
-DENSE_CELLS = 10_000
+#: The options ``scipy.optimize.linprog(method="highs-ds")`` passes, with
+#: both feasibility tolerances at 1e-9; everything else is the HiGHS default.
+_OPTIONS = highs.HighsOptions()
+_OPTIONS.presolve = "on"
+_OPTIONS.solver = "simplex"
+_OPTIONS.simplex_strategy = int(highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
+_OPTIONS.primal_feasibility_tolerance = 1e-9
+_OPTIONS.dual_feasibility_tolerance = 1e-9
+_OPTIONS.output_flag = False
+_OPTIONS.log_to_console = False
+
+#: Slack of linprog's post-solve check on an optimal point's bounds and rows:
+#: ``sqrt(1e-9) * 10``.
+_RESULT_TOL = np.sqrt(1e-9) * 10
 
 
 @dataclass(frozen=True)
@@ -97,6 +110,63 @@ class LpSolution:
     status: str
     values: Optional[np.ndarray] = None
     objective_value: Optional[float] = None
+    #: HiGHS simplex iterations; 0 unless optimal.
+    iterations: int = 0
+
+
+@dataclass(frozen=True)
+class HighsResult:
+    """One HiGHS run: ``x`` is the optimal point (None otherwise) and ``nit``
+    the simplex iteration count."""
+
+    x: Optional[np.ndarray]
+    status: str
+    nit: int
+
+
+def linprog(c, A, b, lower, upper) -> HighsResult:
+    """minimize ``c @ x`` subject to ``A @ x <= b`` and ``lower <= x <= upper``
+    with HiGHS dual simplex, checking inputs and result as
+    ``scipy.optimize.linprog(method="highs-ds")`` does.
+
+    ``c``, ``b``, ``lower`` and ``upper`` are float arrays; ``A`` is anything
+    ``scipy.sparse.csc_array`` accepts, or None.  Raises
+    ValueError on a non-finite ``c``, ``A`` or ``b`` entry or a NaN bound,
+    and RuntimeError on any outcome but optimal, infeasible or unbounded,
+    including an optimal point off its bounds or rows by more than
+    ``sqrt(1e-9) * 10``.
+    """
+    A = sp.csc_array((0, c.size) if A is None else A)
+    if not (np.isfinite(c).all() and np.isfinite(A.data).all() and np.isfinite(b).all()):
+        raise ValueError("LP objective, constraint matrix and rhs must be finite")
+    if np.isnan(lower).any() or np.isnan(upper).any():
+        raise ValueError("LP variable bounds must not be NaN")
+    model = highs.HighsLp()
+    model.num_col_, model.num_row_ = c.size, b.size
+    model.col_cost_, model.col_lower_, model.col_upper_ = c, lower, upper
+    model.row_lower_, model.row_upper_ = np.full(b.size, -np.inf), b
+    matrix = model.a_matrix_
+    matrix.format_ = highs.MatrixFormat.kColwise
+    matrix.num_col_, matrix.num_row_ = c.size, b.size
+    matrix.start_, matrix.index_, matrix.value_ = A.indptr, A.indices, A.data
+    solver = highs._Highs()
+    solver.passOptions(_OPTIONS)
+    solver.passModel(model)
+    solver.run()
+    model_status = solver.getModelStatus()
+    status = _STATUS.get(model_status)
+    if status is None:
+        raise RuntimeError(f"LP solver failed: {solver.modelStatusToString(model_status)}")
+    if status != OPTIMAL:
+        return HighsResult(None, status, 0)
+    solution = solver.getSolution()
+    x = np.array(solution.col_value)
+    slack = b - np.array(solution.row_value)
+    if not (np.all(x >= lower - _RESULT_TOL) and np.all(x <= upper + _RESULT_TOL)
+            and np.all(slack >= -_RESULT_TOL)):
+        raise RuntimeError("LP solver failed: the optimal point violates its "
+                           f"bounds or rows by more than {_RESULT_TOL:.2e}")
+    return HighsResult(x, OPTIMAL, solver.getInfo().simplex_iteration_count)
 
 
 def solve_lp(problem: LpProblem) -> LpSolution:
@@ -105,23 +175,10 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     The reported objective is recomputed as ``c @ x`` from the returned
     point, so it agrees with the solution values to full precision.
     """
-    A = problem.constraint_matrix
-    if A is not None and sp.issparse(A):
-        A = A.toarray() if A.shape[0] * A.shape[1] <= DENSE_CELLS else sp.csr_matrix(A)
-    res = linprog(
-        -problem.objective,
-        A_ub=A,
-        b_ub=problem.constraint_rhs if A is not None else None,
-        bounds=np.column_stack([problem.lower, problem.upper]),
-        method="highs-ds",
-        options={"primal_feasibility_tolerance": 1e-9,
-                 "dual_feasibility_tolerance": 1e-9},
-    )
-    status = _STATUS.get(res.status)
-    if status is None:
-        raise RuntimeError(f"LP solver failed: {res.message}")
-    if status != OPTIMAL:
-        return LpSolution(status=status)
-    x = np.asarray(res.x, dtype=float)
-    return LpSolution(status=OPTIMAL, values=x,
-                      objective_value=float(problem.objective @ x))
+    res = linprog(-problem.objective, problem.constraint_matrix,
+                  problem.constraint_rhs, problem.lower, problem.upper)
+    if res.status != OPTIMAL:
+        return LpSolution(status=res.status)
+    return LpSolution(status=OPTIMAL, values=res.x,
+                      objective_value=float(problem.objective @ res.x),
+                      iterations=res.nit)

@@ -51,6 +51,8 @@ def test_tracer_rebinds_and_restores_every_name(bench, example1):
     # OM1 is solved as OMk with one item, through the module attributes
     assert {"single_item.om1", "multi_item.omk", "lp.solve_lp",
             "lp.highs"} <= {span[0] for span in tracer.spans}
+    # the benchmark reads simplex iterations from what lp.linprog returns
+    assert tracer.highs_nit > 0
 
 
 def test_sweep_capture_rebinds_restores_and_checks(bench):

@@ -97,6 +97,15 @@ def test_solve_non_integral_k_is_bad_input(capsys, tmp_path, example1, k):
     assert out == "" and "positive integer" in err
 
 
+def test_solve_bool_bar_is_bad_input(capsys, tmp_path, example1):
+    path = tmp_path / "bool_bar.json"
+    path.write_text(json.dumps({**instance_to_dict(example1), "t": True}))
+    code, out, err = run(capsys, "solve", "--instance", str(path),
+                         "--mechanism", "som")
+    assert code == 2
+    assert out == "" and "must be a number" in err
+
+
 def test_verify_nan_matrix_is_bad_input(capsys, tmp_path, example1_path):
     matrix_path = tmp_path / "nan.json"
     matrix_path.write_text(json.dumps(np.full((4, 4), np.nan).tolist()))
@@ -258,8 +267,12 @@ SWEEP_CONFIG = {
     {"variance_grid": []},
     {"k": 2.5},
     {"k": True},
+    {"prior_mean": True},
+    {"prior_sd": True},
+    {"t": True},
 ], ids=["negative-sd", "nan-mean", "duplicate-values", "mass-off-grid",
-        "empty-variance-grid", "fractional-k", "bool-k"])
+        "empty-variance-grid", "fractional-k", "bool-k", "bool-mean", "bool-sd",
+        "bool-bar"])
 def test_sweep_bad_config_values_are_bad_input(capsys, tmp_path, bad):
     config_path = tmp_path / "bad.json"
     config_path.write_text(json.dumps({**SWEEP_CONFIG, **bad}))
