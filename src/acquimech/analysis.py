@@ -30,7 +30,7 @@ def check_ic(instance: Instance, mechanism: Mechanism,
              tol: float = IC_TOL) -> VerificationReport:
     """Truth-telling must maximize the owner's acquisition probability."""
     X, R = mechanism.matrix, instance.score_model
-    return _ic_report((X @ R.T).T, tol)   # report vp under truth v's noise
+    return _ic_report(R @ X.T, tol)   # report vp under truth v's noise
 
 
 def check_monotone(mechanism: Mechanism,

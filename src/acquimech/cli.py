@@ -13,11 +13,9 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import analysis, experiments, gen, multi_item, single_item
 from .core import (Instance, Mechanism, MultiInstance, instance_from_dict,
-                   instance_to_dict)
+                   instance_to_dict, read_numbers)
 from .multi_item import SizeBudgetError
 
 EXIT_OK = 0
@@ -71,7 +69,7 @@ def _load_matrix(path: str, instance: Instance) -> Mechanism:
     if isinstance(doc, dict) and "matrix" in doc:
         doc = doc["matrix"]
     try:
-        matrix = np.asarray(doc, dtype=float)
+        matrix = read_numbers(doc, "matrix", 2)
         if matrix.shape != (instance.n, instance.m):
             raise ValueError(
                 f"matrix shape {matrix.shape} does not match instance "
@@ -230,6 +228,8 @@ def _cmd_gen(args) -> int:
         raise CliError("--levels must be at least 2")
     if args.k < 1:
         raise CliError("--k must be a positive integer")
+    if args.seed < 0:
+        raise CliError("--seed must be a nonnegative integer")
     if args.consistent:
         instance = gen.random_consistent_instance(args.seed, max_levels=args.levels)
     else:

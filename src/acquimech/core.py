@@ -81,12 +81,31 @@ def check_item_count(raw) -> int:
     return int(raw)
 
 
-def check_number(raw, name: str) -> float:
-    """``raw`` as a float; raises ValueError on a bool, which ``float`` would
-    read as 0 or 1 (a JSON ``true`` is not a number)."""
-    if isinstance(raw, (bool, np.bool_)):
-        raise ValueError(f"{name} must be a number, got {raw!r}")
-    return float(raw)
+def read_numbers(raw, name: str, ndim: int) -> np.ndarray:
+    """``raw``, a number (``ndim`` 0) or nested lists of numbers ``ndim``
+    deep, as a float array.
+
+    Raises ValueError on anything else at any depth: a bool, which ``float``
+    would read as 0 or 1 (a JSON ``true`` is not a number), a numeric
+    string, None.  Numeric numpy arrays pass through without a scan.
+    """
+    what = "a number" if ndim == 0 else f"a {ndim}-d list of numbers"
+
+    def check(x):
+        if isinstance(x, (list, tuple)):
+            for item in x:
+                check(item)
+        elif isinstance(x, np.ndarray) and x.dtype.kind in "iuf":
+            pass
+        elif isinstance(x, (bool, np.ndarray)) or not isinstance(
+                x, (int, float, np.integer, np.floating)):
+            raise ValueError(f"{name} must be {what}, got {x!r}")
+
+    check(raw)
+    out = np.asarray(raw, dtype=float)
+    if out.ndim != ndim:
+        raise ValueError(f"{name} must be {what}, got {raw!r}")
+    return out
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -219,10 +238,11 @@ def validate_instance(raw_values, raw_scores, raw_prior, raw_score_model,
     Raises ``ValueError`` on dimension mismatch, non-finite numbers,
     negative probabilities, out-of-tolerance totals, or non-ascending grids.
     """
-    grid = QualityGrid(raw_values, raw_scores)
-    prior = np.asarray(raw_prior, dtype=float)
-    model = np.asarray(raw_score_model, dtype=float)
-    bar = check_number(bar, "bar")
+    grid = QualityGrid(read_numbers(raw_values, "quality values", 1),
+                       read_numbers(raw_scores, "score values", 1))
+    prior = read_numbers(raw_prior, "prior", 1)
+    model = read_numbers(raw_score_model, "score model", 2)
+    bar = float(read_numbers(bar, "bar", 0))
     if prior.shape != (grid.n,):
         raise ValueError(f"prior has shape {prior.shape}, expected ({grid.n},)")
     if model.shape != (grid.n, grid.m):

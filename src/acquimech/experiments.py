@@ -18,7 +18,7 @@ from scipy import stats
 
 from . import analysis, multi_item, single_item
 from .core import (Instance, Mechanism, MultiInstance, QualityGrid, check_item_count,
-                   check_number, validate_instance)
+                   read_numbers, validate_instance)
 
 FAMILIES = ("normal", "lognormal")
 
@@ -126,15 +126,18 @@ class SweepConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SweepConfig":
+        def numbers(key, ndim):
+            return read_numbers(doc[key], key, ndim)
+
         try:
             return cls(
                 family=doc["family"],
-                prior_mean=check_number(doc["prior_mean"], "prior_mean"),
-                prior_sd=check_number(doc["prior_sd"], "prior_sd"),
-                variance_grid=tuple(float(v) for v in doc["variance_grid"]),
-                values=tuple(float(v) for v in doc["V"]),
-                scores=tuple(float(v) for v in doc["S"]),
-                bar=check_number(doc["t"], "t"),
+                prior_mean=float(numbers("prior_mean", 0)),
+                prior_sd=float(numbers("prior_sd", 0)),
+                variance_grid=tuple(numbers("variance_grid", 1).tolist()),
+                values=tuple(numbers("V", 1).tolist()),
+                scores=tuple(numbers("S", 1).tolist()),
+                bar=float(numbers("t", 0)),
                 mechanisms=tuple(doc["mechanisms"]),
                 item_count=doc.get("k", 1),
             )

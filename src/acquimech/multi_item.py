@@ -44,23 +44,17 @@ def _policy_shape(n: int, m: int, k: int) -> tuple[int, ...]:
 
 def joint_weights(mi: MultiInstance):
     """Flattened joint noise (NV, NS), and each variable's reward weight
-    (v_i - t) prod_j d(v_j) r(v_j, s_j) flattened from (k, NV, NS).
+    ((v_i - t) prod_j d(v_j)) prod_j r(v_j, s_j) flattened from (k, NV, NS).
 
     The weights are the one reward formula: the OMk, OM1 and UMOPT LP
-    objectives and ``analysis.expected_reward``/``multi_expected_reward``
-    all take them, so a reported LP reward is the LP's own ``c @ x``.
-
-    One item multiplies in the single-item order ((v - t) d(v)) r(v, s):
-    OM1-alt pins the objective as a constraint row, and its second-stage
-    vertex moves with the last bit of the weights.
+    objectives, the ranking mechanism's decisions and
+    ``analysis.expected_reward``/``multi_expected_reward`` all take them, so
+    a reported LP reward is the LP's own ``c @ x``.
     """
     inst, k = mi.base, mi.item_count
     Rk = noise_product(inst.score_model, k).reshape(inst.n**k, inst.m**k)
     dk = prior_product(inst.prior, k).reshape(inst.n**k)
-    margins = item_margins(inst, k)
-    if k == 1:
-        return Rk, ((margins * dk)[:, :, None] * Rk).ravel()
-    return Rk, (margins[:, :, None] * (dk[:, None] * Rk)[None, :, :]).ravel()
+    return Rk, ((item_margins(inst, k) * dk)[:, :, None] * Rk).ravel()
 
 
 def _pair_codes(n: int, m: int, k: int) -> np.ndarray:
@@ -199,40 +193,27 @@ def ranking_mechanism(mi: MultiInstance) -> RankPolicy:
     """Ordinal two-item mechanism: acquire item i iff its posterior mean given
     both scores and the reported order clears the bar.
 
-    Rank/score cells no quality pair can reach are rejected (an undefined
-    posterior cannot certify the bar).
+    The posterior mean is at least t exactly when the reward weights of
+    :func:`joint_weights`, summed over the quality pairs of the reported
+    order, are nonnegative, so that sum decides (ties acquire).  Rank/score
+    cells no quality pair can reach are rejected (an undefined posterior
+    cannot certify the bar).
     """
     if mi.item_count != 2:
         raise ValueError("ranking mechanism is defined for exactly two items")
     inst = mi.base
-    n, m = inst.n, inst.m
-    d, R, t = inst.prior, inst.score_model, inst.bar
-    values = inst.grid.values
-    rank_of = _rank_classes(values)
+    n, m, R = inst.n, inst.m, inst.score_model
+    Rk, w = joint_weights(mi)
+    w = w.reshape(2, n * n, m * m)
+    reach = prior_product(inst.prior, 2).reshape(n * n, 1) * Rk
+    rank_of = _rank_classes(inst.grid.values).ravel()
     accept, aggregate = {}, {}
     for r, rank in enumerate(RANK_CLASSES):
-        pa, pb = np.nonzero(rank_of == r)   # member pairs, row-major
-        acc = np.zeros((2, m, m))
-        if pa.size:
-            w_pair = d[pa] * d[pb]
-            r1, r2 = R[pa], R[pb]    # (P, m)
-            v1, v2 = values[pa], values[pb]
-            # cell weights w(pair, s1, s2) = d(a) d(b) r(a,s1) r(b,s2)
-            w = w_pair[:, None, None] * r1[:, :, None] * r2[:, None, :]
-            total = w.sum(axis=0)
-            with np.errstate(invalid="ignore"):
-                post1 = np.where(total > 0, (v1[:, None, None] * w).sum(0) / total, -np.inf)
-                post2 = np.where(total > 0, (v2[:, None, None] * w).sum(0) / total, -np.inf)
-            acc[0] = post1 >= t
-            acc[1] = post2 >= t
-        agg = np.zeros((n, n))
-        both = acc[0] + acc[1]
-        for a in range(n):
-            for b in range(n):
-                agg[a, b] = float(R[a] @ both @ R[b])
-        accept[rank] = acc
-        aggregate[rank] = agg
-    return RankPolicy(values=np.array(values), per_rank_accept=accept,
+        pairs = rank_of == r
+        acc = (reach[pairs].sum(0) > 0) & (w[:, pairs].sum(1) >= 0)
+        accept[rank] = acc.reshape(2, m, m).astype(float)
+        aggregate[rank] = R @ (accept[rank][0] + accept[rank][1]) @ R.T
+    return RankPolicy(values=np.array(inst.grid.values), per_rank_accept=accept,
                       aggregate=aggregate)
 
 

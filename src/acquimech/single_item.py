@@ -240,21 +240,14 @@ def reduce_menu(instance: Instance, mechanism: Mechanism) -> Mechanism:
     most |{v : v > t}|.  When no quality exceeds the bar the all-zero
     mechanism is returned.
     """
-    values = instance.grid.values
-    above = [v for v in range(instance.n) if values[v] > instance.bar]
-    if not above:
-        return Mechanism(np.zeros_like(mechanism.matrix), label="reduced")
-    out = np.array(mechanism.matrix)
-    for v in range(instance.n):
-        if values[v] > instance.bar:
-            continue
-        best_val, best_row = -np.inf, above[0]
-        for vb in above:
-            acc = float(mechanism.matrix[vb] @ instance.score_model[v])
-            if acc > best_val:
-                best_val, best_row = acc, vb
-        out[v] = mechanism.matrix[best_row]
-    return Mechanism(out, label="reduced")
+    X = mechanism.matrix
+    above = instance.grid.values > instance.bar
+    rows = np.flatnonzero(above)
+    if not rows.size:
+        return Mechanism(np.zeros_like(X), label="reduced")
+    # argmax takes the first maximum, the smallest above-bar quality
+    best = rows[np.argmax(instance.score_model @ X[rows].T, axis=1)]
+    return Mechanism(np.where(above[:, None], X, X[best]), label="reduced")
 
 
 def menu_size(mechanism: Mechanism, tol: float = 1e-6) -> int:

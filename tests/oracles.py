@@ -9,7 +9,7 @@ import itertools
 
 import numpy as np
 
-from acquimech import RmViolation, union_compose
+from acquimech import RANK_CLASSES, RmViolation
 from acquimech.lp import OPTIMAL, LpProblem, solve_lp
 
 
@@ -79,8 +79,28 @@ def enumerate_vertices_best(problem):
     return best if feasible else None
 
 
+def greedy_union_shares(ys, qualities, gamma_zero_tol=1e-12):
+    """The union redistribution from its definition: the pooled mass
+    Gamma = sum(ys) fills unit buckets, items of higher quality first; items
+    of equal quality split what is left of Gamma evenly.  Gamma at or below
+    ``gamma_zero_tol`` allocates nothing."""
+    gamma = sum(ys)
+    x = [0.0] * len(ys)
+    if gamma <= gamma_zero_tol:
+        return x
+    left = gamma
+    for q in sorted(set(qualities), reverse=True):
+        level = [i for i, qi in enumerate(qualities) if qi == q]
+        filled = min(left, len(level))
+        for i in level:
+            x[i] = filled / len(level)
+        left -= filled
+    return x
+
+
 def naive_union_reward(mi, inputs):
-    """Union-mechanism reward recomputed profile by profile from scratch."""
+    """Union-mechanism reward recomputed profile by profile from scratch,
+    with the greedy fill of :func:`greedy_union_shares`."""
     inst, k = mi.base, mi.item_count
     total = 0.0
     for vt in itertools.product(range(inst.n), repeat=k):
@@ -88,10 +108,66 @@ def naive_union_reward(mi, inputs):
             w = 1.0
             for i in range(k):
                 w *= inst.prior[vt[i]] * inst.score_model[vt[i], st[i]]
-            x = union_compose(mi, inputs, vt, st)
+            ys = [inputs.mechanisms[i].matrix[vt[i], st[i]] for i in range(k)]
+            x = greedy_union_shares(ys, vt)
             total += w * sum((inst.grid.values[vt[i]] - inst.bar) * x[i]
                              for i in range(k))
     return total
+
+
+def naive_ranking_mechanism(mi):
+    """Ranking-mechanism accept tables and aggregates, keyed by rank, from
+    per-pair posteriors and a loop over quality pairs.
+
+    For each reported order, item i is acquired at scores (s1, s2) iff its
+    posterior mean over the quality pairs of that order is at least t; a
+    cell no pair reaches is rejected.  Aggregate (a, b) is the expected
+    number of acquisitions at true qualities (a, b).
+    """
+    inst = mi.base
+    n, m = inst.n, inst.m
+    d, R, t, values = inst.prior, inst.score_model, inst.bar, inst.grid.values
+    accept, aggregate = {}, {}
+    for rank in RANK_CLASSES:
+        keep = {"greater": np.greater, "equal": np.equal, "smaller": np.less}[rank]
+        pa, pb = np.nonzero(keep.outer(values, values))   # member pairs, row-major
+        acc = np.zeros((2, m, m))
+        if pa.size:
+            # cell weights w(pair, s1, s2) = d(a) d(b) r(a, s1) r(b, s2)
+            w = (d[pa] * d[pb])[:, None, None] * R[pa][:, :, None] * R[pb][:, None, :]
+            total = w.sum(axis=0)
+            for item, v in enumerate((values[pa], values[pb])):
+                with np.errstate(invalid="ignore"):
+                    post = np.where(total > 0, (v[:, None, None] * w).sum(0) / total, -np.inf)
+                acc[item] = post >= t
+        agg = np.zeros((n, n))
+        both = acc[0] + acc[1]
+        for a in range(n):
+            for b in range(n):
+                agg[a, b] = float(R[a] @ both @ R[b])
+        accept[rank], aggregate[rank] = acc, agg
+    return accept, aggregate
+
+
+def naive_reduce_menu(instance, matrix):
+    """Menu reduction by a running best: each quality at or below the bar
+    takes the row of the first above-bar quality of highest acceptance under
+    its noise; all zeros when no quality is above the bar."""
+    values, R = instance.grid.values, instance.score_model
+    above = [v for v in range(instance.n) if values[v] > instance.bar]
+    if not above:
+        return np.zeros_like(matrix)
+    out = np.array(matrix)
+    for v in range(instance.n):
+        if values[v] > instance.bar:
+            continue
+        best_val, best_row = -np.inf, above[0]
+        for vb in above:
+            acc = float(matrix[vb] @ R[v])
+            if acc > best_val:
+                best_val, best_row = acc, vb
+        out[v] = matrix[best_row]
+    return out
 
 
 def naive_rm_audit(policy, tol):

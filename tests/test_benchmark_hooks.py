@@ -4,6 +4,9 @@ refactor that drops a rebound name, or stops calling through it, fails here
 and not only in a traced benchmark run."""
 
 import importlib
+import importlib.util
+import json
+import os
 import sys
 from pathlib import Path
 
@@ -67,3 +70,47 @@ def test_sweep_capture_rebinds_restores_and_checks(bench):
         workload.uninstall()
     assert {key: getattr(*key) for key in workload.CAPTURED} == before
     assert len(rewards) == len(workload.configs["v0.30"].mechanisms)
+
+
+@pytest.fixture(scope="module")
+def bench_run():
+    """``benchmarks/run.py`` imported without running it, writing no
+    bytecode into ``benchmarks/``.  Importing it sets
+    ``sys.dont_write_bytecode`` and default BLAS thread counts; both are
+    restored."""
+    saved, env = sys.dont_write_bytecode, dict(os.environ)
+    sys.dont_write_bytecode = True
+    try:
+        spec = importlib.util.spec_from_file_location("bench_run", BENCH / "run.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+    finally:
+        sys.dont_write_bytecode = saved
+        os.environ.clear()
+        os.environ.update(env)
+
+
+#: Operations of each workload whose checks and seed-0 objectives the
+#: benchmark's correctness gate covers: RM and reduce_menu on the registry
+#: pairs, the k = 3 LPs and union, and one sweep point.
+GATED_OPS = {
+    "single_small": ["registry/thm9_omk_vs_um", "registry/thm9_um_vs_kxom1",
+                     "registry/example1"],
+    "joint_k3": ["OMk/v0.3000", "UMOPT/v0.3000", "UM_TMM/v0.3000"],
+    "sweep_k2": ["v0.30"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GATED_OPS))
+def test_benchmark_gate_passes_at_default_seed(bench, bench_run, name):
+    _, workloads = bench
+    reference = json.loads(bench_run.REFERENCE.read_text())[name]
+    workload = workloads.WORKLOADS[name](workloads.DEFAULT_SEED)
+    workload.install()
+    try:
+        failures = [bench_run.run_op(workload, key, reference)
+                    for key in GATED_OPS[name]]
+    finally:
+        workload.uninstall()
+    assert failures == [None] * len(GATED_OPS[name])

@@ -106,6 +106,29 @@ def test_solve_bool_bar_is_bad_input(capsys, tmp_path, example1):
     assert out == "" and "must be a number" in err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("V", [0.0, 1 / 3, 2 / 3, True]),
+    ("t", "0.5"),
+    ("d", ["0.25", "0.25", "0.25", "0.25"]),
+], ids=["bool-in-values", "string-bar", "string-prior"])
+def test_solve_non_number_entries_are_bad_input(capsys, tmp_path, example1, key, value):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**instance_to_dict(example1), key: value}))
+    code, out, err = run(capsys, "solve", "--instance", str(path),
+                         "--mechanism", "som")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_verify_bool_matrix_is_bad_input(capsys, tmp_path, example1_path):
+    matrix_path = tmp_path / "bool.json"
+    matrix_path.write_text(json.dumps([[True] * 4] * 4))
+    code, out, err = run(capsys, "verify", "--instance", example1_path,
+                         "--matrix", str(matrix_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_verify_nan_matrix_is_bad_input(capsys, tmp_path, example1_path):
     matrix_path = tmp_path / "nan.json"
     matrix_path.write_text(json.dumps(np.full((4, 4), np.nan).tolist()))
@@ -270,9 +293,12 @@ SWEEP_CONFIG = {
     {"prior_mean": True},
     {"prior_sd": True},
     {"t": True},
+    {"prior_mean": "0.3"},
+    {"variance_grid": [0.0, True]},
+    {"V": [0.0, "0.5", 1.0]},
 ], ids=["negative-sd", "nan-mean", "duplicate-values", "mass-off-grid",
         "empty-variance-grid", "fractional-k", "bool-k", "bool-mean", "bool-sd",
-        "bool-bar"])
+        "bool-bar", "string-mean", "bool-in-variance-grid", "string-in-values"])
 def test_sweep_bad_config_values_are_bad_input(capsys, tmp_path, bad):
     config_path = tmp_path / "bad.json"
     config_path.write_text(json.dumps({**SWEEP_CONFIG, **bad}))
@@ -293,7 +319,7 @@ def test_sweep_config_ignores_extra_keys(capsys, tmp_path):
 
 @pytest.mark.parametrize("argv", [["--levels", "1"], ["--levels", "0"],
                                   ["--levels", "1", "--consistent"],
-                                  ["--k", "0"], ["--k", "-2"]])
+                                  ["--k", "0"], ["--k", "-2"], ["--seed", "-1"]])
 def test_gen_bad_arguments_are_bad_input(capsys, tmp_path, argv):
     out_path = tmp_path / "inst.json"
     code, out, err = run(capsys, "gen", *argv, "--out", str(out_path))

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from acquimech import (Mechanism, MultiPolicy, acquire_probability,
                        instance_from_dict, instance_to_dict, noise_product,
                        posterior_mean, prior_product, validate_instance)
+from acquimech.core import read_numbers
 from acquimech.gen import random_instance
 
 GRID4 = [0.0, 1 / 3, 2 / 3, 1.0]
@@ -117,6 +118,25 @@ def test_non_finite_instance_rejected(field, value):
     with pytest.raises(ValueError, match="finite"):
         validate_instance(args["values"], args["scores"], args["prior"],
                           args["model"], args["bar"])
+
+
+@pytest.mark.parametrize("raw, ndim", [
+    (True, 0), (np.bool_(False), 0), ("0.5", 0), (None, 0),
+    ([0.0, True], 1), ([[0.5, "0.5"]], 2), (np.array([True, False]), 1),
+    ([0.0, [1.0]], 1), ([0.5], 0), (0.5, 1),
+])
+def test_read_numbers_rejects_non_numbers(raw, ndim):
+    with pytest.raises(ValueError):
+        read_numbers(raw, "x", ndim)
+
+
+def test_read_numbers_reads_numbers():
+    assert read_numbers(3, "x", 0) == 3.0
+    assert read_numbers(np.float64(0.5), "x", 0).dtype == float
+    assert read_numbers([[1, 0.5]], "x", 2).tolist() == [[1.0, 0.5]]
+    values = np.array([0.25, 0.75])
+    assert np.array_equal(read_numbers(values, "x", 1), values)
+    assert np.array_equal(read_numbers(np.arange(3), "x", 1), [0.0, 1.0, 2.0])
 
 
 def test_non_finite_mechanism_and_policy_rejected():

@@ -16,8 +16,8 @@ from acquimech import (Mechanism, MultiInstance, MultiPolicy, RANK_CLASSES,
 from acquimech.experiments import THM7_PRINTED_AGGREGATES
 from acquimech.multi_item import RankPolicy, item_orbits
 from acquimech.gen import random_instance
-from oracles import (full_omk_optimum, full_umopt_optimum, naive_rm_audit,
-                     naive_union_reward)
+from oracles import (full_omk_optimum, full_umopt_optimum,
+                     naive_ranking_mechanism, naive_rm_audit, naive_union_reward)
 
 GRID4 = [0.0, 1 / 3, 2 / 3, 1.0]
 
@@ -234,6 +234,42 @@ def test_ranking_against_naive_recomputation():
                     assert policy.per_rank_accept[rank][item, s1, s2] == want
 
 
+def _audit_key(violations):
+    return [(v.v1_index, v.v2_index, v.truthful_rank, v.better_rank)
+            for v in violations]
+
+
+def test_ranking_matches_plain_loop_reference(seven_level_instances):
+    """Accept tables and audited violations are identical to the per-pair
+    posterior reference; aggregates are bit-equal with at most 5 scores and
+    within 1e-15 otherwise (the matrix product sums in another order)."""
+    for name, inst in seven_level_instances.items():
+        policy = ranking_mechanism(MultiInstance(inst, 2))
+        accept, aggregate = naive_ranking_mechanism(MultiInstance(inst, 2))
+        for rank in RANK_CLASSES:
+            assert np.array_equal(policy.per_rank_accept[rank], accept[rank]), (name, rank)
+            if inst.m <= 5:
+                assert np.array_equal(policy.aggregate[rank], aggregate[rank]), (name, rank)
+            else:
+                assert np.allclose(policy.aggregate[rank], aggregate[rank],
+                                   rtol=0.0, atol=1e-15), (name, rank)
+        got = rm_ic_audit(policy)
+        want = rm_ic_audit(RankPolicy(policy.values, accept, aggregate))
+        assert _audit_key(got) == _audit_key(want), name
+        assert all(abs(g.gain - w.gain) <= 2e-15 for g, w in zip(got, want)), name
+
+
+def test_ranking_acquires_when_posterior_equals_bar():
+    """Under the equal order the posterior mean of either item is exactly
+    (0 + 1) / 2 = t in every cell, so every cell acquires (ties acquire)."""
+    inst = validate_instance([0.0, 1.0], [0.0, 1.0], [0.5, 0.5],
+                             [[0.5, 0.5], [0.5, 0.5]], 0.5)
+    policy = ranking_mechanism(MultiInstance(inst, 2))
+    assert np.array_equal(policy.per_rank_accept["equal"], np.ones((2, 2, 2)))
+    accept, _ = naive_ranking_mechanism(MultiInstance(inst, 2))
+    assert np.array_equal(accept["equal"], np.ones((2, 2, 2)))
+
+
 def test_rm_audit_reports_published_violation(registry):
     policy = ranking_mechanism(MultiInstance(registry["thm7"], 2))
     hits = [v for v in rm_ic_audit(policy)
@@ -410,13 +446,19 @@ def test_union_per_profile_dominance():
 
 
 def test_union_reward_matches_naive_recomputation():
-    inst = small_instance(7)
-    mi = MultiInstance(inst, 2)
-    om1 = solve_om1(inst)
-    inputs = UnionInputs((om1, om1))
-    policy = union_policy(mi, inputs)
-    assert multi_expected_reward(mi, policy) == pytest.approx(
-        naive_union_reward(mi, inputs), abs=1e-12)
+    """The union reward equals the greedy fill from its definition, for OM1
+    components (all zero on seed 7) and for fractional random components,
+    with two and three items; equal qualities occur in every case."""
+    rng = np.random.default_rng(7)
+    for seed in (7, 9):
+        inst = small_instance(seed)
+        om1 = solve_om1(inst)
+        for k in (2, 3):
+            randoms = [Mechanism(rng.uniform(size=(inst.n, inst.m))) for _ in range(k)]
+            for mechs in ((om1,) * k, randoms):
+                mi, inputs = MultiInstance(inst, k), UnionInputs(tuple(mechs))
+                assert multi_expected_reward(mi, union_policy(mi, inputs)) == \
+                    pytest.approx(naive_union_reward(mi, inputs), abs=1e-12)
 
 
 # --- optimal union ----------------------------------------------------------

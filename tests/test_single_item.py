@@ -9,7 +9,7 @@ from acquimech import (Mechanism, NEVER, best_threshold_mechanism,
                        reduce_menu, solve_om1, solve_som, tmm_build,
                        tmm_optimal, validate_instance)
 from acquimech.gen import random_consistent_instance, random_instance
-from oracles import dense_tmm_search
+from oracles import dense_tmm_search, naive_reduce_menu
 
 GRID4 = [0.0, 1 / 3, 2 / 3, 1.0]
 
@@ -262,6 +262,26 @@ def test_reduce_menu_empty_above_bar_set(example1, example1_matrix):
                              example1.score_model, 2.0)
     reduced = reduce_menu(inst, Mechanism(example1_matrix))
     assert np.array_equal(reduced.matrix, np.zeros((4, 4)))
+
+
+def test_reduce_menu_matches_running_best_reference(seven_level_instances):
+    rng = np.random.default_rng(0)
+    for name, inst in seven_level_instances.items():
+        for mech in (solve_om1(inst), tmm_optimal(inst)[1], solve_som(inst),
+                     Mechanism(rng.uniform(size=(inst.n, inst.m)))):
+            assert np.array_equal(reduce_menu(inst, mech).matrix,
+                                  naive_reduce_menu(inst, mech.matrix)), name
+
+
+def test_reduce_menu_tie_goes_to_lowest_above_bar_row():
+    """Quality 0 is below the bar and its noise row (0.5, 0.5) accepts rows
+    1 and 2 with probability exactly 0.5 each; row 1 wins the tie."""
+    inst = validate_instance([0.0, 0.5, 1.0], [0.0, 1.0], [0.25, 0.5, 0.25],
+                             [[0.5, 0.5]] * 3, 0.25)
+    mech = Mechanism([[0.0, 0.0], [0.25, 0.75], [0.5, 0.5]])
+    want = [[0.25, 0.75], [0.25, 0.75], [0.5, 0.5]]
+    assert np.array_equal(reduce_menu(inst, mech).matrix, want)
+    assert np.array_equal(naive_reduce_menu(inst, mech.matrix), want)
 
 
 def test_menu_size_counting(example1_matrix):
