@@ -49,16 +49,17 @@ def discretize_prior(family: str, mean: float, sd: float,
     ``sd`` is the target standard deviation of the distribution itself; the
     log-normal's underlying parameters are solved so its mean and variance
     match the targets.  ``sd == 0`` degenerates to a point mass on the cell
-    containing the mean (boundary ties go to the lower cell).
+    containing the mean (boundary ties go to the lower cell).  A log-normal
+    mean must be positive.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
     values = np.asarray(grid_values, dtype=float)
     if sd < 0:
         raise ValueError("standard deviation must be nonnegative")
-    lo, hi = _cell_edges(values)
     if family == "lognormal" and mean <= 0:
-        mean = LOGNORMAL_MEAN_FLOOR
+        raise ValueError("a log-normal mean must be positive")
+    lo, hi = _cell_edges(values)
     if sd == 0:
         mids = (values[:-1] + values[1:]) / 2.0 if values.size > 1 else np.empty(0)
         cell = int(np.searchsorted(mids, mean, side="left"))
@@ -84,14 +85,14 @@ def discretize_prior(family: str, mean: float, sd: float,
 def build_score_model(family: str, variance: float,
                       grid: QualityGrid) -> np.ndarray:
     """Appraiser noise rows: quality v scores like family(mean=v, var=variance)
-    discretized on the score grid; variance 0 is the perfect appraiser."""
+    discretized on the score grid; variance 0 is the perfect appraiser.
+    Log-normal rows for a quality <= 0 use ``LOGNORMAL_MEAN_FLOOR``."""
     if variance < 0:
         raise ValueError("variance must be nonnegative")
     sd = math.sqrt(variance)
-    return np.vstack([
-        discretize_prior(family, float(v), sd, grid.scores)
-        for v in grid.values
-    ])
+    means = [LOGNORMAL_MEAN_FLOOR if family == "lognormal" and v <= 0 else float(v)
+             for v in grid.values]
+    return np.vstack([discretize_prior(family, mean, sd, grid.scores) for mean in means])
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,12 @@
-"""Bounded-variable linear programs in inequality form.
+"""Bounded-variable linear programs with ranged rows.
 
-Problems are ``maximize c @ x  s.t.  A x <= b,  lo <= x <= hi``.  Solving is
-delegated to HiGHS dual simplex (Huangfu & Hall, Math. Prog. Comp. 2018)
-through the bindings bundled with scipy, which is deterministic and returns
-basic (vertex) solutions, so repeated solves of the same problem are
-bit-identical and golden tests can pin objectives.  Infeasible and unbounded
-problems are reported through the solution status, never by raising.
+Problems are ``maximize c @ x  s.t.  row_lower <= A x <= b,  lo <= x <= hi``,
+where ``row_lower`` is -inf on every row unless given.  Solving is delegated
+to HiGHS dual simplex (Huangfu & Hall, Math. Prog. Comp. 2018) through the
+bindings bundled with scipy, which is deterministic and returns basic
+(vertex) solutions, so repeated solves of the same problem are bit-identical
+and golden tests can pin objectives.  Infeasible and unbounded problems are
+reported through the solution status, never by raising.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ _STATUS = {highs.HighsModelStatus.kOptimal: OPTIMAL,
 
 #: The options ``scipy.optimize.linprog(method="highs-ds")`` passes, with
 #: both feasibility tolerances at 1e-9; everything else is the HiGHS default.
+#: ``linprog`` turns presolve off per solve, never here.
 _OPTIONS = highs.HighsOptions()
 _OPTIONS.presolve = "on"
 _OPTIONS.solver = "simplex"
@@ -48,11 +50,13 @@ _RESULT_TOL = np.sqrt(1e-9) * 10
 
 @dataclass(frozen=True)
 class LpProblem:
-    """maximize ``objective @ x`` subject to ``constraint_matrix @ x <= constraint_rhs``
-    and ``lower <= x <= upper``.
+    """maximize ``objective @ x`` subject to ``constraint_matrix @ x <= constraint_rhs``,
+    ``row_lower <= constraint_matrix @ x`` and ``lower <= x <= upper``.
 
     ``constraint_matrix`` may be a dense array or any scipy sparse matrix;
-    pass ``None`` (with empty rhs) for box-only problems.
+    pass ``None`` (with empty rhs) for box-only problems.  ``row_lower``
+    None means -inf on every row; an entry equal to its rhs makes the row
+    an equality.
     """
 
     objective: np.ndarray
@@ -60,6 +64,7 @@ class LpProblem:
     constraint_rhs: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
+    row_lower: Optional[np.ndarray] = None
 
     def __post_init__(self):
         c = np.asarray(self.objective, dtype=float)
@@ -84,6 +89,15 @@ class LpProblem:
                 raise ValueError("constraint rhs length does not match matrix rows")
         elif rhs.size:
             raise ValueError("rhs given without a constraint matrix")
+        if self.row_lower is not None:
+            row_lo = np.asarray(self.row_lower, dtype=float)
+            object.__setattr__(self, "row_lower", row_lo)
+            if row_lo.shape != rhs.shape:
+                raise ValueError("row lower bounds must match the rhs length")
+            if np.isnan(row_lo).any():
+                raise ValueError("row lower bounds must not be NaN")
+            if np.any(row_lo > rhs):
+                raise ValueError("row lower bound exceeds its rhs")
 
     @classmethod
     def from_rows(cls, objective: Sequence[float],
@@ -112,61 +126,83 @@ class LpSolution:
     objective_value: Optional[float] = None
     #: HiGHS simplex iterations; 0 unless optimal.
     iterations: int = 0
+    #: Size of the model as passed to HiGHS; nonzeros count stored entries.
+    rows: int = 0
+    columns: int = 0
+    nonzeros: int = 0
+    #: Whether HiGHS ran its presolve.
+    presolved: bool = False
 
 
 @dataclass(frozen=True)
 class HighsResult:
-    """One HiGHS run: ``x`` is the optimal point (None otherwise) and ``nit``
-    the simplex iteration count."""
+    """One HiGHS run: ``x`` is the optimal point (None otherwise), ``nit``
+    the simplex iteration count, then the model size and whether presolve
+    ran."""
 
     x: Optional[np.ndarray]
     status: str
     nit: int
+    rows: int
+    columns: int
+    nonzeros: int
+    presolved: bool
 
 
-def linprog(c, A, b, lower, upper) -> HighsResult:
-    """minimize ``c @ x`` subject to ``A @ x <= b`` and ``lower <= x <= upper``
-    with HiGHS dual simplex, checking inputs and result as
-    ``scipy.optimize.linprog(method="highs-ds")`` does.
+def _checked(status, call: str) -> None:
+    if status == highs.HighsStatus.kError:
+        raise RuntimeError(f"LP solver failed: {call} returned an error")
 
-    ``c``, ``b``, ``lower`` and ``upper`` are float arrays; ``A`` is anything
-    ``scipy.sparse.csc_array`` accepts, or None.  Raises
+
+def linprog(c, A, b, lower, upper, row_lower=None) -> HighsResult:
+    """minimize ``c @ x`` subject to ``row_lower <= A @ x <= b`` and
+    ``lower <= x <= upper`` with HiGHS dual simplex, checking inputs and
+    result as ``scipy.optimize.linprog(method="highs-ds")`` does.
+
+    ``c``, ``b``, ``lower``, ``upper`` and ``row_lower`` are float arrays;
+    ``row_lower`` None means -inf on every row.  ``A`` is anything
+    ``scipy.sparse.csc_array`` accepts, or None.  The model goes to HiGHS
+    as column-wise arrays in one call.  Presolve runs only when some row
+    has a finite lower bound: on inequality rows alone it removes nothing
+    from the package's LPs and costs up to half the solve time.  Raises
     ValueError on a non-finite ``c``, ``A`` or ``b`` entry or a NaN bound,
-    and RuntimeError on any outcome but optimal, infeasible or unbounded,
-    including an optimal point off its bounds or rows by more than
-    ``sqrt(1e-9) * 10``.
+    and RuntimeError on a HiGHS call that returns an error or any outcome
+    but optimal, infeasible or unbounded, including an optimal point off
+    its bounds or rows by more than ``sqrt(1e-9) * 10``.
     """
     A = sp.csc_array((0, c.size) if A is None else A)
     if not (np.isfinite(c).all() and np.isfinite(A.data).all() and np.isfinite(b).all()):
         raise ValueError("LP objective, constraint matrix and rhs must be finite")
-    if np.isnan(lower).any() or np.isnan(upper).any():
-        raise ValueError("LP variable bounds must not be NaN")
-    model = highs.HighsLp()
-    model.num_col_, model.num_row_ = c.size, b.size
-    model.col_cost_, model.col_lower_, model.col_upper_ = c, lower, upper
-    model.row_lower_, model.row_upper_ = np.full(b.size, -np.inf), b
-    matrix = model.a_matrix_
-    matrix.format_ = highs.MatrixFormat.kColwise
-    matrix.num_col_, matrix.num_row_ = c.size, b.size
-    matrix.start_, matrix.index_, matrix.value_ = A.indptr, A.indices, A.data
+    if row_lower is None:
+        row_lower = np.full(b.size, -np.inf)
+    if np.isnan(lower).any() or np.isnan(upper).any() or np.isnan(row_lower).any():
+        raise ValueError("LP variable and row bounds must not be NaN")
+    presolve = bool(np.isfinite(row_lower).any())
     solver = highs._Highs()
-    solver.passOptions(_OPTIONS)
-    solver.passModel(model)
-    solver.run()
+    _checked(solver.passOptions(_OPTIONS), "passOptions")
+    if not presolve:
+        _checked(solver.setOptionValue("presolve", "off"), "setOptionValue")
+    _checked(solver.passModel(
+        c.size, b.size, A.nnz, highs.MatrixFormat.kColwise, highs.ObjSense.kMinimize,
+        0.0, c, lower, upper, row_lower, b, A.indptr.astype(np.int32, copy=False),
+        A.indices.astype(np.int32, copy=False), np.asarray(A.data, dtype=float),
+        np.zeros(c.size, dtype=np.int32)), "passModel")   # all continuous
+    _checked(solver.run(), "run")
+    size = dict(rows=b.size, columns=c.size, nonzeros=A.nnz, presolved=presolve)
     model_status = solver.getModelStatus()
     status = _STATUS.get(model_status)
     if status is None:
         raise RuntimeError(f"LP solver failed: {solver.modelStatusToString(model_status)}")
     if status != OPTIMAL:
-        return HighsResult(None, status, 0)
+        return HighsResult(None, status, 0, **size)
     solution = solver.getSolution()
     x = np.array(solution.col_value)
-    slack = b - np.array(solution.row_value)
+    row = np.array(solution.row_value)
     if not (np.all(x >= lower - _RESULT_TOL) and np.all(x <= upper + _RESULT_TOL)
-            and np.all(slack >= -_RESULT_TOL)):
+            and np.all(b - row >= -_RESULT_TOL) and np.all(row - row_lower >= -_RESULT_TOL)):
         raise RuntimeError("LP solver failed: the optimal point violates its "
                            f"bounds or rows by more than {_RESULT_TOL:.2e}")
-    return HighsResult(x, OPTIMAL, solver.getInfo().simplex_iteration_count)
+    return HighsResult(x, OPTIMAL, solver.getInfo().simplex_iteration_count, **size)
 
 
 def solve_lp(problem: LpProblem) -> LpSolution:
@@ -176,9 +212,12 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     point, so it agrees with the solution values to full precision.
     """
     res = linprog(-problem.objective, problem.constraint_matrix,
-                  problem.constraint_rhs, problem.lower, problem.upper)
+                  problem.constraint_rhs, problem.lower, problem.upper,
+                  problem.row_lower)
+    size = dict(rows=res.rows, columns=res.columns, nonzeros=res.nonzeros,
+                presolved=res.presolved)
     if res.status != OPTIMAL:
-        return LpSolution(status=res.status)
+        return LpSolution(status=res.status, **size)
     return LpSolution(status=OPTIMAL, values=res.x,
                       objective_value=float(problem.objective @ res.x),
-                      iterations=res.nit)
+                      iterations=res.nit, **size)

@@ -295,27 +295,30 @@ def union_policy(mi: MultiInstance, inputs: UnionInputs,
     return MultiPolicy(_union_shares(ys, qualities))
 
 
-def _umopt_rows(inst: Instance, k: int, orbit: np.ndarray, count: int) -> sp.csr_matrix:
-    """UMOPT rows over [x, y], all ``<= 0``: x has one variable per
-    :func:`item_orbits` orbit and y, at column ``count + v * m + s``, is the
-    one component shared by all items.  For each profile orbit (multiset of
-    the k (v_i, s_i) pairs), in the order of its first profile,
-    ``sum_i x_i(v, s) - sum_i y(v_i, s_i)`` and its negation; then the
-    one-item IC and monotonicity block of y."""
+def _umopt_rows(inst: Instance, k: int, orbit: np.ndarray,
+                count: int) -> tuple[sp.csr_matrix, np.ndarray]:
+    """UMOPT rows over [x, y], all ``<= 0``, and their lower bounds: x has
+    one variable per :func:`item_orbits` orbit and y, at column
+    ``count + v * m + s``, is the one component shared by all items.  For
+    each profile orbit (multiset of the k (v_i, s_i) pairs), in the order of
+    its first profile, the equality row ``sum_i x_i(v, s) - sum_i y(v_i,
+    s_i) = 0``; then the one-item IC and monotonicity block of y, bounded
+    below by -inf."""
     n, m = inst.n, inst.m
     pair = _pair_codes(n, m, k)
     P = pair.shape[1]
     first = _first_of_each(_multiset_key(pair, n * m))
     profile_cols = np.concatenate([orbit[np.arange(k)[:, None] * P + first],
                                    count + pair[:, first]]).T
-    sign = np.repeat([1.0, -1.0], k)
-    coupling = sp.csr_matrix((np.tile(np.concatenate([sign, -sign]), first.size),
-                              (np.repeat(np.arange(2 * first.size), 2 * k),
-                               np.repeat(profile_cols, 2, axis=0).ravel())),
-                             shape=(2 * first.size, count + n * m))
+    coupling = sp.csr_matrix((np.tile(np.repeat([1.0, -1.0], k), first.size),
+                              (np.repeat(np.arange(first.size), 2 * k),
+                               profile_cols.ravel())),
+                             shape=(first.size, count + n * m))
     block = _ic_monotone_rows(inst.score_model, n, m, 1, *item_orbits(n, m, 1))
-    return sp.vstack([coupling, sp.hstack([sp.csr_matrix((block.shape[0], count)), block])],
-                     format="csr")
+    A = sp.vstack([coupling, sp.hstack([sp.csr_matrix((block.shape[0], count)), block])],
+                  format="csr")
+    row_lower = np.concatenate([np.zeros(first.size), np.full(block.shape[0], -np.inf)])
+    return A, row_lower
 
 
 def solve_umopt(mi: MultiInstance,
@@ -338,8 +341,9 @@ def solve_umopt(mi: MultiInstance,
     orbit, count = item_orbits(n, m, k)
     c = np.concatenate([np.bincount(orbit, weights=joint_weights(mi)[1], minlength=count),
                         np.zeros(n * m)])
-    A = _umopt_rows(inst, k, orbit, count)
-    problem = LpProblem(c, A, np.zeros(A.shape[0]), np.zeros(c.size), np.ones(c.size))
+    A, row_lower = _umopt_rows(inst, k, orbit, count)
+    problem = LpProblem(c, A, np.zeros(A.shape[0]), np.zeros(c.size), np.ones(c.size),
+                        row_lower)
     sol = solve_lp(problem)
     if sol.status != OPTIMAL:
         raise RuntimeError(f"UMOPT LP unexpectedly {sol.status}")

@@ -296,9 +296,12 @@ SWEEP_CONFIG = {
     {"prior_mean": "0.3"},
     {"variance_grid": [0.0, True]},
     {"V": [0.0, "0.5", 1.0]},
+    {"family": "lognormal", "prior_mean": -1.0},
+    {"family": "lognormal", "prior_mean": 0.0},
 ], ids=["negative-sd", "nan-mean", "duplicate-values", "mass-off-grid",
         "empty-variance-grid", "fractional-k", "bool-k", "bool-mean", "bool-sd",
-        "bool-bar", "string-mean", "bool-in-variance-grid", "string-in-values"])
+        "bool-bar", "string-mean", "bool-in-variance-grid", "string-in-values",
+        "lognormal-negative-mean", "lognormal-zero-mean"])
 def test_sweep_bad_config_values_are_bad_input(capsys, tmp_path, bad):
     config_path = tmp_path / "bad.json"
     config_path.write_text(json.dumps({**SWEEP_CONFIG, **bad}))

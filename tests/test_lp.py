@@ -90,13 +90,27 @@ _SCIPY_STATUS = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}
 
 
 def assert_matches_scipy(problem):
-    A = problem.constraint_matrix
-    res = linprog(-problem.objective, A_ub=A,
-                  b_ub=problem.constraint_rhs if A is not None else None,
+    """solve_lp runs presolve only on a problem with equality rows; scipy gets
+    those rows as ``A_eq`` and puts them after the inequality rows, so
+    solve_lp is given the rows in that order too."""
+    A, b = problem.constraint_matrix, problem.constraint_rhs
+    rows = {"A_ub": A, "b_ub": b if A is not None else None}
+    presolve = problem.row_lower is not None and bool(np.isfinite(problem.row_lower).any())
+    if presolve:
+        eq = np.isfinite(problem.row_lower)
+        assert np.array_equal(problem.row_lower[eq], b[eq])   # no ranged rows
+        A = sp.csr_array(A)
+        rows = {"A_ub": A[~eq], "b_ub": b[~eq], "A_eq": A[eq], "b_eq": b[eq]}
+        order = np.concatenate([np.flatnonzero(~eq), np.flatnonzero(eq)])
+        problem = dataclasses.replace(problem, constraint_matrix=A[order],
+                                      constraint_rhs=b[order],
+                                      row_lower=problem.row_lower[order])
+    res = linprog(-problem.objective, **rows,
                   bounds=np.column_stack([problem.lower, problem.upper]),
                   method="highs-ds",
                   options={"primal_feasibility_tolerance": 1e-9,
-                           "dual_feasibility_tolerance": 1e-9})
+                           "dual_feasibility_tolerance": 1e-9,
+                           "presolve": presolve})
     sol = solve_lp(problem)
     assert sol.status == _SCIPY_STATUS[res.status]
     if sol.status == OPTIMAL:
@@ -186,6 +200,7 @@ def test_nan_bound_raises(bound):
 
 
 _MODEL_STATUS = lp.highs.HighsModelStatus
+_OK = lp.highs.HighsStatus.kOk
 
 
 class _FakeHighs:
@@ -195,13 +210,16 @@ class _FakeHighs:
     point = [1.0]
 
     def passOptions(self, options):
-        pass
+        return _OK
 
-    def passModel(self, model):
-        pass
+    def setOptionValue(self, name, value):
+        return _OK
+
+    def passModel(self, *model):
+        return _OK
 
     def run(self):
-        pass
+        return _OK
 
     def getModelStatus(self):
         return self.status
@@ -236,3 +254,67 @@ def test_solver_failure_raises(monkeypatch, status, point):
 def test_optimal_point_within_result_tolerance_accepted(monkeypatch):
     sol = _fake_solve(monkeypatch, _MODEL_STATUS.kOptimal, 1.0 + 1e-4)
     assert sol.status == OPTIMAL and sol.iterations == 1
+
+
+@pytest.mark.parametrize("call", ["passOptions", "setOptionValue", "passModel", "run"])
+def test_highs_call_error_raises(monkeypatch, call):
+    fake = type("Fake", (_FakeHighs,),
+                {call: lambda self, *args: lp.highs.HighsStatus.kError})
+    monkeypatch.setattr(lp.highs, "_Highs", fake)
+    with pytest.raises(RuntimeError, match=call):
+        solve_lp(LpProblem.from_rows([1.0], [([1.0], 1.0)], [(0.0, 1.0)]))
+
+
+# -- equality rows and presolve -----------------------------------------------
+
+def _equality_problem(row_lower):
+    """maximize x0 + x1 s.t. row_lower <= x0 - x1 <= 0.25 in the unit box."""
+    return LpProblem(np.ones(2), np.array([[1.0, -1.0]]), np.array([0.25]),
+                     np.zeros(2), np.ones(2), row_lower)
+
+
+@pytest.mark.parametrize("row_lower", [[0.0, 0.0], [np.nan], [0.5]],
+                         ids=["wrong-length", "nan", "above-rhs"])
+def test_bad_row_lower_rejected(row_lower):
+    with pytest.raises(ValueError):
+        _equality_problem(row_lower)
+
+
+def test_equality_row_is_met():
+    sol = solve_lp(_equality_problem([0.25]))
+    assert sol.status == OPTIMAL
+    assert sol.values[0] - sol.values[1] == pytest.approx(0.25, abs=1e-9)
+    assert sol.objective_value == pytest.approx(1.75, abs=1e-9)
+    assert sol.presolved
+
+
+class _RecordingHighs(lp.highs._Highs):
+    """The real solver, recording the presolve setting each run uses."""
+
+    presolve: list = []
+
+    def run(self):
+        self.presolve.append(self.getOptionValue("presolve")[1])
+        return super().run()
+
+
+@pytest.mark.parametrize("row_lower, presolve", [
+    (None, "off"), ([-np.inf], "off"), ([0.25], "on"), ([-1.0], "on")])
+def test_presolve_runs_only_with_finite_row_lower(monkeypatch, row_lower, presolve):
+    monkeypatch.setattr(_RecordingHighs, "presolve", [])
+    monkeypatch.setattr(lp.highs, "_Highs", _RecordingHighs)
+    sol = solve_lp(_equality_problem(row_lower))
+    assert sol.status == OPTIMAL
+    assert _RecordingHighs.presolve == [presolve]
+    assert sol.presolved == (presolve == "on")
+    assert lp._OPTIONS.presolve == "on"   # the shared options are untouched
+
+
+def test_lp_size_reported():
+    A = sp.csr_array(np.array([[1.0, 0.0, 2.0], [0.0, 0.0, 1.0]]))
+    problem = LpProblem(np.ones(3), A, np.ones(2), np.zeros(3), np.ones(3))
+    sol = solve_lp(problem)
+    assert (sol.rows, sol.columns, sol.nonzeros, sol.presolved) == (2, 3, 3, False)
+    infeasible = solve_lp(LpProblem.from_rows([1.0], [([1.0], -2.0)], [(0.0, 1.0)]))
+    assert infeasible.status == INFEASIBLE
+    assert (infeasible.rows, infeasible.columns, infeasible.nonzeros) == (1, 1, 1)

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,13 +14,17 @@ from acquimech import (Mechanism, MultiInstance, MultiPolicy, RANK_CLASSES,
                        rm_ic_audit, solve_om1, solve_omk, solve_umopt,
                        tmm_optimal, union_compose, union_policy,
                        validate_instance)
-from acquimech.experiments import THM7_PRINTED_AGGREGATES
+from acquimech import multi_item, solve_lp
+from acquimech.core import QualityGrid
+from acquimech.experiments import (THM7_PRINTED_AGGREGATES, build_score_model,
+                                   discretize_prior)
 from acquimech.multi_item import RankPolicy, item_orbits
 from acquimech.gen import random_instance
 from oracles import (full_omk_optimum, full_umopt_optimum,
                      naive_ranking_mechanism, naive_rm_audit, naive_union_reward)
 
 GRID4 = [0.0, 1 / 3, 2 / 3, 1.0]
+GRID7 = [i / 6 for i in range(7)]
 
 
 def small_instance(seed, max_levels=3):
@@ -180,6 +185,59 @@ def test_orbit_umopt_matches_full_space_oracle(k, seed):
     assert check_monotone(inputs.mechanisms[0], tol=1e-7).passed
     assert multi_check_ic(mi, policy, tol=1e-7).passed
     assert multi_check_monotone(mi, policy, tol=1e-7).passed
+
+
+def _umopt_pair_rows(monkeypatch):
+    """Make solve_umopt state each coupling equality as the pair of rows
+    ``sum_i x_i - sum_i y <= 0`` and its negation, each pair in place of its
+    equality row."""
+    original = multi_item._umopt_rows
+
+    def pairs(*args):
+        A, row_lower = original(*args)
+        eq = np.isfinite(row_lower)
+        assert np.array_equal(np.flatnonzero(eq), np.arange(eq.sum()))   # coupling first
+        coupling = A[:eq.sum()]
+        paired = sp.vstack([coupling, -coupling], format="csr")
+        order = np.arange(2 * eq.sum()).reshape(2, -1).T.ravel()
+        return (sp.vstack([paired[order], A[eq.sum():]], format="csr"),
+                np.full(A.shape[0] + eq.sum(), -np.inf))
+
+    monkeypatch.setattr(multi_item, "_umopt_rows", pairs)
+
+
+@pytest.mark.parametrize("k,seed", ORBIT_CASES)
+def test_umopt_equality_rows_match_row_pairs(monkeypatch, k, seed):
+    mi = orbit_case(k, seed)
+    inputs, policy = solve_umopt(mi)
+    _umopt_pair_rows(monkeypatch)
+    pair_inputs, pair_policy = solve_umopt(mi)
+    # the same vertex; the two forms round differently, by a few ulps of 1
+    np.testing.assert_allclose(inputs.mechanisms[0].matrix,
+                               pair_inputs.mechanisms[0].matrix, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(policy.tensors, pair_policy.tensors, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("grid, k, rows", [(GRID7, 2, 1309), (GRID4, 3, 840)])
+def test_umopt_lp_size(monkeypatch, grid, k, rows):
+    """One coupling row per profile orbit: the paper grids' UMOPT LPs."""
+    solutions = []
+
+    def recording(problem):
+        solutions.append(solve_lp(problem))
+        return solutions[-1]
+
+    monkeypatch.setattr(multi_item, "solve_lp", recording)
+    g = QualityGrid(np.array(grid), np.array(grid))
+    inst = validate_instance(g.values, g.scores, discretize_prior("normal", 0.3, 0.25, grid),
+                             build_score_model("normal", 0.3, g), 0.25)
+    solve_umopt(MultiInstance(inst, k))
+    solve_omk(MultiInstance(inst, k))
+    umopt, omk = solutions
+    orbit_count = item_orbits(len(grid), len(grid), k)[1]
+    assert (umopt.rows, umopt.columns) == (rows, orbit_count + len(grid) ** 2)
+    assert umopt.presolved and not omk.presolved
+    assert omk.columns == orbit_count and omk.nonzeros > 0
 
 
 def test_orbit_cases_are_not_trivial():
