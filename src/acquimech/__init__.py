@@ -12,7 +12,7 @@ from .single_item import (NEVER, ConsistencyReport, TmmParams,
 from .multi_item import (DEFAULT_SIZE_BUDGET, RANK_CLASSES, RankPolicy,
                          RmViolation, SizeBudgetError, UnionInputs, omk_problem,
                          ranking_mechanism, rm_ic_audit, solve_omk, solve_umopt,
-                         union_compose, union_policy)
+                         union_policy)
 from .analysis import (acquiring_rate, check_ic, check_monotone, expected_reward,
                        multi_acquiring_rate, multi_check_ic, multi_check_monotone,
                        multi_expected_reward, omniscient_reward,

@@ -7,10 +7,12 @@ themselves.  All expectations are exact finite sums over the discrete grids.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .core import (Instance, Mechanism, MultiInstance, MultiPolicy,
-                   VerificationReport, Violation, _ic_report, _report,
+                   VerificationReport, _ic_report, _monotone_report, _report,
                    noise_product, prior_product)
 from .multi_item import joint_weights
 
@@ -35,14 +37,15 @@ def check_ic(instance: Instance, mechanism: Mechanism,
 
 def check_monotone(mechanism: Mechanism,
                    tol: float = MONOTONE_TOL) -> VerificationReport:
-    """Acquisition probability must be nondecreasing in the score."""
-    violations = []
-    diffs = np.diff(mechanism.matrix, axis=1)
-    for v, s in zip(*np.nonzero(diffs < -tol)):
-        violations.append(Violation(
-            f"row {v} decreases from score {s} to {s + 1}",
-            (int(v), int(s), int(s) + 1), float(-diffs[v, s])))
-    return _report(violations, tol)
+    """Acquisition probability must be nondecreasing in the score.
+
+    This is the monotonicity scan with one item; each drop (0, v, s) is
+    reported as row v's step from score s to s + 1.
+    """
+    report = _monotone_report(mechanism.matrix[None], tol)
+    return _report([replace(x, description=f"row {v} decreases from score {s} to {s + 1}",
+                            indices=(v, s, s + 1))
+                    for x in report.violations for _, v, s in [x.indices]], tol)
 
 
 def omniscient_reward(instance: Instance) -> float:
@@ -104,16 +107,7 @@ def multi_check_monotone(mi: MultiInstance, policy: MultiPolicy,
                          tol: float = MONOTONE_TOL) -> VerificationReport:
     """Each x_i must be nondecreasing in its own score, all else fixed."""
     _check_shape(mi, policy)
-    k = mi.item_count
-    violations = []
-    for i in range(k):
-        axis = 1 + k + i            # score axis of item i in the full tensor
-        diffs = np.diff(policy.tensors[i], axis=axis - 1)
-        for idx in zip(*np.nonzero(diffs < -tol)):
-            violations.append(Violation(
-                f"item {i} decreases along its score axis", (i,) + tuple(map(int, idx)),
-                float(-diffs[idx])))
-    return _report(violations, tol)
+    return _monotone_report(policy.tensors, tol)
 
 
 def multi_acquiring_rate(mi: MultiInstance,

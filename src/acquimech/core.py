@@ -1,5 +1,6 @@
 """Problem instances, acquiring matrices, shared probability computations,
-and the verification reports with the one incentive-compatibility scan.
+and the verification reports with the one incentive-compatibility scan and
+the one monotonicity scan.
 
 An instance couples a discrete quality grid V, a score grid S, a prior d over
 qualities, a row-stochastic appraiser noise model R (entry ``r(v, s)`` is the
@@ -73,6 +74,25 @@ def _ic_report(accept: np.ndarray, tol: float,
                     for i, j in zip(a.tolist(), ap.tolist())], tol)
 
 
+def _monotone_report(tensors: np.ndarray, tol: float) -> VerificationReport:
+    """Every drop of more than ``tol`` in an item's acquiring probability from
+    one of its own scores to the next, all else fixed, item by item and then
+    row-major, indexed (i,) + the position of the drop in ``tensors[i]``.
+
+    ``tensors`` has the :class:`MultiPolicy` shape (k,) + (n,)*k + (m,)*k, a
+    single acquiring matrix X is ``X[None]``.  This is the one monotonicity
+    scan: single-item and k-item checks run through it.
+    """
+    k = tensors.shape[0]
+    violations = []
+    for i in range(k):
+        drop = -np.diff(tensors[i], axis=k + i)   # item i's own score axis
+        for idx in np.argwhere(drop > tol).tolist():
+            violations.append(Violation(f"item {i} decreases along its score axis",
+                                        (i, *idx), float(drop[tuple(idx)])))
+    return _report(violations, tol)
+
+
 def check_item_count(raw) -> int:
     """``raw`` as an item count k; raises ValueError unless it is a positive
     integer (a bool or a fraction is not one)."""
@@ -110,6 +130,19 @@ def read_numbers(raw, name: str, ndim: int) -> np.ndarray:
 
 def _frozen(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=float)
+    a.setflags(write=False)
+    return a
+
+
+def _unit_box(raw, what: str) -> np.ndarray:
+    """``raw`` as a frozen float array clipped exactly into [0, 1], with +0.0
+    where a solver left -0.0.  Raises ValueError when an entry lies more
+    than ``ENTRY_TOL`` outside the box, or is NaN."""
+    a = np.array(raw, dtype=float)
+    if not (a.min() >= -ENTRY_TOL and a.max() <= 1 + ENTRY_TOL):  # rejects NaN
+        raise ValueError(f"{what} outside [0, 1]: range [{a.min()}, {a.max()}]")
+    np.clip(a, 0.0, 1.0, out=a)
+    a += 0.0   # -0.0 + 0.0 is +0.0
     a.setflags(write=False)
     return a
 
@@ -178,21 +211,17 @@ class Mechanism:
     """An n x m acquiring matrix; entry [v, s] is Pr[acquire | report v, score s].
 
     Entries may arrive within ``ENTRY_TOL`` outside [0, 1] (solver noise) and
-    are clipped exactly into the box.
+    are clipped exactly into the box, as are :class:`MultiPolicy` entries.
     """
 
     matrix: np.ndarray
     label: str = ""
 
     def __post_init__(self):
-        mat = np.array(self.matrix, dtype=float)
-        if mat.ndim != 2:
+        if np.ndim(self.matrix) != 2:
             raise ValueError("acquiring matrix must be 2-d")
-        if not (mat.min() >= -ENTRY_TOL and mat.max() <= 1 + ENTRY_TOL):  # rejects NaN
-            raise ValueError(
-                f"acquiring probabilities outside [0, 1]: range "
-                f"[{mat.min()}, {mat.max()}]")
-        object.__setattr__(self, "matrix", _frozen(np.clip(mat, 0.0, 1.0)))
+        object.__setattr__(self, "matrix",
+                           _unit_box(self.matrix, "acquiring probabilities"))
 
 
 @dataclass(frozen=True)
@@ -218,10 +247,7 @@ class MultiPolicy:
     tensors: np.ndarray
 
     def __post_init__(self):
-        t = np.array(self.tensors, dtype=float)
-        if not (t.min() >= -ENTRY_TOL and t.max() <= 1 + ENTRY_TOL):  # rejects NaN
-            raise ValueError("policy entries outside [0, 1]")
-        object.__setattr__(self, "tensors", _frozen(np.clip(t, 0.0, 1.0)))
+        object.__setattr__(self, "tensors", _unit_box(self.tensors, "policy entries"))
 
     @property
     def item_count(self) -> int:

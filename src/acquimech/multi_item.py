@@ -10,6 +10,7 @@ the item permutations and expanded back to full policies.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,10 @@ from .lp import LpProblem, OPTIMAL, solve_lp
 
 #: Refuse LPs and policy tensors beyond this many variables/cells by default.
 DEFAULT_SIZE_BUDGET = 1_000_000
+
+#: Refuse an OMk LP whose IC rows would hold more entries than this before it
+#: is built (at n = 7, k = 3 they hold 42.7M and HiGHS runs out of memory).
+MAX_IC_ENTRIES = 20_000_000
 
 #: Pooled acquisition mass at or below this is treated as exactly zero.
 GAMMA_ZERO_TOL = 1e-12
@@ -36,6 +41,13 @@ def _check_budget(size: int, size_budget: int | None) -> None:
     budget = DEFAULT_SIZE_BUDGET if size_budget is None else int(size_budget)
     if size > budget:
         raise SizeBudgetError(f"problem size {size} exceeds budget {budget}")
+
+
+def omk_ic_entries(n: int, m: int, k: int) -> int:
+    """Entries of the OMk IC rows before duplicates merge: one row per
+    multiset of k (true, reported) quality pairs that are not all equal,
+    each with 2 k m^k entries."""
+    return (math.comb(n * n + k - 1, k) - math.comb(n + k - 1, k)) * 2 * k * m**k
 
 
 def _policy_shape(n: int, m: int, k: int) -> tuple[int, ...]:
@@ -156,11 +168,16 @@ def solve_omk(mi: MultiInstance, size_budget: int | None = None) -> MultiPolicy:
     """Jointly optimal IC monotone policy via one LP over all k items.
 
     The policy has k * n^k * m^k cells, hence the size budget; the LP has one
-    variable per orbit and is expanded back to every cell.
+    variable per orbit and is expanded back to every cell.  An LP whose IC
+    rows exceed ``MAX_IC_ENTRIES`` is refused before it is built.
     """
     inst, k = mi.base, mi.item_count
     n, m = inst.n, inst.m
     _check_budget(k * n**k * m**k, size_budget)
+    entries = omk_ic_entries(n, m, k)
+    if entries > MAX_IC_ENTRIES:
+        raise SizeBudgetError(f"OMk IC rows would hold {entries} entries, "
+                              f"over the limit of {MAX_IC_ENTRIES}")
     sol = solve_lp(omk_problem(mi))
     if sol.status != OPTIMAL:
         raise RuntimeError(f"OMk LP unexpectedly {sol.status}")
@@ -267,17 +284,6 @@ def _union_shares(ys, qualities) -> np.ndarray:
     ties = (q[None] == q[:, None]).sum(axis=1)
     x = np.clip((gamma - above) / ties, 0.0, 1.0)
     return np.where(gamma > GAMMA_ZERO_TOL, x, 0.0)
-
-
-def union_compose(mi: MultiInstance, inputs: UnionInputs,
-                  quality_indices: tuple[int, ...],
-                  score_indices: tuple[int, ...]) -> np.ndarray:
-    """Redistribute the pooled acquisition mass Gamma = sum_i y_i(v_i, s_i)
-    of one realized profile greedily by quality (see :func:`_union_shares`).
-    """
-    ys = [float(inputs.mechanisms[i].matrix[quality_indices[i], score_indices[i]])
-          for i in range(mi.item_count)]
-    return _union_shares(ys, quality_indices)
 
 
 def union_policy(mi: MultiInstance, inputs: UnionInputs,

@@ -29,6 +29,15 @@ def _margin(instance: Instance) -> np.ndarray:
     return (instance.grid.values - instance.bar) * instance.prior
 
 
+def _step_row(m: int, b: Optional[int], level: float = 1.0) -> np.ndarray:
+    """The menu (0..0, level..level) of m scores that starts at score index
+    b; all zeros for NEVER."""
+    row = np.zeros(m)
+    if b is not None:
+        row[b:] = level
+    return row
+
+
 def _tail(score_model: np.ndarray, b: Optional[int]) -> np.ndarray:
     """Row sums of the noise model over scores >= b; zeros for NEVER."""
     if b is None:
@@ -100,9 +109,8 @@ def best_threshold_mechanism(instance: Instance) -> tuple[Mechanism, float]:
         r = float(col[j:].sum())
         if r > best_reward:
             best_reward, best_j = r, j
-    row = np.zeros(instance.m)
-    row[best_j:] = 1.0
     label = "never" if best_j == instance.m else f"threshold[{best_j}]"
+    row = _step_row(instance.m, best_j)   # best_j = m is never-acquire
     return Mechanism(np.tile(row, (instance.n, 1)), label=label), best_reward
 
 
@@ -145,14 +153,8 @@ def tmm_build(instance: Instance, b1_index: Optional[int], b2_index: Optional[in
     tail1 = _tail(instance.score_model, b1_index)
     tail2 = _tail(instance.score_model, b2_index)
     in_v1 = alpha * tail1 > tail2
-    matrix = np.zeros((instance.n, instance.m))
-    for v in range(instance.n):
-        if in_v1[v]:
-            if b1_index is not None:
-                matrix[v, b1_index:] = alpha
-        else:
-            if b2_index is not None:
-                matrix[v, b2_index:] = 1.0
+    matrix = np.where(in_v1[:, None], _step_row(instance.m, b1_index, alpha),
+                      _step_row(instance.m, b2_index))
     params = TmmParams(b1_index, b2_index, float(alpha),
                        frozenset(np.nonzero(in_v1)[0].tolist()))
     return params, Mechanism(matrix, label="TMM")

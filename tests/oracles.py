@@ -9,7 +9,7 @@ import itertools
 
 import numpy as np
 
-from acquimech import RANK_CLASSES, RmViolation
+from acquimech import RANK_CLASSES, RmViolation, Violation
 from acquimech.lp import OPTIMAL, LpProblem, solve_lp
 
 
@@ -29,6 +29,18 @@ def dense_tmm_search(instance, step=1e-3):
             accept = np.where(lottery > t2[None, :], lottery, t2[None, :])
             best = max(best, float((accept @ margin).max()))
     return best
+
+
+def naive_check_monotone(matrix, tol):
+    """Single-item monotonicity violations from the row-by-row differences,
+    as (description, indices, magnitude) in row-major order."""
+    violations = []
+    diffs = np.diff(matrix, axis=1)
+    for v, s in zip(*np.nonzero(diffs < -tol)):
+        violations.append(Violation(
+            f"row {v} decreases from score {s} to {s + 1}",
+            (int(v), int(s), int(s) + 1), float(-diffs[v, s])))
+    return violations
 
 
 def random_lp(rng):

@@ -2,6 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from acquimech import (Mechanism, MultiInstance, MultiPolicy, UnionInputs,
                        acquiring_rate, check_ic, check_monotone,
@@ -12,6 +15,7 @@ from acquimech import (Mechanism, MultiInstance, MultiPolicy, UnionInputs,
                        union_policy, validate_instance)
 from acquimech.gen import random_instance
 from acquimech.multi_item import item_orbits, joint_weights
+from oracles import naive_check_monotone
 
 GRID4 = [0.0, 1 / 3, 2 / 3, 1.0]
 
@@ -71,6 +75,23 @@ def test_check_monotone_cases(example1):
     assert not report.passed
     assert [(v.indices[0], v.indices[1]) for v in report.violations] == \
         [(v, 2) for v in range(4)]
+
+
+unit_matrices = st.tuples(st.integers(1, 6), st.integers(1, 6)).flatmap(
+    lambda shape: arrays(float, shape, elements=st.sampled_from(
+        [0.0, -0.0, 1e-10, 0.25, 0.5, 0.5 - 1e-9, 0.75, 1.0])
+        | st.floats(0.0, 1.0)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(unit_matrices, st.sampled_from([0.0, 1e-9, 1e-7, 0.25]))
+def test_check_monotone_matches_row_scan(matrix, tol):
+    """The shared scan, mapped back to (row, score, score + 1), reports the
+    same violations in the same order with the same magnitudes."""
+    mechanism = Mechanism(matrix)
+    report = check_monotone(mechanism, tol)
+    assert list(report.violations) == naive_check_monotone(mechanism.matrix, tol)
+    assert report.passed == (not report.violations) and report.tolerance == tol
 
 
 def test_omniscient_reward(example1):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from acquimech import instance_to_dict, solve_som
+from acquimech import instance_to_dict, multi_item, solve_som, validate_instance
 from acquimech.cli import SOLVE_MECHANISMS, main
 
 
@@ -162,6 +162,20 @@ def test_solve_budget_exceeded(capsys, example1_k2_path, monkeypatch):
     code, _, err = run(capsys, "solve", "--instance", example1_k2_path,
                        "--mechanism", "omk")
     assert code == 3 and "budget" in err
+
+
+def test_solve_omk_refuses_large_ic_rows_before_building(capsys, tmp_path, monkeypatch):
+    grid = [i / 6 for i in range(7)]
+    inst = validate_instance(grid, grid, np.full(7, 1 / 7), np.eye(7), 0.25)
+    path = tmp_path / "seven_k3.json"
+    path.write_text(json.dumps(instance_to_dict(inst, 3)))
+
+    def never(mi):
+        raise AssertionError("the OMk LP was built")
+
+    monkeypatch.setattr(multi_item, "omk_problem", never)
+    code, out, err = run(capsys, "solve", "--instance", str(path), "--mechanism", "omk")
+    assert code == 3 and out == "" and "42684978 entries" in err
 
 
 def test_verify_published_matrix(capsys, tmp_path, example1_path, example1_matrix):

@@ -146,6 +146,19 @@ def test_non_finite_mechanism_and_policy_rejected():
         MultiPolicy(np.full((2, 2, 2, 2, 2), np.nan))
 
 
+def test_mechanism_and_policy_share_one_unit_box():
+    """Both clip solver noise into [0, 1], store +0.0 for -0.0 and freeze."""
+    raw = [[-1e-10, -0.0], [0.5, 1 + 1e-10]]
+    for stored in (Mechanism(raw).matrix, MultiPolicy(np.array(raw)[None]).tensors[0]):
+        assert stored.tolist() == [[0.0, 0.0], [0.5, 1.0]]
+        assert not np.signbit(stored).any() and not stored.flags.writeable
+    for bad in (-1e-8, 1 + 1e-8):
+        with pytest.raises(ValueError, match="outside"):
+            Mechanism([[bad]])
+        with pytest.raises(ValueError, match="outside"):
+            MultiPolicy(np.full((1, 1, 1), bad))
+
+
 def test_instance_arrays_are_immutable(example1):
     with pytest.raises(ValueError):
         example1.prior[0] = 0.5

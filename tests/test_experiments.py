@@ -1,5 +1,7 @@
 import io
+import json
 import math
+import pathlib
 from collections import Counter
 
 import numpy as np
@@ -10,7 +12,7 @@ from acquimech import (SweepConfig, build_score_model, discretize_prior,
                        omniscient_reward, paper_checks, run_sweep, single_item,
                        validate_instance, write_sweep_csv)
 from acquimech.core import QualityGrid
-from acquimech.experiments import LOGNORMAL_MEAN_FLOOR, _cell_edges
+from acquimech.experiments import LOGNORMAL_MEAN_FLOOR, MECHANISMS, _cell_edges
 
 GRID7 = tuple(i / 6 for i in range(7))
 PRINTED_D7 = [0.1377, 0.245, 0.2804, 0.2054, 0.0968, 0.0291, 0.0057]
@@ -186,3 +188,17 @@ def test_paper_checks_example1_all_pass():
 def test_paper_checks_unknown_name():
     with pytest.raises(KeyError):
         paper_checks("nonexistent")
+
+
+@pytest.mark.parametrize("family", ["normal", "lognormal"])
+def test_committed_sweep_configs(family):
+    """The paper's sweeps: 7 levels, 13 variances from 0 to 0.6, k = 2 and
+    every mechanism the sweep knows."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "configs" / f"sweep_{family}.json"
+    config = SweepConfig.from_dict(json.loads(path.read_text()))
+    assert config.family == family
+    assert config.variance_grid == tuple(round(0.05 * i, 10) for i in range(13))
+    assert config.values == config.scores == GRID7
+    assert (config.prior_mean, config.prior_sd, config.bar) == (0.3, 0.25, 0.25)
+    assert config.item_count == 2
+    assert sorted(config.mechanisms) == sorted(MECHANISMS)

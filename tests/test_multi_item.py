@@ -10,17 +10,16 @@ from hypothesis import strategies as st
 from acquimech import (Mechanism, MultiInstance, MultiPolicy, RANK_CLASSES,
                        SizeBudgetError, UnionInputs, check_ic, check_monotone,
                        expected_reward, multi_check_ic, multi_check_monotone,
-                       multi_expected_reward, omk_problem, ranking_mechanism,
-                       rm_ic_audit, solve_om1, solve_omk, solve_umopt,
-                       tmm_optimal, union_compose, union_policy,
-                       validate_instance)
+                       multi_expected_reward, om1_alternate_optimum, omk_problem,
+                       ranking_mechanism, rm_ic_audit, solve_om1, solve_omk,
+                       solve_umopt, tmm_optimal, union_policy, validate_instance)
 from acquimech import multi_item, solve_lp
 from acquimech.core import QualityGrid
 from acquimech.experiments import (THM7_PRINTED_AGGREGATES, build_score_model,
                                    discretize_prior)
-from acquimech.multi_item import RankPolicy, item_orbits
+from acquimech.multi_item import MAX_IC_ENTRIES, RankPolicy, item_orbits, omk_ic_entries
 from acquimech.gen import random_instance
-from oracles import (full_omk_optimum, full_umopt_optimum,
+from oracles import (full_omk_optimum, full_umopt_optimum, greedy_union_shares,
                      naive_ranking_mechanism, naive_rm_audit, naive_union_reward)
 
 GRID4 = [0.0, 1 / 3, 2 / 3, 1.0]
@@ -29,6 +28,13 @@ GRID7 = [i / 6 for i in range(7)]
 
 def small_instance(seed, max_levels=3):
     return random_instance(seed, min_levels=2, max_levels=max_levels)
+
+
+def paper_instance(variance, grid=GRID7):
+    """The sweep's instance: normal prior 0.3/0.25, bar 0.25, equal grids."""
+    g = QualityGrid(np.array(grid), np.array(grid))
+    return validate_instance(g.values, g.scores, discretize_prior("normal", 0.3, 0.25, grid),
+                             build_score_model("normal", variance, g), 0.25)
 
 
 # --- jointly optimal policy -------------------------------------------------
@@ -137,6 +143,49 @@ def test_omk_size_budget(registry):
         solve_omk(mi, size_budget=100)
 
 
+@pytest.mark.parametrize("n, m, k", [(2, 2, 1), (3, 2, 1), (2, 3, 2), (3, 3, 2),
+                                     (4, 3, 2), (2, 2, 3), (3, 2, 3)])
+def test_omk_ic_entry_estimate_matches_built_lp(n, m, k):
+    """The closed form counts one IC row per multiset of (true, reported)
+    quality pairs that are not all equal; the built LP has those rows and
+    one monotone row per variable orbit whose own score is above the lowest."""
+    tuples = list(itertools.product(range(n), repeat=k))
+    ic_rows = {tuple(sorted(zip(a, ap))) for a in tuples for ap in tuples if a != ap}
+    monotone_rows = {((a[i], b[i]), tuple(sorted(zip(a[:i] + a[i + 1:], b[:i] + b[i + 1:]))))
+                     for a in tuples for b in itertools.product(range(m), repeat=k)
+                     for i in range(k) if b[i] > 0}
+    inst = validate_instance(np.linspace(0, 1, n), np.linspace(0, 1, m), np.full(n, 1 / n),
+                             np.full((n, m), 1 / m), 0.5)
+    A = omk_problem(MultiInstance(inst, k)).constraint_matrix
+    assert A.shape[0] == len(ic_rows) + len(monotone_rows)
+    assert omk_ic_entries(n, m, k) == len(ic_rows) * 2 * k * m**k
+
+
+def test_omk_ic_entry_limit():
+    """Seven levels at k = 3 (42.7M entries) are refused; six levels at k = 3
+    and the benchmark's largest LPs, (4, 3) and (7, 2), are not."""
+    assert omk_ic_entries(7, 7, 3) == 42_684_978 > MAX_IC_ENTRIES
+    assert omk_ic_entries(6, 6, 3) == 10_860_480 <= MAX_IC_ENTRIES
+    assert max(omk_ic_entries(4, 4, 3), omk_ic_entries(7, 7, 2)) <= MAX_IC_ENTRIES
+
+
+SOLVER_RESULTS = {
+    "OMk": lambda inst: solve_omk(MultiInstance(inst, 2)).tensors,
+    "OM1": lambda inst: solve_om1(inst).matrix,
+    "OM1-alt": lambda inst: om1_alternate_optimum(inst).matrix,
+    "UMOPT component": lambda inst: solve_umopt(MultiInstance(inst, 2))[0].mechanisms[0].matrix,
+}
+
+
+@pytest.mark.parametrize("name", SOLVER_RESULTS)
+def test_solver_results_hold_no_negative_zero(name):
+    """HiGHS leaves -0.0 in some zero cells of these four optima on the
+    paper instance at variance 0.05; the stored results hold +0.0."""
+    values = SOLVER_RESULTS[name](paper_instance(0.05))
+    zeros = values == 0
+    assert zeros.any() and not np.signbit(values[zeros]).any()
+
+
 # --- orbit-space LPs --------------------------------------------------------
 
 @pytest.mark.parametrize("n,m,k", [(1, 1, 1), (3, 4, 1), (2, 3, 2), (3, 2, 3), (2, 2, 4)])
@@ -228,9 +277,7 @@ def test_umopt_lp_size(monkeypatch, grid, k, rows):
         return solutions[-1]
 
     monkeypatch.setattr(multi_item, "solve_lp", recording)
-    g = QualityGrid(np.array(grid), np.array(grid))
-    inst = validate_instance(g.values, g.scores, discretize_prior("normal", 0.3, 0.25, grid),
-                             build_score_model("normal", 0.3, g), 0.25)
+    inst = paper_instance(0.3, grid)
     solve_umopt(MultiInstance(inst, k))
     solve_omk(MultiInstance(inst, k))
     umopt, omk = solutions
@@ -377,25 +424,31 @@ def make_union(inst, k, entries):
     return MultiInstance(inst, k), UnionInputs(mechs)
 
 
+def union_profile(mi, inputs, quality_indices, score_indices):
+    """Each item's share in ``union_policy`` at one (quality, score) profile."""
+    return union_policy(mi, inputs).tensors[(slice(None),) + tuple(quality_indices)
+                                            + tuple(score_indices)]
+
+
 def test_union_compose_full_mass(example1):
     mi, inputs = make_union(example1, 2, (1.0, 1.0))
-    assert np.array_equal(union_compose(mi, inputs, (0, 3), (0, 0)), [1.0, 1.0])
+    assert np.array_equal(union_profile(mi, inputs, (0, 3), (0, 0)), [1.0, 1.0])
 
 
 def test_union_compose_even_split_on_ties(example1):
     mi, inputs = make_union(example1, 2, (0.5, 0.5))
-    assert np.allclose(union_compose(mi, inputs, (2, 2), (0, 0)), [0.5, 0.5])
+    assert np.allclose(union_profile(mi, inputs, (2, 2), (0, 0)), [0.5, 0.5])
 
 
 def test_union_compose_favors_higher_quality(example1):
     mi, inputs = make_union(example1, 2, (0.3, 0.5))
-    x = union_compose(mi, inputs, (3, 0), (0, 0))
+    x = union_profile(mi, inputs, (3, 0), (0, 0))
     assert np.allclose(x, [0.8, 0.0])
 
 
 def test_union_compose_zero_mass(example1):
     mi, inputs = make_union(example1, 2, (0.0, 0.0))
-    assert np.array_equal(union_compose(mi, inputs, (1, 2), (1, 1)), [0.0, 0.0])
+    assert np.array_equal(union_profile(mi, inputs, (1, 2), (1, 1)), [0.0, 0.0])
 
 
 @settings(max_examples=60, deadline=None)
@@ -411,7 +464,8 @@ def test_union_compose_greedy_oracle(ys, seed):
                              [[0.5, 0.5], [0.5, 0.5], [0.5, 0.5]], 0.4)
     mechs = tuple(Mechanism(np.full((3, 2), y)) for y in ys)
     mi = MultiInstance(grid, k)
-    x = union_compose(mi, UnionInputs(mechs), tuple(vals), (0,) * k)
+    x = union_profile(mi, UnionInputs(mechs), tuple(vals), (0,) * k)
+    assert np.allclose(x, greedy_union_shares(ys, vals.tolist()), rtol=0, atol=1e-12)
     gamma = sum(ys)
     assert sum(x) == pytest.approx(0.0 if gamma <= 1e-12 else gamma, abs=1e-9)
     assert all(-1e-12 <= xi <= 1 + 1e-12 for xi in x)
@@ -493,11 +547,11 @@ def test_union_per_profile_dominance():
         inst = small_instance(seed)
         mi = MultiInstance(inst, 2)
         om1 = solve_om1(inst)
-        inputs = UnionInputs((om1, om1))
+        policy = union_policy(mi, UnionInputs((om1, om1)))
         V, t = inst.grid.values, inst.bar
         for vt in itertools.product(range(inst.n), repeat=2):
             for st_ in itertools.product(range(inst.m), repeat=2):
-                x = union_compose(mi, inputs, vt, st_)
+                x = policy.tensors[(slice(None),) + vt + st_]
                 ys = [om1.matrix[vt[i], st_[i]] for i in range(2)]
                 assert sum((V[vt[i]] - t) * x[i] for i in range(2)) >= \
                     sum((V[vt[i]] - t) * ys[i] for i in range(2)) - 1e-9

@@ -150,10 +150,17 @@ def test_tmm_always_ic_and_monotone(seed, data):
     i1 = data.draw(st.integers(0, len(thresholds) - 1))
     i2 = data.draw(st.integers(i1, len(thresholds) - 1))
     alpha = data.draw(st.floats(0.0, 1.0))
-    _, mech = tmm_build(inst, thresholds[i1], thresholds[i2], alpha)
+    b1, b2 = thresholds[i1], thresholds[i2]
+    params, mech = tmm_build(inst, b1, b2, alpha)
     assert check_ic(inst, mech).passed
     assert check_monotone(mech).passed
     assert menu_size(mech) <= 2
+    # the row rule: alpha from b1 in V1, 1 from b2 elsewhere, zeros for NEVER
+    for v, row in enumerate(mech.matrix):
+        b, level = (b1, alpha) if v in params.v1_set else (b2, 1.0)
+        start = inst.m if b is NEVER else b
+        assert not row[:start].any()
+        assert np.all(row[start:] == level)
 
 
 def test_tmm_optimal_zero_when_nothing_worth_acquiring():
