@@ -9,7 +9,7 @@ from .single_item import (NEVER, ConsistencyReport, TmmParams,
                           best_threshold_mechanism, check_consistency, menu_size,
                           om1_alternate_optimum, om1_problem, reduce_menu,
                           solve_om1, solve_som, tmm_build, tmm_optimal)
-from .multi_item import (DEFAULT_SIZE_BUDGET, RANK_CLASSES, RankPolicy,
+from .multi_item import (MAX_IC_ENTRIES, MAX_POLICY_CELLS, RANK_CLASSES, RankPolicy,
                          RmViolation, SizeBudgetError, UnionInputs, omk_problem,
                          ranking_mechanism, rm_ic_audit, solve_omk, solve_umopt,
                          union_policy)

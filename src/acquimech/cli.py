@@ -2,15 +2,16 @@
 reproduction, and variance sweeps.
 
 stdout carries only JSON or CSV payloads; diagnostics go to stderr.  Exit
-codes: 0 success, 1 verification/reproduction failure, 2 bad input, 3 size
-budget exceeded.
+codes: 0 success, 1 verification/reproduction failure, 2 bad input or an
+unwritable output, 3 a problem over ``multi_item.MAX_POLICY_CELLS`` or
+``MAX_IC_ENTRIES``.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
-import os
 import sys
 
 from . import analysis, experiments, gen, multi_item, single_item
@@ -29,23 +30,11 @@ _SOLVE_NAMES = {name.lower().replace("_", "-"): name
                 for name in experiments.REGISTRY if name != "kxOM1"}
 SOLVE_MECHANISMS = tuple(_SOLVE_NAMES)
 
-SIZE_BUDGET_ENV = "ACQUIMECH_SIZE_BUDGET"
-
 
 class CliError(Exception):
     def __init__(self, message: str, code: int = EXIT_BAD_INPUT):
         super().__init__(message)
         self.code = code
-
-
-def _size_budget() -> int | None:
-    raw = os.environ.get(SIZE_BUDGET_ENV)
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise CliError(f"bad {SIZE_BUDGET_ENV}: {raw!r}") from exc
 
 
 def _read_json(path: str) -> dict | list:
@@ -81,8 +70,11 @@ def _load_matrix(path: str, instance: Instance) -> Mechanism:
 
 def _emit(payload: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            raise CliError(f"cannot write {out_path}: {exc}") from exc
     else:
         sys.stdout.write(payload)
         if not payload.endswith("\n"):
@@ -143,7 +135,7 @@ def _cmd_solve(args) -> int:
         raise CliError(f"unknown mechanism {args.mechanism!r}; "
                        f"pick from {SOLVE_MECHANISMS}")
     kind, solve = experiments.REGISTRY[name]
-    solved = experiments.SolveMemo(MultiInstance(instance, k), _size_budget())
+    solved = experiments.SolveMemo(MultiInstance(instance, k))
     if kind == "rank" and k != 2:
         raise CliError("ranking mechanism requires a k=2 instance")
     try:
@@ -213,13 +205,14 @@ def _cmd_sweep(args) -> int:
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     try:
-        records = experiments.run_sweep(config, size_budget=_size_budget())
+        records = experiments.run_sweep(config)
     except SizeBudgetError as exc:
         raise CliError(str(exc), EXIT_SIZE_BUDGET) from exc
     except ValueError as exc:   # the prior, grids or bar the config describes
         raise CliError(f"invalid sweep config {args.config}: {exc}") from exc
-    with open(args.out, "w", encoding="utf-8") as fh:
-        experiments.write_sweep_csv(records, fh)
+    rendered = io.StringIO()
+    experiments.write_sweep_csv(records, rendered)
+    _emit(rendered.getvalue(), args.out)
     return EXIT_OK
 
 
@@ -230,10 +223,11 @@ def _cmd_gen(args) -> int:
         raise CliError("--k must be a positive integer")
     if args.seed < 0:
         raise CliError("--seed must be a nonnegative integer")
-    if args.consistent:
-        instance = gen.random_consistent_instance(args.seed, max_levels=args.levels)
-    else:
-        instance = gen.random_instance(args.seed, max_levels=args.levels)
+    draw = gen.random_consistent_instance if args.consistent else gen.random_instance
+    try:
+        instance = draw(args.seed, max_levels=args.levels)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
     _emit(json.dumps(instance_to_dict(instance, args.k), indent=2), args.out)
     return EXIT_OK
 

@@ -175,10 +175,9 @@ class SolveMemo:
     Solvers are looked up as module attributes when called.
     """
 
-    def __init__(self, mi: MultiInstance, size_budget: int | None = None):
+    def __init__(self, mi: MultiInstance):
         self.mi = mi
         self.instance = mi.base
-        self.size_budget = size_budget
 
     @cached_property
     def tmm(self):
@@ -192,11 +191,11 @@ class SolveMemo:
     @cached_property
     def umopt(self):
         """(components, policy) of the optimal union mechanism."""
-        return multi_item.solve_umopt(self.mi, size_budget=self.size_budget)
+        return multi_item.solve_umopt(self.mi)
 
     def union(self, mechanism: Mechanism):
         inputs = multi_item.UnionInputs((mechanism,) * self.mi.item_count)
-        return multi_item.union_policy(self.mi, inputs, size_budget=self.size_budget)
+        return multi_item.union_policy(self.mi, inputs)
 
 
 #: Every mechanism by name: its kind ("single" solves to a Mechanism,
@@ -208,7 +207,7 @@ REGISTRY = {
     "TMM": ("single", lambda s: s.tmm[1]),
     "OM1": ("single", lambda s: s.om1),
     "kxOM1": ("single", lambda s: s.om1),
-    "OMk": ("multi", lambda s: multi_item.solve_omk(s.mi, size_budget=s.size_budget)),
+    "OMk": ("multi", lambda s: multi_item.solve_omk(s.mi)),
     "UM_TMM": ("multi", lambda s: s.union(s.tmm[1])),
     "UM_OM1": ("multi", lambda s: s.union(s.om1)),
     "UMOPT": ("multi", lambda s: s.umopt[1]),
@@ -216,8 +215,7 @@ REGISTRY = {
 }
 
 
-def run_sweep(config: SweepConfig,
-              size_budget: int | None = None) -> list[SweepRecord]:
+def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     """Synthesize one instance per variance and run every requested mechanism.
 
     Deterministic given the config; records come out in grid order, then
@@ -231,7 +229,7 @@ def run_sweep(config: SweepConfig,
         model = build_score_model(config.family, variance, grid)
         instance = validate_instance(grid.values, grid.scores, prior, model,
                                      config.bar)
-        solved = SolveMemo(MultiInstance(instance, config.item_count), size_budget)
+        solved = SolveMemo(MultiInstance(instance, config.item_count))
         for name in config.mechanisms:
             kind, solve = REGISTRY[name]
             result = solve(solved)

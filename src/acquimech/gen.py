@@ -7,9 +7,20 @@ import numpy as np
 from .core import Instance, validate_instance
 from .single_item import check_consistency
 
+#: Most levels a grid may have: ``_grid`` redraws until every gap is at least
+#: 1e-3, which n uniform draws meet with probability about (1 - (n - 1) 1e-3)^n,
+#: 3e-5 at n = 100 and effectively 0 from about 150.
+MAX_LEVELS = 100
+
 
 def _rng(seed) -> np.random.Generator:
     return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+
+
+def _check_levels(max_levels: int) -> None:
+    if max_levels > MAX_LEVELS:
+        raise ValueError(f"at most {MAX_LEVELS} levels can be drawn, "
+                         f"not {max_levels}")
 
 
 def _grid(rng: np.random.Generator, levels: int) -> np.ndarray:
@@ -21,6 +32,7 @@ def _grid(rng: np.random.Generator, levels: int) -> np.ndarray:
 
 def random_instance(seed, min_levels: int = 2, max_levels: int = 5) -> Instance:
     """A random valid instance; quality and score grids drawn independently."""
+    _check_levels(max_levels)
     rng = _rng(seed)
     n = int(rng.integers(min_levels, max_levels + 1))
     m = int(rng.integers(min_levels, max_levels + 1))
@@ -40,6 +52,7 @@ def random_consistent_instance(seed, min_levels: int = 2,
     Uses a shared quality/score grid and a diagonally dominant noise model to
     keep the acceptance rate high; draws are deterministic given the seed.
     """
+    _check_levels(max_levels)
     rng = _rng(seed)
     for _ in range(10_000):
         n = int(rng.integers(min_levels, max_levels + 1))

@@ -20,11 +20,11 @@ from .core import (Instance, Mechanism, MultiInstance, MultiPolicy, _ic_report,
                    item_margins, noise_product, prior_product)
 from .lp import LpProblem, OPTIMAL, solve_lp
 
-#: Refuse LPs and policy tensors beyond this many variables/cells by default.
-DEFAULT_SIZE_BUDGET = 1_000_000
+#: Refuse a policy tensor, and the LP behind it, beyond this many cells.
+MAX_POLICY_CELLS = 1_000_000
 
-#: Refuse an OMk LP whose IC rows would hold more entries than this before it
-#: is built (at n = 7, k = 3 they hold 42.7M and HiGHS runs out of memory).
+#: Refuse an LP whose IC rows would hold more entries than this before it is
+#: built (OMk at n = 7, k = 3 has 42.7M and HiGHS runs out of memory).
 MAX_IC_ENTRIES = 20_000_000
 
 #: Pooled acquisition mass at or below this is treated as exactly zero.
@@ -34,13 +34,18 @@ RANK_CLASSES = ("greater", "equal", "smaller")
 
 
 class SizeBudgetError(RuntimeError):
-    """Requested tensor/LP size exceeds the configured variable budget."""
+    """The problem is over ``MAX_POLICY_CELLS`` or ``MAX_IC_ENTRIES``."""
 
 
-def _check_budget(size: int, size_budget: int | None) -> None:
-    budget = DEFAULT_SIZE_BUDGET if size_budget is None else int(size_budget)
-    if size > budget:
-        raise SizeBudgetError(f"problem size {size} exceeds budget {budget}")
+def check_size(cells: int, ic_entries: int) -> None:
+    """Raise :class:`SizeBudgetError` when a problem's policy cells or IC
+    entries are over the limits; every solver calls it before it builds."""
+    if cells > MAX_POLICY_CELLS:
+        raise SizeBudgetError(f"policy of {cells} cells is over the limit "
+                              f"of {MAX_POLICY_CELLS}")
+    if ic_entries > MAX_IC_ENTRIES:
+        raise SizeBudgetError(f"IC rows would hold {ic_entries} entries, "
+                              f"over the limit of {MAX_IC_ENTRIES}")
 
 
 def omk_ic_entries(n: int, m: int, k: int) -> int:
@@ -164,20 +169,15 @@ def omk_problem(mi: MultiInstance) -> LpProblem:
     return LpProblem(c, A, np.zeros(A.shape[0]), np.zeros(count), np.ones(count))
 
 
-def solve_omk(mi: MultiInstance, size_budget: int | None = None) -> MultiPolicy:
+def solve_omk(mi: MultiInstance) -> MultiPolicy:
     """Jointly optimal IC monotone policy via one LP over all k items.
 
-    The policy has k * n^k * m^k cells, hence the size budget; the LP has one
-    variable per orbit and is expanded back to every cell.  An LP whose IC
-    rows exceed ``MAX_IC_ENTRIES`` is refused before it is built.
+    The LP has one variable per orbit and is expanded back to the k * n^k *
+    m^k policy cells; it is refused by :func:`check_size` before it is built.
     """
     inst, k = mi.base, mi.item_count
     n, m = inst.n, inst.m
-    _check_budget(k * n**k * m**k, size_budget)
-    entries = omk_ic_entries(n, m, k)
-    if entries > MAX_IC_ENTRIES:
-        raise SizeBudgetError(f"OMk IC rows would hold {entries} entries, "
-                              f"over the limit of {MAX_IC_ENTRIES}")
+    check_size(k * n**k * m**k, omk_ic_entries(n, m, k))
     sol = solve_lp(omk_problem(mi))
     if sol.status != OPTIMAL:
         raise RuntimeError(f"OMk LP unexpectedly {sol.status}")
@@ -286,12 +286,11 @@ def _union_shares(ys, qualities) -> np.ndarray:
     return np.where(gamma > GAMMA_ZERO_TOL, x, 0.0)
 
 
-def union_policy(mi: MultiInstance, inputs: UnionInputs,
-                 size_budget: int | None = None) -> MultiPolicy:
+def union_policy(mi: MultiInstance, inputs: UnionInputs) -> MultiPolicy:
     """Apply the union redistribution at every (quality, score) profile."""
     inst, k = mi.base, mi.item_count
     n, m = inst.n, inst.m
-    _check_budget(k * n**k * m**k, size_budget)
+    check_size(k * n**k * m**k, 0)
     ys, qualities = [], []
     for i in range(k):
         shape = [1] * (2 * k)   # item i's own quality and score axes
@@ -327,8 +326,7 @@ def _umopt_rows(inst: Instance, k: int, orbit: np.ndarray,
     return A, row_lower
 
 
-def solve_umopt(mi: MultiInstance,
-                size_budget: int | None = None) -> tuple[UnionInputs, MultiPolicy]:
+def solve_umopt(mi: MultiInstance) -> tuple[UnionInputs, MultiPolicy]:
     """Optimal union mechanism: jointly pick k IC monotone single-item
     matrices and the coupled per-profile allocation.
 
@@ -339,11 +337,11 @@ def solve_umopt(mi: MultiInstance,
     k returned components are identical.  The returned policy re-applies the
     greedy redistribution to the optimal components; per profile both
     allocate the same mass to maximize the acquired margin under unit caps,
-    so the objective is unchanged.
+    so the objective is unchanged.  Its IC rows are the one-item block of y.
     """
     inst, k = mi.base, mi.item_count
     n, m = inst.n, inst.m
-    _check_budget(k * n**k * m**k + k * n * m, size_budget)
+    check_size(k * n**k * m**k + k * n * m, omk_ic_entries(n, m, 1))
     orbit, count = item_orbits(n, m, k)
     c = np.concatenate([np.bincount(orbit, weights=joint_weights(mi)[1], minlength=count),
                         np.zeros(n * m)])
@@ -356,4 +354,4 @@ def solve_umopt(mi: MultiInstance,
     y = Mechanism(np.clip(sol.values[count:], 0.0, 1.0).reshape(n, m),
                   label="UMOPT-component")
     inputs = UnionInputs((y,) * k)
-    return inputs, union_policy(mi, inputs, size_budget=size_budget)
+    return inputs, union_policy(mi, inputs)

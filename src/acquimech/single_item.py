@@ -210,7 +210,7 @@ def _solved(problem: LpProblem) -> LpSolution:
 
 def solve_om1(instance: Instance) -> Mechanism:
     """LP-optimal incentive-compatible monotone mechanism: OMk with one item,
-    so it shares OMk's size budget of n * m cells."""
+    so it shares OMk's size limits."""
     policy = multi_item.solve_omk(MultiInstance(instance))
     return Mechanism(policy.tensors[0], label="OM1")
 
@@ -220,15 +220,18 @@ def om1_alternate_optimum(instance: Instance) -> Mechanism:
 
     The optimum is often non-unique; re-solving with the objective pinned to
     the optimal value yields another representative (possibly the same
-    vertex) for convexity diagnostics.
+    vertex) for convexity diagnostics.  It is refused exactly when
+    :func:`solve_om1` is.
     """
+    n, m = instance.n, instance.m
+    multi_item.check_size(n * m, multi_item.omk_ic_entries(n, m, 1))
     base = om1_problem(instance)
     z = _solved(base).objective_value
     A = sp.vstack([base.constraint_matrix, sp.csr_matrix(-base.objective)])
     rhs = np.concatenate([base.constraint_rhs, [-(z - 1e-9)]])
     stage2 = LpProblem(np.ones(base.num_variables), A, rhs, base.lower, base.upper)
     sol = _solved(stage2)
-    matrix = np.clip(sol.values.reshape(instance.n, instance.m), 0.0, 1.0)
+    matrix = np.clip(sol.values.reshape(n, m), 0.0, 1.0)
     return Mechanism(matrix, label="OM1-alt")
 
 

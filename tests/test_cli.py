@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from acquimech import instance_to_dict, multi_item, solve_som, validate_instance
 from acquimech.cli import SOLVE_MECHANISMS, main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture()
@@ -25,6 +31,19 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def identity_instance_path(tmp_path, n, k):
+    """An instance file: n equal steps on [0, 1], a perfect appraiser, k items."""
+    grid = np.linspace(0.0, 1.0, n)
+    inst = validate_instance(grid, grid, np.full(n, 1 / n), np.eye(n), 0.25)
+    path = tmp_path / f"identity_{n}_k{k}.json"
+    path.write_text(json.dumps(instance_to_dict(inst, k)))
+    return str(path)
+
+
+def never_built(*args, **kwargs):
+    raise AssertionError("a refused LP was built")
 
 
 def test_solve_som(capsys, example1_path):
@@ -157,25 +176,28 @@ def test_solve_missing_file(capsys, tmp_path):
     assert code == 2 and "cannot read" in err
 
 
-def test_solve_budget_exceeded(capsys, example1_k2_path, monkeypatch):
-    monkeypatch.setenv("ACQUIMECH_SIZE_BUDGET", "10")
-    code, _, err = run(capsys, "solve", "--instance", example1_k2_path,
-                       "--mechanism", "omk")
-    assert code == 3 and "budget" in err
+def test_solve_budget_exceeded(capsys, tmp_path, monkeypatch):
+    """27 levels at k = 2 are 1,062,882 policy cells, over MAX_POLICY_CELLS."""
+    monkeypatch.setattr(multi_item, "omk_problem", never_built)
+    path = identity_instance_path(tmp_path, 27, 2)
+    code, out, err = run(capsys, "solve", "--instance", path, "--mechanism", "omk")
+    assert code == 3 and out == "" and "1062882 cells" in err
 
 
 def test_solve_omk_refuses_large_ic_rows_before_building(capsys, tmp_path, monkeypatch):
-    grid = [i / 6 for i in range(7)]
-    inst = validate_instance(grid, grid, np.full(7, 1 / 7), np.eye(7), 0.25)
-    path = tmp_path / "seven_k3.json"
-    path.write_text(json.dumps(instance_to_dict(inst, 3)))
-
-    def never(mi):
-        raise AssertionError("the OMk LP was built")
-
-    monkeypatch.setattr(multi_item, "omk_problem", never)
-    code, out, err = run(capsys, "solve", "--instance", str(path), "--mechanism", "omk")
+    monkeypatch.setattr(multi_item, "omk_problem", never_built)
+    path = identity_instance_path(tmp_path, 7, 3)
+    code, out, err = run(capsys, "solve", "--instance", path, "--mechanism", "omk")
     assert code == 3 and out == "" and "42684978 entries" in err
+
+
+def test_solve_umopt_refuses_large_ic_rows_before_building(capsys, tmp_path, monkeypatch):
+    """UMOPT's IC rows are the one-item block, 21,199,200 entries at 220
+    levels, over MAX_IC_ENTRIES."""
+    monkeypatch.setattr(multi_item, "_ic_monotone_rows", never_built)
+    path = identity_instance_path(tmp_path, 220, 1)
+    code, out, err = run(capsys, "solve", "--instance", path, "--mechanism", "umopt")
+    assert code == 3 and out == "" and "21199200 entries" in err
 
 
 def test_verify_published_matrix(capsys, tmp_path, example1_path, example1_matrix):
@@ -326,6 +348,18 @@ def test_sweep_bad_config_values_are_bad_input(capsys, tmp_path, bad):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["solve", "gen", "sweep"])
+def test_unwritable_out_is_bad_input(capsys, tmp_path, example1_path, command):
+    config_path = tmp_path / "sweep.json"
+    config_path.write_text(json.dumps(SWEEP_CONFIG))
+    argv = {"solve": ["--instance", example1_path, "--mechanism", "som"],
+            "gen": [], "sweep": ["--config", str(config_path)]}[command]
+    out_path = tmp_path / "missing" / "out"
+    code, out, err = run(capsys, command, *argv, "--out", str(out_path))
+    assert code == 2 and out == "" and not out_path.parent.exists()
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_sweep_config_ignores_extra_keys(capsys, tmp_path):
     config_path = tmp_path / "sweep.json"
     config_path.write_text(json.dumps({**SWEEP_CONFIG, "seed": 3}))
@@ -342,6 +376,21 @@ def test_gen_bad_arguments_are_bad_input(capsys, tmp_path, argv):
     code, out, err = run(capsys, "gen", *argv, "--out", str(out_path))
     assert code == 2 and out == "" and not out_path.exists()
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("consistent", [[], ["--consistent"]], ids=["random", "consistent"])
+def test_gen_refuses_more_levels_than_it_can_draw(tmp_path, consistent):
+    """A grid is redrawn until its gaps are all at least 1e-3, which 200
+    uniform draws practically never meet; the run must end, not hang."""
+    out_path = tmp_path / "inst.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "acquimech", "gen", "--levels", "200", *consistent,
+         "--out", str(out_path)],
+        capture_output=True, text=True, timeout=30,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(SRC), os.environ.get("PYTHONPATH", "")])})
+    assert proc.returncode == 2 and proc.stdout == "" and not out_path.exists()
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 def test_gen_produces_loadable_instance(capsys, tmp_path):

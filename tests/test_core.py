@@ -7,7 +7,7 @@ from acquimech import (Mechanism, MultiPolicy, acquire_probability,
                        instance_from_dict, instance_to_dict, noise_product,
                        posterior_mean, prior_product, validate_instance)
 from acquimech.core import read_numbers
-from acquimech.gen import random_instance
+from acquimech.gen import MAX_LEVELS, random_consistent_instance, random_instance
 
 GRID4 = [0.0, 1 / 3, 2 / 3, 1.0]
 
@@ -208,3 +208,9 @@ def test_joint_product_tensors(example1):
     assert R2[1, 2, 3, 0] == pytest.approx(R[1, 3] * R[2, 0])
     assert d2[2, 1] == pytest.approx(d[2] * d[1])
     assert noise_product(R, 1) is not R and np.allclose(noise_product(R, 1), R)
+
+
+@pytest.mark.parametrize("draw", [random_instance, random_consistent_instance])
+def test_generators_refuse_more_than_max_levels(draw):
+    with pytest.raises(ValueError, match=f"at most {MAX_LEVELS} levels"):
+        draw(0, max_levels=MAX_LEVELS + 1)

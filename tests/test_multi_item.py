@@ -17,7 +17,8 @@ from acquimech import multi_item, solve_lp
 from acquimech.core import QualityGrid
 from acquimech.experiments import (THM7_PRINTED_AGGREGATES, build_score_model,
                                    discretize_prior)
-from acquimech.multi_item import MAX_IC_ENTRIES, RankPolicy, item_orbits, omk_ic_entries
+from acquimech.multi_item import (MAX_IC_ENTRIES, MAX_POLICY_CELLS, RankPolicy, item_orbits,
+                                  omk_ic_entries)
 from acquimech.gen import random_instance
 from oracles import (full_omk_optimum, full_umopt_optimum, greedy_union_shares,
                      naive_ranking_mechanism, naive_rm_audit, naive_union_reward)
@@ -28,6 +29,19 @@ GRID7 = [i / 6 for i in range(7)]
 
 def small_instance(seed, max_levels=3):
     return random_instance(seed, min_levels=2, max_levels=max_levels)
+
+
+def identity_instance(n, m=None):
+    """n equal quality steps and m equal score steps on [0, 1] (m = n by
+    default), a uniform prior and, when m = n, a perfect appraiser."""
+    m = n if m is None else m
+    model = np.eye(n) if m == n else np.full((n, m), 1 / m)
+    return validate_instance(np.linspace(0, 1, n), np.linspace(0, 1, m), np.full(n, 1 / n),
+                             model, 0.25)
+
+
+def never_built(*args, **kwargs):
+    raise AssertionError("a refused problem was built")
 
 
 def paper_instance(variance, grid=GRID7):
@@ -137,10 +151,11 @@ def test_omk_zero_policy_when_everything_below_bar():
     assert multi_expected_reward(mi, solve_omk(mi)) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_omk_size_budget(registry):
-    mi = MultiInstance(registry["thm9_omk_vs_um"], 2)
-    with pytest.raises(SizeBudgetError):
-        solve_omk(mi, size_budget=100)
+def test_omk_size_budget(monkeypatch):
+    """27 levels at k = 2 are 1,062,882 policy cells, over MAX_POLICY_CELLS."""
+    monkeypatch.setattr(multi_item, "omk_problem", never_built)
+    with pytest.raises(SizeBudgetError, match="1062882 cells"):
+        solve_omk(MultiInstance(identity_instance(27), 2))
 
 
 @pytest.mark.parametrize("n, m, k", [(2, 2, 1), (3, 2, 1), (2, 3, 2), (3, 3, 2),
@@ -167,6 +182,65 @@ def test_omk_ic_entry_limit():
     assert omk_ic_entries(7, 7, 3) == 42_684_978 > MAX_IC_ENTRIES
     assert omk_ic_entries(6, 6, 3) == 10_860_480 <= MAX_IC_ENTRIES
     assert max(omk_ic_entries(4, 4, 3), omk_ic_entries(7, 7, 2)) <= MAX_IC_ENTRIES
+
+
+@pytest.mark.parametrize("solve", [lambda inst: solve_umopt(MultiInstance(inst, 1)),
+                                   om1_alternate_optimum], ids=["UMOPT", "OM1-alt"])
+def test_one_item_ic_entry_limit(monkeypatch, solve):
+    """At 220 levels the one-item IC rows, UMOPT's component block among
+    them, hold 21,199,200 entries, over MAX_IC_ENTRIES, as OM1's do."""
+    monkeypatch.setattr(multi_item, "_ic_monotone_rows", never_built)
+    with pytest.raises(SizeBudgetError, match="21199200 entries"):
+        solve(identity_instance(220))
+
+
+class _Built(Exception):
+    """Raised by a patched builder: the solver was not refused."""
+
+
+def test_every_solver_refuses_what_the_closed_forms_refuse(monkeypatch):
+    """For n, m in 2..30 and k in 1..3, and for one-item sizes past each
+    limit, a solver raises SizeBudgetError exactly when its policy cells are
+    over MAX_POLICY_CELLS or its IC entries over MAX_IC_ENTRIES.  Every
+    other input reaches the first step of its build, patched to raise, so
+    nothing is built.  OM1-alt is refused exactly when OM1 is."""
+    def built(*args, **kwargs):
+        raise _Built
+
+    for name in ("omk_problem", "item_orbits", "_umopt_rows", "_union_shares"):
+        monkeypatch.setattr(multi_item, name, built)
+
+    def refused(solve, *args):
+        try:
+            solve(*args)
+        except SizeBudgetError:
+            return True
+        except _Built:
+            return False
+        raise AssertionError(f"{solve.__name__} returned without building")
+
+    def over(cells, ic_entries):
+        return cells > MAX_POLICY_CELLS or ic_entries > MAX_IC_ENTRIES
+
+    sizes = [(n, m) for n in range(2, 31) for m in range(2, 31)]
+    sizes += [(220, 220), (1000, 1000), (1000, 1001)]   # IC entries, cells at and past
+    mismatches = []
+    for n, m in sizes:
+        inst = identity_instance(n, m)
+        one_item = over(n * m, omk_ic_entries(n, m, 1))
+        for name, solve in (("OM1", solve_om1), ("OM1-alt", om1_alternate_optimum)):
+            if refused(solve, inst) != one_item:
+                mismatches.append((name, n, m))
+        zero = Mechanism(np.zeros((n, m)))
+        for k in (1, 2, 3):
+            mi, cells = MultiInstance(inst, k), k * n**k * m**k
+            expected = {"OMk": over(cells, omk_ic_entries(n, m, k)),
+                        "UMOPT": over(cells + k * n * m, omk_ic_entries(n, m, 1)),
+                        "union": over(cells, 0)}
+            got = {"OMk": refused(solve_omk, mi), "UMOPT": refused(solve_umopt, mi),
+                   "union": refused(union_policy, mi, UnionInputs((zero,) * k))}
+            mismatches += [(name, n, m, k) for name in expected if got[name] != expected[name]]
+    assert mismatches == []
 
 
 SOLVER_RESULTS = {
@@ -503,10 +577,12 @@ def test_union_policy_mass_identity():
                     assert got == pytest.approx(gamma, abs=1e-9)
 
 
-def test_union_policy_budget(example1):
-    mi, inputs = make_union(example1, 2, (0.5, 0.5))
-    with pytest.raises(SizeBudgetError):
-        union_policy(mi, inputs, size_budget=3)
+def test_union_policy_budget(monkeypatch):
+    """27 levels at k = 2 are 1,062,882 policy cells, over MAX_POLICY_CELLS."""
+    monkeypatch.setattr(multi_item, "_union_shares", never_built)
+    zero = Mechanism(np.zeros((27, 27)))
+    with pytest.raises(SizeBudgetError, match="1062882 cells"):
+        union_policy(MultiInstance(identity_instance(27), 2), UnionInputs((zero, zero)))
 
 
 def test_union_of_ic_components_is_ic_and_monotone():
