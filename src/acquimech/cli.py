@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import sys
 
 from . import analysis, experiments, gen, multi_item, single_item
@@ -79,6 +80,22 @@ def _emit(payload: str, out_path: str | None) -> None:
         sys.stdout.write(payload)
         if not payload.endswith("\n"):
             sys.stdout.write("\n")
+
+
+def _check_writable(out_path: str) -> None:
+    """Refuse an ``--out`` that cannot be written before any work is done:
+    a directory, or a file whose directory is missing or not writable."""
+    directory = os.path.dirname(os.path.abspath(out_path))
+    if os.path.isdir(out_path):
+        reason = "it is a directory"
+    elif not os.path.isdir(directory):
+        reason = f"no directory {directory}"
+    elif not os.access(directory, os.W_OK) or (os.path.exists(out_path)
+                                               and not os.access(out_path, os.W_OK)):
+        reason = "permission denied"
+    else:
+        return
+    raise CliError(f"cannot write {out_path}: {reason}")
 
 
 def _single_summary(instance: Instance, mech: Mechanism) -> dict:
@@ -276,6 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "out", None):
+            _check_writable(args.out)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,8 +10,11 @@ the item permutations and expanded back to full policies.
 
 from __future__ import annotations
 
+import functools
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -95,6 +98,56 @@ def _first_of_each(key: np.ndarray) -> np.ndarray:
     return np.sort(np.unique(key, return_index=True)[1])
 
 
+class _ShapeCache:
+    """Least-recently-used store of what depends on (n, m, k) alone: orbit
+    arrays and LP patterns.
+
+    An orbit array counts its cells and a pattern its raw entries; shapes
+    are evicted, least recently used first, while the total is over
+    ``MAX_IC_ENTRIES``.
+    """
+
+    def __init__(self):
+        self._items: OrderedDict = OrderedDict()   # key -> (value, weight)
+        self.entries = 0
+
+    def serving(self, weight):
+        """Decorate ``build(n, m, k)`` to be served from this cache, where
+        its result counts ``weight(result)``."""
+        def decorate(build):
+            @functools.wraps(build)
+            def get(n: int, m: int, k: int):
+                key = (build.__name__, n, m, k)
+                if key in self._items:
+                    self._items.move_to_end(key)
+                    return self._items[key][0]
+                value = build(n, m, k)
+                self._items[key] = (value, weight(value))
+                self.entries += self._items[key][1]
+                while self.entries > MAX_IC_ENTRIES:
+                    self.entries -= self._items.popitem(last=False)[1][1]
+                return value
+            return get
+        return decorate
+
+    def keys(self) -> list:
+        """Cached (builder name, n, m, k), least recently used first."""
+        return list(self._items)
+
+    def clear(self) -> None:
+        self._items.clear()
+        self.entries = 0
+
+
+_SHAPES = _ShapeCache()
+
+
+def _read_only(*arrays: np.ndarray) -> None:
+    for array in arrays:
+        array.flags.writeable = False
+
+
+@_SHAPES.serving(weight=lambda orbits: orbits[0].size)
 def item_orbits(n: int, m: int, k: int) -> tuple[np.ndarray, int]:
     """Orbit of every policy variable x_i(a, b), at column ``(i * NV + a) *
     NS + b``, under permutations of the k items, and the number of orbits.
@@ -104,6 +157,7 @@ def item_orbits(n: int, m: int, k: int) -> tuple[np.ndarray, int]:
     numbered in the order of their first column; there are n m C(nm + k - 2,
     k - 1) of them.  The OMk and UMOPT LPs do not change when the i.i.d.
     items are permuted, so they have an optimum that is constant on orbits.
+    The orbit array is cached per shape and read-only.
     """
     pair = _pair_codes(n, m, k)
     key = np.concatenate([pair[i] * (n * m) ** (k - 1)
@@ -112,13 +166,83 @@ def item_orbits(n: int, m: int, k: int) -> tuple[np.ndarray, int]:
     _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
     rank = np.empty(first.size, dtype=np.intp)
     rank[np.argsort(first)] = np.arange(first.size)
-    return rank[inverse], first.size
+    orbit = rank[inverse]
+    _read_only(orbit)
+    return orbit, first.size
 
 
-def _ic_monotone_rows(Rk: np.ndarray, n: int, m: int, k: int,
-                      orbit: np.ndarray, count: int) -> sp.csr_matrix:
-    """IC rows, then monotonicity rows, all ``<= 0``, over one variable per
-    :func:`item_orbits` orbit of x_i(a, b) (quality tuple a, score tuple b).
+@dataclass(frozen=True)
+class _Pattern:
+    """The sparsity of one LP's constraint matrix, which (n, m, k) fixes.
+
+    ``indptr`` and ``indices`` hold the matrix in CSC form (int32, rows
+    ascending in each column, no duplicates).  The raw entries, before
+    duplicates merge, take their values from the fill vector of
+    :meth:`fill`: ``first`` is the position there of each slot's first raw
+    entry, and the j-th pair in ``merges`` holds the slots with a (j + 2)-th
+    raw entry and that entry's position.  ``row_lower`` is the rows' lower
+    bounds, None for -inf on every row.  Every array is read-only.
+    """
+
+    shape: tuple[int, int]
+    indptr: np.ndarray
+    indices: np.ndarray
+    first: np.ndarray
+    merges: tuple[tuple[np.ndarray, np.ndarray], ...]
+    row_lower: Optional[np.ndarray] = None
+
+    @property
+    def raw_entries(self) -> int:
+        """Entries before duplicates merge: what the shape cache counts."""
+        return self.first.size + sum(slots.size for slots, _ in self.merges)
+
+    def fill(self, M: np.ndarray) -> sp.csc_matrix:
+        """The matrix whose raw entries take their values from ``[M.ravel(),
+        -M.ravel(), 1, -1]``, each slot the sum of its raw entries in order."""
+        values = np.concatenate([M.ravel(), -M.ravel(), [1.0, -1.0]])
+        data = values[self.first]
+        for slots, source in self.merges:
+            data[slots] += values[source]
+        A = sp.csc_matrix((data, self.indices, self.indptr), shape=self.shape)
+        A.has_canonical_format = True
+        return A
+
+
+def _merged(sizes: np.ndarray, cols: np.ndarray, source: np.ndarray,
+            shape: tuple[int, int], row_lower: Optional[np.ndarray] = None) -> _Pattern:
+    """The pattern of raw entries given row by row: ``sizes[r]`` entries in
+    row r, each with its column and its position in the fill vector.
+
+    The CSR-to-CSC transpose is stable, so each column lists its raw
+    entries by row and then in raw order, and the raw entries of one slot
+    are adjacent and keep their order.
+    """
+    indptr = np.zeros(sizes.size + 1, dtype=np.int32)   # raw entries are far below 2^31
+    np.cumsum(sizes, out=indptr[1:])
+    raw = sp.csr_array((source, cols, indptr), shape=shape).tocsc()
+    rows = raw.indices
+    new = np.ones(rows.size, dtype=bool)   # the raw entry opens a slot
+    np.not_equal(rows[1:], rows[:-1], out=new[1:])
+    new[raw.indptr[:-1][np.diff(raw.indptr) > 0]] = True   # each column's first entry
+    starts = np.flatnonzero(new)
+    later = np.flatnonzero(~new)
+    slot = later - np.arange(1, later.size + 1)   # slots opened before it, less one
+    rank = later - starts[slot]   # 1 for a slot's second raw entry
+    merges = tuple((slot[rank == j], raw.data[later[rank == j]].astype(np.intp))
+                   for j in range(1, rank.max(initial=0) + 1))
+    pattern = _Pattern(shape, np.searchsorted(starts, raw.indptr).astype(np.int32),
+                       rows[starts], raw.data[starts].astype(np.intp), merges, row_lower)
+    _read_only(pattern.indptr, pattern.indices, pattern.first,
+               *(array for merge in merges for array in merge),
+               *([] if row_lower is None else [row_lower]))
+    return pattern
+
+
+def _ic_monotone_entries(n: int, m: int, k: int, orbit: np.ndarray):
+    """IC rows, then monotonicity rows, all ``<= 0``, over one column per
+    :func:`item_orbits` orbit of x_i(a, b) (quality tuple a, score tuple b),
+    as raw entries: each row's entry count, and each entry's column and
+    position in the fill vector ``[Rk, -Rk, 1, -1]`` of :meth:`_Pattern.fill`.
 
     IC row (a, ap), a-major over distinct tuples, is ``sum_i sum_b Rk[a, b]
     (x_i(ap, b) - x_i(a, b))``, zeros of Rk kept as entries.  Monotone row
@@ -126,11 +250,10 @@ def _ic_monotone_rows(Rk: np.ndarray, n: int, m: int, k: int,
     score is above the lowest.  Permuting the items maps rows onto rows, so
     only the first row of each row orbit is emitted: IC rows per multiset of
     (a_j, ap_j) pairs, monotone rows per orbit of x_i(a, b).  Columns go
-    through ``orbit`` and the CSR build sums the duplicates; with one item
-    nothing merges.  The COO arrays are freed on return, before the solver
-    runs.
+    through ``orbit``, and the entries of one row and column are merged by
+    :func:`_merged`; with one item none share a column.
     """
-    NV, NS = Rk.shape
+    NV, NS = n**k, m**k
     a, ap = np.nonzero(~np.eye(NV, dtype=bool))
     own_score_above_lowest = np.indices((m,) * k).reshape(k, 1, NS) != 0
     hi = np.flatnonzero(np.broadcast_to(own_score_above_lowest, (k, NV, NS)))
@@ -138,17 +261,28 @@ def _ic_monotone_rows(Rk: np.ndarray, n: int, m: int, k: int,
     first = _first_of_each(_multiset_key(quality[:, a] * n + quality[:, ap], n * n))
     a, ap = a[first], ap[first]
     hi = hi[_first_of_each(orbit[hi])]
-    # IC entries in the order (row, item, [reported, true], score)
-    blocks = np.arange(k)[:, None] * NV + np.stack([ap, a], axis=1)[:, None, :]
-    ic_cols = blocks[..., None] * NS + np.arange(NS)
-    ic_data = np.broadcast_to(np.stack([Rk[a], -Rk[a]], axis=1)[:, None], ic_cols.shape)
     lo = hi - m ** (k - 1 - hi // (NV * NS))
-    n_ic, n_rows = a.size, a.size + hi.size
-    rows = np.concatenate([np.repeat(np.arange(n_ic), 2 * k * NS),
-                           np.repeat(np.arange(n_ic, n_rows), 2)])
-    cols = orbit[np.concatenate([ic_cols.ravel(), np.stack([lo, hi], axis=1).ravel()])]
-    data = np.concatenate([ic_data.ravel(), np.tile([1.0, -1.0], hi.size)])
-    return sp.csr_matrix((data, (rows, cols)), shape=(n_rows, count))
+    # IC entries in the order (row, item, [reported, true], score): +Rk[a, b]
+    # at x_i(ap, b) and -Rk[a, b] at x_i(a, b)
+    orbit = orbit.astype(np.int32)
+    blocks = np.arange(k)[:, None] * NV + np.stack([ap, a], axis=1)[:, None, :]
+    ic_cols = orbit.reshape(k * NV, NS)[blocks]
+    ic_source = ((np.stack([a, a + NV], axis=1) * NS).astype(np.int32)[:, None, :, None]
+                 + np.arange(NS, dtype=np.int32))
+    one = 2 * NV * NS   # positions of 1 and -1 in the fill vector
+    sizes = np.concatenate([np.full(a.size, 2 * k * NS), np.full(hi.size, 2)])
+    cols = np.concatenate([ic_cols.ravel(), orbit[np.stack([lo, hi], axis=1)].ravel()])
+    source = np.concatenate([np.broadcast_to(ic_source, ic_cols.shape).ravel(),
+                             np.tile(np.array([one, one + 1], dtype=np.int32), hi.size)])
+    return sizes, cols, source
+
+
+@_SHAPES.serving(weight=lambda pattern: pattern.raw_entries)
+def _omk_pattern(n: int, m: int, k: int) -> _Pattern:
+    """The pattern of the OMk LP's rows, filled from the joint noise Rk."""
+    orbit, count = item_orbits(n, m, k)
+    sizes, cols, source = _ic_monotone_entries(n, m, k, orbit)
+    return _merged(sizes, cols, source, (sizes.size, count))
 
 
 def omk_problem(mi: MultiInstance) -> LpProblem:
@@ -159,12 +293,13 @@ def omk_problem(mi: MultiInstance) -> LpProblem:
     IC compares the owner's total expected acquisitions for every pair of
     reported quality tuples under the true tuple's noise; monotonicity is
     per item in its own score, other scores fixed.  With one item this is
-    the OM1 LP.
+    the OM1 LP.  The rows' pattern is built once per (n, m, k); each call
+    fills in its values.
     """
     inst, k = mi.base, mi.item_count
     Rk, weights = joint_weights(mi)
     orbit, count = item_orbits(inst.n, inst.m, k)
-    A = _ic_monotone_rows(Rk, inst.n, inst.m, k, orbit, count)
+    A = _omk_pattern(inst.n, inst.m, k).fill(Rk)
     c = np.bincount(orbit, weights=weights, minlength=count)   # summed per orbit
     return LpProblem(c, A, np.zeros(A.shape[0]), np.zeros(count), np.ones(count))
 
@@ -300,30 +435,37 @@ def union_policy(mi: MultiInstance, inputs: UnionInputs) -> MultiPolicy:
     return MultiPolicy(_union_shares(ys, qualities))
 
 
-def _umopt_rows(inst: Instance, k: int, orbit: np.ndarray,
-                count: int) -> tuple[sp.csr_matrix, np.ndarray]:
-    """UMOPT rows over [x, y], all ``<= 0``, and their lower bounds: x has
-    one variable per :func:`item_orbits` orbit and y, at column
-    ``count + v * m + s``, is the one component shared by all items.  For
-    each profile orbit (multiset of the k (v_i, s_i) pairs), in the order of
-    its first profile, the equality row ``sum_i x_i(v, s) - sum_i y(v_i,
-    s_i) = 0``; then the one-item IC and monotonicity block of y, bounded
-    below by -inf."""
-    n, m = inst.n, inst.m
+@_SHAPES.serving(weight=lambda pattern: pattern.raw_entries)
+def _umopt_pattern(n: int, m: int, k: int) -> _Pattern:
+    """The pattern of UMOPT's rows over [x, y], filled from the one-item
+    noise R: x has one variable per :func:`item_orbits` orbit and y, at
+    column ``count + v * m + s``, is the one component shared by all items.
+    For each profile orbit (multiset of the k (v_i, s_i) pairs), in the
+    order of its first profile, the equality row ``sum_i x_i(v, s) - sum_i
+    y(v_i, s_i) = 0``; then the one-item IC and monotonicity block of y,
+    ``<= 0`` and bounded below by -inf."""
+    orbit, count = item_orbits(n, m, k)
     pair = _pair_codes(n, m, k)
     P = pair.shape[1]
     first = _first_of_each(_multiset_key(pair, n * m))
-    profile_cols = np.concatenate([orbit[np.arange(k)[:, None] * P + first],
-                                   count + pair[:, first]]).T
-    coupling = sp.csr_matrix((np.tile(np.repeat([1.0, -1.0], k), first.size),
-                              (np.repeat(np.arange(first.size), 2 * k),
-                               profile_cols.ravel())),
-                             shape=(first.size, count + n * m))
-    block = _ic_monotone_rows(inst.score_model, n, m, 1, *item_orbits(n, m, 1))
-    A = sp.vstack([coupling, sp.hstack([sp.csr_matrix((block.shape[0], count)), block])],
-                  format="csr")
-    row_lower = np.concatenate([np.zeros(first.size), np.full(block.shape[0], -np.inf)])
-    return A, row_lower
+    coupling_cols = np.concatenate([orbit[np.arange(k)[:, None] * P + first],
+                                    count + pair[:, first]]).T
+    one = 2 * n * m   # positions of 1 and -1 in the fill vector
+    coupling_source = np.broadcast_to(np.repeat(np.array([one, one + 1], dtype=np.int32), k),
+                                      coupling_cols.shape)
+    sizes, cols, source = _ic_monotone_entries(n, m, 1, count + np.arange(n * m))
+    row_lower = np.concatenate([np.zeros(first.size), np.full(sizes.size, -np.inf)])
+    return _merged(np.concatenate([np.full(first.size, 2 * k), sizes]),
+                   np.concatenate([coupling_cols.ravel().astype(np.int32), cols]),
+                   np.concatenate([coupling_source.ravel(), source]),
+                   (row_lower.size, count + n * m), row_lower)
+
+
+def _umopt_rows(inst: Instance, k: int) -> tuple[sp.csc_matrix, np.ndarray]:
+    """UMOPT's constraint matrix (see :func:`_umopt_pattern`), all rows
+    ``<= 0``, and its row lower bounds."""
+    pattern = _umopt_pattern(inst.n, inst.m, k)
+    return pattern.fill(inst.score_model), pattern.row_lower
 
 
 def solve_umopt(mi: MultiInstance) -> tuple[UnionInputs, MultiPolicy]:
@@ -345,7 +487,7 @@ def solve_umopt(mi: MultiInstance) -> tuple[UnionInputs, MultiPolicy]:
     orbit, count = item_orbits(n, m, k)
     c = np.concatenate([np.bincount(orbit, weights=joint_weights(mi)[1], minlength=count),
                         np.zeros(n * m)])
-    A, row_lower = _umopt_rows(inst, k, orbit, count)
+    A, row_lower = _umopt_rows(inst, k)
     problem = LpProblem(c, A, np.zeros(A.shape[0]), np.zeros(c.size), np.ones(c.size),
                         row_lower)
     sol = solve_lp(problem)

@@ -227,7 +227,12 @@ def om1_alternate_optimum(instance: Instance) -> Mechanism:
     multi_item.check_size(n * m, multi_item.omk_ic_entries(n, m, 1))
     base = om1_problem(instance)
     z = _solved(base).objective_value
-    A = sp.vstack([base.constraint_matrix, sp.csr_matrix(-base.objective)])
+    # base's CSC matrix with the nonzeros of -c appended as a last row
+    A, pinned = base.constraint_matrix, np.flatnonzero(base.objective)
+    A = sp.csc_matrix((np.insert(A.data, A.indptr[pinned + 1], -base.objective[pinned]),
+                       np.insert(A.indices, A.indptr[pinned + 1], A.shape[0]),
+                       A.indptr + np.searchsorted(pinned, np.arange(A.shape[1] + 1))),
+                      shape=(A.shape[0] + 1, A.shape[1]))
     rhs = np.concatenate([base.constraint_rhs, [-(z - 1e-9)]])
     stage2 = LpProblem(np.ones(base.num_variables), A, rhs, base.lower, base.upper)
     sol = _solved(stage2)

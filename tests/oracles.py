@@ -8,9 +8,11 @@ search/LP code paths they check.
 import itertools
 
 import numpy as np
+import scipy.sparse as sp
 
 from acquimech import RANK_CLASSES, RmViolation, Violation
 from acquimech.lp import OPTIMAL, LpProblem, solve_lp
+from acquimech.multi_item import _first_of_each, _multiset_key, _pair_codes
 
 
 def dense_tmm_search(instance, step=1e-3):
@@ -307,3 +309,58 @@ def full_umopt_optimum(mi):
     for i in range(k):
         rows += _single_item_rows(inst, size, y(i))
     return _optimum(c, rows)
+
+
+def coo_ic_monotone_rows(Rk, n, m, k, orbit, count):
+    """The OMk IC rows, then monotonicity rows, built as COO triplets and
+    merged by scipy's COO-to-CSR conversion, as the package built them
+    before its rows' pattern was cached per shape.
+
+    IC row (a, ap), a-major over distinct tuples, is ``sum_i sum_b Rk[a, b]
+    (x_i(ap, b) - x_i(a, b))``, zeros of Rk kept as entries.  Monotone row
+    (i, a, b) is ``x_i(a, b - stride_i) - x_i(a, b)`` for each b whose i-th
+    score is above the lowest.  Only the first row of each row orbit is
+    emitted: IC rows per multiset of (a_j, ap_j) pairs, monotone rows per
+    orbit of x_i(a, b).
+    """
+    NV, NS = Rk.shape
+    a, ap = np.nonzero(~np.eye(NV, dtype=bool))
+    own_score_above_lowest = np.indices((m,) * k).reshape(k, 1, NS) != 0
+    hi = np.flatnonzero(np.broadcast_to(own_score_above_lowest, (k, NV, NS)))
+    quality = np.indices((n,) * k).reshape(k, NV)
+    first = _first_of_each(_multiset_key(quality[:, a] * n + quality[:, ap], n * n))
+    a, ap = a[first], ap[first]
+    hi = hi[_first_of_each(orbit[hi])]
+    # IC entries in the order (row, item, [reported, true], score)
+    blocks = np.arange(k)[:, None] * NV + np.stack([ap, a], axis=1)[:, None, :]
+    ic_cols = blocks[..., None] * NS + np.arange(NS)
+    ic_data = np.broadcast_to(np.stack([Rk[a], -Rk[a]], axis=1)[:, None], ic_cols.shape)
+    lo = hi - m ** (k - 1 - hi // (NV * NS))
+    n_ic, n_rows = a.size, a.size + hi.size
+    rows = np.concatenate([np.repeat(np.arange(n_ic), 2 * k * NS),
+                           np.repeat(np.arange(n_ic, n_rows), 2)])
+    cols = orbit[np.concatenate([ic_cols.ravel(), np.stack([lo, hi], axis=1).ravel()])]
+    data = np.concatenate([ic_data.ravel(), np.tile([1.0, -1.0], hi.size)])
+    return sp.csr_matrix((data, (rows, cols)), shape=(n_rows, count))
+
+
+def coo_umopt_rows(inst, k, orbit, count):
+    """UMOPT's rows over [x, y] and their lower bounds, built with scipy's
+    COO and stacking constructors: one equality row ``sum_i x_i(v, s) -
+    sum_i y(v_i, s_i) = 0`` per profile orbit, then the one-item IC and
+    monotonicity block of y, bounded below by -inf."""
+    n, m = inst.n, inst.m
+    pair = _pair_codes(n, m, k)
+    P = pair.shape[1]
+    first = _first_of_each(_multiset_key(pair, n * m))
+    profile_cols = np.concatenate([orbit[np.arange(k)[:, None] * P + first],
+                                   count + pair[:, first]]).T
+    coupling = sp.csr_matrix((np.tile(np.repeat([1.0, -1.0], k), first.size),
+                              (np.repeat(np.arange(first.size), 2 * k),
+                               profile_cols.ravel())),
+                             shape=(first.size, count + n * m))
+    block = coo_ic_monotone_rows(inst.score_model, n, m, 1, np.arange(n * m), n * m)
+    A = sp.vstack([coupling, sp.hstack([sp.csr_matrix((block.shape[0], count)), block])],
+                  format="csr")
+    row_lower = np.concatenate([np.zeros(first.size), np.full(block.shape[0], -np.inf)])
+    return A, row_lower

@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from acquimech import instance_to_dict, multi_item, solve_som, validate_instance
+from acquimech import (experiments, instance_to_dict, multi_item, solve_som,
+                       validate_instance)
 from acquimech.cli import SOLVE_MECHANISMS, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -194,7 +195,7 @@ def test_solve_omk_refuses_large_ic_rows_before_building(capsys, tmp_path, monke
 def test_solve_umopt_refuses_large_ic_rows_before_building(capsys, tmp_path, monkeypatch):
     """UMOPT's IC rows are the one-item block, 21,199,200 entries at 220
     levels, over MAX_IC_ENTRIES."""
-    monkeypatch.setattr(multi_item, "_ic_monotone_rows", never_built)
+    monkeypatch.setattr(multi_item, "_ic_monotone_entries", never_built)
     path = identity_instance_path(tmp_path, 220, 1)
     code, out, err = run(capsys, "solve", "--instance", path, "--mechanism", "umopt")
     assert code == 3 and out == "" and "21199200 entries" in err
@@ -358,6 +359,37 @@ def test_unwritable_out_is_bad_input(capsys, tmp_path, example1_path, command):
     code, out, err = run(capsys, command, *argv, "--out", str(out_path))
     assert code == 2 and out == "" and not out_path.parent.exists()
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_sweep_refuses_unwritable_out_before_running(capsys, tmp_path, monkeypatch):
+    """A missing directory or a directory as --out exits 2 before the sweep
+    runs, and leaves no file behind."""
+    def never_run(config):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(experiments, "run_sweep", never_run)
+    config_path = tmp_path / "sweep.json"
+    config_path.write_text(json.dumps(SWEEP_CONFIG))
+    for out_path in (tmp_path / "missing" / "out.csv", tmp_path):
+        code, out, err = run(capsys, "sweep", "--config", str(config_path),
+                             "--out", str(out_path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot write {out_path}") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == [config_path]
+
+
+def test_sweep_csv_does_not_depend_on_the_shape_cache(capsys, tmp_path):
+    """Every LP mechanism at k = 2 on two variances, on a cold and then a
+    warm shape cache: the same CSV bytes."""
+    config_path = tmp_path / "sweep.json"
+    config_path.write_text(json.dumps({**SWEEP_CONFIG, "k": 2, "mechanisms": [
+        "SOM", "TMM", "OM1", "kxOM1", "UM_TMM", "UMOPT", "OMk"]}))
+    multi_item._SHAPES.clear()
+    for name in ("cold.csv", "warm.csv"):
+        code, _, _ = run(capsys, "sweep", "--config", str(config_path),
+                         "--out", str(tmp_path / name))
+        assert code == 0 and multi_item._SHAPES.keys()
+    assert (tmp_path / "cold.csv").read_bytes() == (tmp_path / "warm.csv").read_bytes()
 
 
 def test_sweep_config_ignores_extra_keys(capsys, tmp_path):

@@ -8,7 +8,7 @@ from oracles import enumerate_vertices_best, random_lp
 from scipy.optimize import linprog
 
 from acquimech import LpProblem, gen, lp, multi_item, single_item, solve_lp
-from acquimech.core import MultiInstance
+from acquimech.core import MultiInstance, validate_instance
 from acquimech.lp import INFEASIBLE, OPTIMAL, UNBOUNDED
 from acquimech.single_item import om1_problem
 
@@ -156,6 +156,26 @@ def test_om1_and_om1_alt_lps_match_scipy():
         assert len(problems) == 2   # om1_problem, then the stage-2 LP
         for problem in problems:
             assert assert_matches_scipy(problem) == OPTIMAL
+
+
+def test_om1_alt_stage2_matrix_appends_the_pinned_objective_row():
+    """The stage-2 matrix is the OM1 matrix with the nonzeros of -c as a last
+    row: the same CSC arrays, bit for bit, as scipy's vstack gives.  The
+    identity-noise instance has zeros in c."""
+    rng = np.random.default_rng(3)
+    grid = np.linspace(0.0, 1.0, 4)
+    instances = [gen.random_instance(rng, 2, 7) for _ in range(20)]
+    instances.append(validate_instance(grid, grid, np.full(4, 0.25), np.eye(4), 0.25))
+    for inst in instances:
+        base, stage2 = _solved_problems(single_item, single_item.om1_alternate_optimum, inst)
+        expected = sp.csc_array(sp.vstack([base.constraint_matrix,
+                                           sp.csr_matrix(-base.objective)]))
+        got = sp.csc_array(stage2.constraint_matrix)
+        assert got.shape == expected.shape
+        assert np.array_equal(got.indptr, expected.indptr)
+        assert np.array_equal(got.indices, expected.indices)
+        assert np.array_equal(got.data.view(np.int64), expected.data.view(np.int64))
+    assert not instances[-1].score_model.all()
 
 
 def test_omk_and_umopt_lps_match_scipy():

@@ -20,8 +20,9 @@ from acquimech.experiments import (THM7_PRINTED_AGGREGATES, build_score_model,
 from acquimech.multi_item import (MAX_IC_ENTRIES, MAX_POLICY_CELLS, RankPolicy, item_orbits,
                                   omk_ic_entries)
 from acquimech.gen import random_instance
-from oracles import (full_omk_optimum, full_umopt_optimum, greedy_union_shares,
-                     naive_ranking_mechanism, naive_rm_audit, naive_union_reward)
+from oracles import (coo_ic_monotone_rows, coo_umopt_rows, full_omk_optimum,
+                     full_umopt_optimum, greedy_union_shares, naive_ranking_mechanism,
+                     naive_rm_audit, naive_union_reward)
 
 GRID4 = [0.0, 1 / 3, 2 / 3, 1.0]
 GRID7 = [i / 6 for i in range(7)]
@@ -189,7 +190,7 @@ def test_omk_ic_entry_limit():
 def test_one_item_ic_entry_limit(monkeypatch, solve):
     """At 220 levels the one-item IC rows, UMOPT's component block among
     them, hold 21,199,200 entries, over MAX_IC_ENTRIES, as OM1's do."""
-    monkeypatch.setattr(multi_item, "_ic_monotone_rows", never_built)
+    monkeypatch.setattr(multi_item, "_ic_monotone_entries", never_built)
     with pytest.raises(SizeBudgetError, match="21199200 entries"):
         solve(identity_instance(220))
 
@@ -365,6 +366,117 @@ def test_orbit_cases_are_not_trivial():
     """The oracle comparisons above would prove little on zero optima."""
     positive = [full_omk_optimum(orbit_case(k, seed)) > 1e-3 for k, seed in ORBIT_CASES]
     assert sum(positive[:10]) >= 5 and sum(positive[10:]) >= 3
+
+
+# --- LP patterns and the shape cache ----------------------------------------
+
+def sparse_noise_instance(n, m, seed):
+    """Random noise with about a fifth of its entries zero, so that -0.0
+    entries reach the LPs."""
+    rng = np.random.default_rng(seed)
+    model = rng.dirichlet(np.ones(m), size=n) * (rng.uniform(size=(n, m)) > 0.2)
+    model[:, 0] += 1e-3
+    return validate_instance(np.linspace(0, 1, n), np.linspace(0, 1, m), np.full(n, 1 / n),
+                             model / model.sum(axis=1, keepdims=True), 0.4)
+
+
+def assert_same_matrix(A, B, k):
+    """Same CSC pattern; the same bits up to two merged entries a slot (k <=
+    2), where the order of a sum cannot matter, and within 1e-15 beyond."""
+    A, B = sp.csc_array(A), sp.csc_array(B)
+    assert A.shape == B.shape
+    assert np.array_equal(A.indptr, B.indptr) and np.array_equal(A.indices, B.indices)
+    if k <= 2:
+        assert np.array_equal(A.data.view(np.int64), B.data.view(np.int64))
+    else:
+        np.testing.assert_allclose(A.data, B.data, rtol=0, atol=1e-15)
+
+
+PATTERN_SHAPES = [(n, m, k) for n in range(2, 6) for m in range(2, 6) for k in (1, 2, 3)] + [(7, 7, 2)]
+
+
+@pytest.mark.parametrize("n,m,k", PATTERN_SHAPES)
+def test_lp_patterns_match_the_coo_builder(n, m, k):
+    """The OMk and UMOPT matrices filled from their cached patterns are the
+    ones scipy's COO-to-CSR merge builds from the same raw entries."""
+    inst = sparse_noise_instance(n, m, seed=n * 100 + m * 10 + k)
+    mi = MultiInstance(inst, k)
+    orbit, count = item_orbits(n, m, k)
+    Rk, _ = multi_item.joint_weights(mi)
+    assert_same_matrix(omk_problem(mi).constraint_matrix,
+                       coo_ic_monotone_rows(Rk, n, m, k, orbit, count), k)
+    A, row_lower = multi_item._umopt_rows(inst, k)
+    A_coo, row_lower_coo = coo_umopt_rows(inst, k, orbit, count)
+    assert_same_matrix(A, A_coo, k)
+    assert np.array_equal(row_lower, row_lower_coo)
+
+
+def _problem_arrays(problem):
+    A = problem.constraint_matrix
+    return [problem.objective, problem.constraint_rhs, problem.lower, problem.upper,
+            problem.row_lower, A.shape, A.indptr, A.indices, A.data.view(np.int64)]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_results_do_not_depend_on_the_shape_cache(monkeypatch, k):
+    """On a cold and then a warm shape cache, OMk and UMOPT pass HiGHS the
+    same LPs (built by omk_problem and _umopt_rows) and return the same
+    policies."""
+    mi = MultiInstance(sparse_noise_instance(3, 3, seed=k), k)
+
+    def solved():
+        problems = []
+
+        def recording(problem):
+            problems.append(problem)
+            return solve_lp(problem)
+
+        monkeypatch.setattr(multi_item, "solve_lp", recording)
+        inputs, umopt = solve_umopt(mi)
+        results = [solve_omk(mi).tensors, umopt.tensors, inputs.mechanisms[0].matrix]
+        monkeypatch.undo()
+        return [_problem_arrays(problem) for problem in problems], results
+
+    multi_item._SHAPES.clear()
+    cold = solved()
+    assert len(multi_item._SHAPES.keys()) == 3   # orbits, UMOPT and OMk patterns
+    warm = solved()
+    for cold_problem, warm_problem in zip(cold[0], warm[0]):
+        for a, b in zip(cold_problem, warm_problem):
+            assert np.array_equal(a, b)
+    for a, b in zip(cold[1], warm[1]):
+        assert np.array_equal(a, b)
+
+
+def test_cached_arrays_are_read_only():
+    inst = sparse_noise_instance(3, 2, seed=0)
+    orbit, _ = item_orbits(3, 2, 2)
+    A = omk_problem(MultiInstance(inst, 2)).constraint_matrix
+    _, row_lower = multi_item._umopt_rows(inst, 2)
+    for array in (orbit, A.indptr, A.indices, row_lower):
+        with pytest.raises(ValueError):
+            array[0] = 1
+
+
+def test_shape_cache_evicts_least_recently_used(monkeypatch):
+    """The cache holds at most MAX_IC_ENTRIES raw entries and orbit cells,
+    and evicts the shape used longest ago."""
+    multi_item._SHAPES.clear()
+    sizes = {k: item_orbits(3, 3, k)[0].size + multi_item._omk_pattern(3, 3, k).raw_entries
+             for k in (1, 2)}
+    monkeypatch.setattr(multi_item, "MAX_IC_ENTRIES", sizes[1] + sizes[2])
+    multi_item._SHAPES.clear()
+    for k in (1, 2, 1):
+        omk_problem(MultiInstance(sparse_noise_instance(3, 3, seed=k), k))
+    assert multi_item._SHAPES.keys() == [("item_orbits", 3, 3, 2), ("_omk_pattern", 3, 3, 2),
+                                         ("item_orbits", 3, 3, 1), ("_omk_pattern", 3, 3, 1)]
+    item_orbits(2, 2, 1)   # evicts the least recently used, the k = 2 orbits
+    assert multi_item._SHAPES.keys() == [("_omk_pattern", 3, 3, 2), ("item_orbits", 3, 3, 1),
+                                         ("_omk_pattern", 3, 3, 1), ("item_orbits", 2, 2, 1)]
+    assert multi_item._SHAPES.entries <= multi_item.MAX_IC_ENTRIES
+    omk_problem(MultiInstance(sparse_noise_instance(4, 4, seed=0), 2))
+    assert multi_item._SHAPES.entries <= multi_item.MAX_IC_ENTRIES
+    multi_item._SHAPES.clear()
 
 
 # --- ranking mechanism ------------------------------------------------------
