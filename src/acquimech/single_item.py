@@ -160,6 +160,11 @@ def tmm_build(instance: Instance, b1_index: Optional[int], b2_index: Optional[in
     return params, Mechanism(matrix, label="TMM")
 
 
+#: Largest (pairs x candidates x qualities) block scored at once by
+#: :func:`tmm_optimal`, so its memory stays at 8 MB on any grid.
+_TMM_BLOCK = 1 << 20
+
+
 def tmm_optimal(instance: Instance) -> tuple[TmmParams, Mechanism, float]:
     """Exact search for the reward-maximizing two-menu mechanism.
 
@@ -170,23 +175,45 @@ def tmm_optimal(instance: Instance) -> tuple[TmmParams, Mechanism, float]:
     {0, 1} plus all interior breakpoints cannot lose the supremum.  Each
     owner takes the better menu, ``max(alpha * tail1, tail2)``, so the score
     does not depend on which menu an indifferent owner is assigned.
+
+    The result is the first maximum of the score
+    ``float(margin @ np.maximum(alpha * tail1, tail2))`` in search order:
+    pairs row-major in (b1, b2), then ascending alpha.  Every candidate is
+    scored in one batched product, whose sums may differ from that
+    expression in the last bits, so only the candidates within
+    ``1e-12 * max(1, sum |margin|)`` of the batched maximum (far above that
+    rounding, as the tails are at most 1) are scored again with it, in
+    search order, and the first strictly greater one is kept.
     """
-    margin = _margin(instance)
-    thresholds: list[Optional[int]] = list(range(instance.m)) + [NEVER]
-    best = (-np.inf, NEVER, NEVER, 0.0)
-    for i1, b1 in enumerate(thresholds):
-        for b2 in thresholds[i1:]:
-            tail1 = _tail(instance.score_model, b1)
-            tail2 = _tail(instance.score_model, b2)
-            cand = {0.0, 1.0}
-            with np.errstate(divide="ignore", invalid="ignore"):
-                breaks = np.where(tail1 > 0, tail2 / tail1, np.inf)
-            cand.update(float(a) for a in breaks if 0.0 < a < 1.0)
-            for alpha in sorted(cand):
-                reward = float(margin @ np.maximum(alpha * tail1, tail2))
-                if reward > best[0]:
-                    best = (reward, b1, b2, alpha)
-    _, b1, b2, alpha = best
+    R, margin = instance.score_model, _margin(instance)
+    n, m = R.shape
+    # every tail from the exact expression _tail uses, so the bits match
+    tails = np.array([R[:, b:].sum(axis=1) for b in range(m)] + [np.zeros(n)])
+    first, second = np.triu_indices(m + 1)
+    tail1, tail2 = tails[first], tails[second]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        breaks = np.where(tail1 > 0, tail2 / tail1, np.inf)
+    # {0, 1} and the interior breakpoints, padded with 0.0 to n + 2 per pair
+    alphas = np.zeros((first.size, n + 2))
+    alphas[:, 1] = 1.0
+    alphas[:, 2:] = np.where((breaks > 0.0) & (breaks < 1.0), breaks, 0.0)
+    alphas.sort(axis=1)
+    scores = np.empty(alphas.shape)
+    step = max(1, _TMM_BLOCK // ((n + 2) * n))
+    for lo in range(0, first.size, step):
+        block = slice(lo, lo + step)
+        scores[block] = np.maximum(alphas[block, :, None] * tail1[block, None, :],
+                                   tail2[block, None, :]) @ margin
+    top = scores.max()
+    near = np.flatnonzero(scores >= top - 1e-12 * max(1.0, np.abs(margin).sum()))
+    best = (-np.inf, 0, 0.0)
+    for pair, j in zip(*np.unravel_index(near, scores.shape)):
+        alpha = float(alphas[pair, j])
+        reward = float(margin @ np.maximum(alpha * tail1[pair], tail2[pair]))
+        if reward > best[0]:
+            best = (reward, pair, alpha)
+    _, pair, alpha = best
+    b1, b2 = (NEVER if b == m else int(b) for b in (first[pair], second[pair]))
     params, mech = tmm_build(instance, b1, b2, alpha)
     return params, mech, analysis.expected_reward(instance, mech)
 

@@ -11,8 +11,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from acquimech import RANK_CLASSES, RmViolation, Violation
+from acquimech.analysis import expected_reward
 from acquimech.lp import OPTIMAL, LpProblem, solve_lp
 from acquimech.multi_item import _first_of_each, _multiset_key, _pair_codes
+from acquimech.single_item import _tail, tmm_build
 
 
 def dense_tmm_search(instance, step=1e-3):
@@ -31,6 +33,30 @@ def dense_tmm_search(instance, step=1e-3):
             accept = np.where(lottery > t2[None, :], lottery, t2[None, :])
             best = max(best, float((accept @ margin).max()))
     return best
+
+
+def loop_tmm_optimal(instance):
+    """The two-menu search as a Python double loop over threshold pairs (NEVER
+    last) and each pair's sorted candidate alphas, keeping the first strictly
+    greater reward: the reference that ``tmm_optimal`` must match bit for bit."""
+    margin = (instance.grid.values - instance.bar) * instance.prior
+    thresholds = list(range(instance.m)) + [None]
+    best = (-np.inf, None, None, 0.0)
+    for i1, b1 in enumerate(thresholds):
+        for b2 in thresholds[i1:]:
+            tail1 = _tail(instance.score_model, b1)
+            tail2 = _tail(instance.score_model, b2)
+            cand = {0.0, 1.0}
+            with np.errstate(divide="ignore", invalid="ignore"):
+                breaks = np.where(tail1 > 0, tail2 / tail1, np.inf)
+            cand.update(float(a) for a in breaks if 0.0 < a < 1.0)
+            for alpha in sorted(cand):
+                reward = float(margin @ np.maximum(alpha * tail1, tail2))
+                if reward > best[0]:
+                    best = (reward, b1, b2, alpha)
+    _, b1, b2, alpha = best
+    params, mech = tmm_build(instance, b1, b2, alpha)
+    return params, mech, expected_reward(instance, mech)
 
 
 def naive_check_monotone(matrix, tol):

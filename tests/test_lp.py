@@ -1,4 +1,7 @@
 import dataclasses
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import numpy as np
@@ -224,10 +227,12 @@ _OK = lp.highs.HighsStatus.kOk
 
 
 class _FakeHighs:
-    """Stands in for ``highs._Highs``: reports ``status`` at ``point``."""
+    """Stands in for ``highs._Highs``: reports ``status`` at ``point`` and
+    counts ``clearModel`` calls in ``cleared``."""
 
     status = _MODEL_STATUS.kOptimal
     point = [1.0]
+    cleared = 0
 
     def passOptions(self, options):
         return _OK
@@ -253,11 +258,18 @@ class _FakeHighs:
     def getInfo(self):
         return SimpleNamespace(simplex_iteration_count=1)
 
+    def clearModel(self):
+        type(self).cleared += 1
+        return _OK
+
 
 def _fake_solve(monkeypatch, status, point):
     fake = type("Fake", (_FakeHighs,), {"status": status, "point": [point]})
     monkeypatch.setattr(lp.highs, "_Highs", fake)
-    return solve_lp(LpProblem.from_rows([1.0], [], [(0.0, 1.0)]))
+    try:
+        return solve_lp(LpProblem.from_rows([1.0], [], [(0.0, 1.0)]))
+    finally:
+        assert fake.cleared == 1   # the reused object's model is cleared
 
 
 @pytest.mark.parametrize("status, point", [
@@ -283,6 +295,7 @@ def test_highs_call_error_raises(monkeypatch, call):
     monkeypatch.setattr(lp.highs, "_Highs", fake)
     with pytest.raises(RuntimeError, match=call):
         solve_lp(LpProblem.from_rows([1.0], [([1.0], 1.0)], [(0.0, 1.0)]))
+    assert fake.cleared == 1
 
 
 # -- equality rows and presolve -----------------------------------------------
@@ -338,3 +351,138 @@ def test_lp_size_reported():
     infeasible = solve_lp(LpProblem.from_rows([1.0], [([1.0], -2.0)], [(0.0, 1.0)]))
     assert infeasible.status == INFEASIBLE
     assert (infeasible.rows, infeasible.columns, infeasible.nonzeros) == (1, 1, 1)
+
+
+def test_presolve_is_set_per_solve_on_the_reused_object(monkeypatch):
+    monkeypatch.setattr(_RecordingHighs, "presolve", [])
+    monkeypatch.setattr(lp.highs, "_Highs", _RecordingHighs)
+    for row_lower in (None, [0.25], None, [-1.0]):
+        assert solve_lp(_equality_problem(row_lower)).status == OPTIMAL
+    assert _RecordingHighs.presolve == ["off", "on", "off", "on"]
+    assert type(lp._REUSED.solver) is _RecordingHighs
+
+
+# -- the per-thread HiGHS object ---------------------------------------------
+
+def _interleaved_problems():
+    """One-item OM1 and OM1-alt LPs between the OMk and UMOPT LPs of one k = 2
+    instance; the OMk LP is above the reuse limit, the rest below it."""
+    rng = np.random.default_rng(5)
+    small = [p for _ in range(4) for p in _solved_problems(
+        single_item, single_item.om1_alternate_optimum, gen.random_instance(rng, 2, 7))]
+    mi = MultiInstance(gen.random_instance(11, 4, 4), 2)
+    large = (_solved_problems(multi_item, multi_item.solve_omk, mi)
+             + _solved_problems(multi_item, multi_item.solve_umopt, mi))
+    problems = small[:3] + large[:1] + small[3:5] + large[1:] + small[5:]
+    nonzeros = [sp.csc_array(p.constraint_matrix).nnz for p in problems]
+    assert max(nonzeros) > lp._REUSE_MAX_NONZEROS >= sorted(nonzeros)[-2]
+    return problems
+
+
+def _assert_same_solutions(got, expected):
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert (a.status, a.iterations, a.objective_value) == \
+            (b.status, b.iterations, b.objective_value)
+        assert np.array_equal(a.values.view(np.int64), b.values.view(np.int64))
+
+
+@pytest.fixture(scope="module")
+def interleaved():
+    """The interleaved LPs and their solutions, each on a fresh HiGHS object."""
+    problems = _interleaved_problems()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp, "_REUSE_MAX_NONZEROS", -1)
+        return problems, [solve_lp(p) for p in problems]
+
+
+@pytest.mark.parametrize("limit", [lp._REUSE_MAX_NONZEROS, np.inf])
+def test_reused_solver_matches_fresh_objects(monkeypatch, interleaved, limit):
+    """Bit-identical points and equal iteration counts from the reused object,
+    with the LPs above the limit on fresh objects (the default) or on the
+    reused one too."""
+    problems, fresh = interleaved
+    monkeypatch.setattr(lp, "_REUSE_MAX_NONZEROS", limit)
+    _assert_same_solutions([solve_lp(p) for p in problems], fresh)
+
+
+def test_reused_solver_per_thread(interleaved):
+    """More threads than cores, switching often, each solving the LPs on its
+    own object, give the same results as fresh objects."""
+    problems, fresh = interleaved
+    solvers = {}
+
+    def solve_all(_):
+        solutions = [solve_lp(p) for p in problems]
+        solvers[threading.get_ident()] = lp._REUSED.solver
+        return solutions
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(solve_all, i) for i in range(8)]
+            results = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for solutions in results:
+        _assert_same_solutions(solutions, fresh)
+    assert len({id(s) for s in solvers.values()}) == len(solvers)
+
+
+class _FailingOnceHighs(lp.highs._Highs):
+    """The real solver; its first run fails after HiGHS has worked on the
+    model: ``run`` reports an error, or the simplex stops at one iteration."""
+
+    failure = None
+
+    def passOptions(self, options):
+        status = super().passOptions(options)
+        if self.failure == "iteration-limit":
+            self.setOptionValue("simplex_iteration_limit", 1)
+        return status
+
+    def run(self):
+        status = super().run()
+        failure, type(self).failure = self.failure, None
+        return lp.highs.HighsStatus.kError if failure == "run-error" else status
+
+
+@pytest.mark.parametrize("failure", ["run-error", "iteration-limit"])
+def test_first_solve_after_a_failure_is_unchanged(monkeypatch, interleaved, failure):
+    problems, fresh = interleaved
+    monkeypatch.setattr(_FailingOnceHighs, "failure", failure)
+    monkeypatch.setattr(lp.highs, "_Highs", _FailingOnceHighs)
+    with pytest.raises(RuntimeError, match="LP solver failed"):
+        solve_lp(problems[0])
+    solver = lp._REUSED.solver
+    _assert_same_solutions([solve_lp(problems[0]), solve_lp(problems[1])], fresh[:2])
+    assert lp._REUSED.solver is solver
+
+
+class _TrackedHighs(lp.highs._Highs):
+    """The real solver, recording the object each model is passed to."""
+
+    used: list = []
+
+    def passModel(self, *model):
+        self.used.append(self)
+        return super().passModel(*model)
+
+
+def test_model_above_limit_never_takes_the_reused_slot(monkeypatch):
+    """A model of more than ``_REUSE_MAX_NONZEROS`` nonzeros gets its own
+    object, one at the limit the thread's reused object."""
+    monkeypatch.setattr(_TrackedHighs, "used", [])
+    monkeypatch.setattr(lp.highs, "_Highs", _TrackedHighs)
+
+    def problem(nonzeros):   # maximize sum x s.t. sum x <= 1, 0 <= x <= 1
+        return LpProblem(np.ones(nonzeros), np.ones((1, nonzeros)), np.ones(1),
+                         np.zeros(nonzeros), np.ones(nonzeros))
+
+    limit = lp._REUSE_MAX_NONZEROS
+    for nonzeros in (limit, limit + 1, limit, limit + 1):
+        assert solve_lp(problem(nonzeros)).objective_value == pytest.approx(1.0)
+    at, above, at_again, above_again = _TrackedHighs.used
+    assert at is at_again is lp._REUSED.solver
+    assert above is not at and above_again is not at

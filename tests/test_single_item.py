@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from acquimech import (Mechanism, NEVER, best_threshold_mechanism,
@@ -9,7 +9,7 @@ from acquimech import (Mechanism, NEVER, best_threshold_mechanism,
                        reduce_menu, solve_om1, solve_som, tmm_build,
                        tmm_optimal, validate_instance)
 from acquimech.gen import random_consistent_instance, random_instance
-from oracles import dense_tmm_search, naive_reduce_menu
+from oracles import dense_tmm_search, loop_tmm_optimal, naive_reduce_menu
 
 GRID4 = [0.0, 1 / 3, 2 / 3, 1.0]
 
@@ -191,6 +191,33 @@ def test_tmm_optimal_beats_dense_grid():
         inst = random_instance(seed, max_levels=5)
         _, _, reward = tmm_optimal(inst)
         assert reward >= dense_tmm_search(inst) - 1e-9
+
+
+def assert_tmm_matches_loop(inst):
+    params, mech, reward = tmm_optimal(inst)
+    loop_params, loop_mech, loop_reward = loop_tmm_optimal(inst)
+    assert params == loop_params
+    assert np.array_equal(mech.matrix, loop_mech.matrix)
+    assert reward == loop_reward
+
+
+def test_tmm_optimal_matches_loop_on_published_instances(registry):
+    for inst in registry.values():
+        assert_tmm_matches_loop(inst)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 10_000), levels=st.integers(1, 12), consistent=st.booleans())
+# instances where the batched maximum falls on a later one of several exactly
+# tied candidates, so a plain argmax over the batched scores picks another
+# threshold pair than the loop does
+@example(seed=44, levels=12, consistent=True)
+@example(seed=911, levels=12, consistent=False)
+def test_tmm_optimal_matches_loop(seed, levels, consistent):
+    """The array search keeps the loop's parameters, matrix and reward bit for
+    bit, ties included: ``solve --mechanism tmm`` prints the parameters."""
+    draw = random_consistent_instance if consistent else random_instance
+    assert_tmm_matches_loop(draw(seed, 1, levels))
 
 
 # --- LP-optimal mechanism ---------------------------------------------------
