@@ -13,7 +13,7 @@ import numpy as np
 
 from .core import (Instance, Mechanism, MultiInstance, MultiPolicy,
                    VerificationReport, _ic_report, _monotone_report, _report,
-                   noise_product, prior_product)
+                   check_mechanism_shape, noise_product, prior_product)
 from .multi_item import joint_weights
 
 IC_TOL = 1e-7
@@ -23,14 +23,14 @@ MONOTONE_TOL = 1e-9
 def expected_reward(instance: Instance, mechanism: Mechanism) -> float:
     """Collector's expected margin under truthful reporting:
     sum_{v,s} (v - t) d(v) x(v,s) r(v,s), the OM1 LP objective at x."""
-    if mechanism.matrix.shape != (instance.n, instance.m):
-        raise ValueError("mechanism shape does not match instance grid")
+    check_mechanism_shape(instance, mechanism)
     return float(joint_weights(MultiInstance(instance))[1] @ mechanism.matrix.ravel())
 
 
 def check_ic(instance: Instance, mechanism: Mechanism,
              tol: float = IC_TOL) -> VerificationReport:
     """Truth-telling must maximize the owner's acquisition probability."""
+    check_mechanism_shape(instance, mechanism)
     X, R = mechanism.matrix, instance.score_model
     return _ic_report(R @ X.T, tol)   # report vp under truth v's noise
 
@@ -67,6 +67,7 @@ def reward_gap_vs_omniscient(instance: Instance, mechanism: Mechanism) -> float:
 def acquiring_rate(instance: Instance,
                    mechanism: Mechanism) -> tuple[np.ndarray, float]:
     """Per-quality acquisition probability and the prior-weighted overall rate."""
+    check_mechanism_shape(instance, mechanism)
     per_quality = np.sum(mechanism.matrix * instance.score_model, axis=1)
     return per_quality, float(instance.prior @ per_quality)
 

@@ -309,6 +309,13 @@ def posterior_mean(instance: Instance, score_index: int) -> Optional[float]:
     return float((instance.grid.values * instance.prior) @ col) / denom
 
 
+def check_mechanism_shape(instance: Instance, mechanism: Mechanism) -> None:
+    """Raise ValueError unless the acquiring matrix is n x m for the
+    instance's grid."""
+    if mechanism.matrix.shape != (instance.n, instance.m):
+        raise ValueError("mechanism shape does not match instance grid")
+
+
 def acquire_probability(instance: Instance, mechanism: Mechanism,
                         true_quality_index: int, reported_quality_index: int) -> float:
     """Probability the item is acquired: report picks the row, truth the noise.
@@ -320,8 +327,7 @@ def acquire_probability(instance: Instance, mechanism: Mechanism,
         raise IndexError(f"true quality index {true_quality_index} out of range")
     if not 0 <= reported_quality_index < n:
         raise IndexError(f"reported quality index {reported_quality_index} out of range")
-    if mechanism.matrix.shape != (n, instance.m):
-        raise ValueError("mechanism shape does not match instance grid")
+    check_mechanism_shape(instance, mechanism)
     return float(mechanism.matrix[reported_quality_index]
                  @ instance.score_model[true_quality_index])
 

@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .core import (Instance, Mechanism, MultiInstance, MultiPolicy, _ic_report,
-                   item_margins, noise_product, prior_product)
+                   check_mechanism_shape, item_margins, noise_product, prior_product)
 from .lp import LpProblem, OPTIMAL, solve_lp
 
 #: Refuse a policy tensor, and the LP behind it, beyond this many cells.
@@ -98,56 +98,6 @@ def _first_of_each(key: np.ndarray) -> np.ndarray:
     return np.sort(np.unique(key, return_index=True)[1])
 
 
-class _ShapeCache:
-    """Least-recently-used store of what depends on (n, m, k) alone: orbit
-    arrays and LP patterns.
-
-    An orbit array counts its cells and a pattern its raw entries; shapes
-    are evicted, least recently used first, while the total is over
-    ``MAX_IC_ENTRIES``.
-    """
-
-    def __init__(self):
-        self._items: OrderedDict = OrderedDict()   # key -> (value, weight)
-        self.entries = 0
-
-    def serving(self, weight):
-        """Decorate ``build(n, m, k)`` to be served from this cache, where
-        its result counts ``weight(result)``."""
-        def decorate(build):
-            @functools.wraps(build)
-            def get(n: int, m: int, k: int):
-                key = (build.__name__, n, m, k)
-                if key in self._items:
-                    self._items.move_to_end(key)
-                    return self._items[key][0]
-                value = build(n, m, k)
-                self._items[key] = (value, weight(value))
-                self.entries += self._items[key][1]
-                while self.entries > MAX_IC_ENTRIES:
-                    self.entries -= self._items.popitem(last=False)[1][1]
-                return value
-            return get
-        return decorate
-
-    def keys(self) -> list:
-        """Cached (builder name, n, m, k), least recently used first."""
-        return list(self._items)
-
-    def clear(self) -> None:
-        self._items.clear()
-        self.entries = 0
-
-
-_SHAPES = _ShapeCache()
-
-
-def _read_only(*arrays: np.ndarray) -> None:
-    for array in arrays:
-        array.flags.writeable = False
-
-
-@_SHAPES.serving(weight=lambda orbits: orbits[0].size)
 def item_orbits(n: int, m: int, k: int) -> tuple[np.ndarray, int]:
     """Orbit of every policy variable x_i(a, b), at column ``(i * NV + a) *
     NS + b``, under permutations of the k items, and the number of orbits.
@@ -157,7 +107,6 @@ def item_orbits(n: int, m: int, k: int) -> tuple[np.ndarray, int]:
     numbered in the order of their first column; there are n m C(nm + k - 2,
     k - 1) of them.  The OMk and UMOPT LPs do not change when the i.i.d.
     items are permuted, so they have an optimum that is constant on orbits.
-    The orbit array is cached per shape and read-only.
     """
     pair = _pair_codes(n, m, k)
     key = np.concatenate([pair[i] * (n * m) ** (k - 1)
@@ -166,49 +115,49 @@ def item_orbits(n: int, m: int, k: int) -> tuple[np.ndarray, int]:
     _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
     rank = np.empty(first.size, dtype=np.intp)
     rank[np.argsort(first)] = np.arange(first.size)
-    orbit = rank[inverse]
-    _read_only(orbit)
-    return orbit, first.size
+    return rank[inverse], first.size
 
 
 @dataclass(frozen=True)
 class _Pattern:
     """The sparsity of one LP's constraint matrix, which (n, m, k) fixes.
 
-    ``indptr`` and ``indices`` hold the matrix in CSC form (int32, rows
-    ascending in each column, no duplicates).  The raw entries, before
-    duplicates merge, take their values from the fill vector of
-    :meth:`fill`: ``first`` is the position there of each slot's first raw
-    entry, and the j-th pair in ``merges`` holds the slots with a (j + 2)-th
-    raw entry and that entry's position.  ``row_lower`` is the rows' lower
+    ``orbit`` is the :func:`item_orbits` orbit, and so the LP column, of
+    every policy variable.  ``indptr`` and ``indices`` hold the matrix in
+    CSC form (int32, rows ascending in each column, no duplicates).  The raw
+    entries, before duplicates merge, take their values from the fill
+    vector of :meth:`fill`: ``first`` is the position there of each slot's
+    first raw entry, and ``later`` pairs the slot and the position of every
+    further raw entry, in raw order.  ``row_lower`` is the rows' lower
     bounds, None for -inf on every row.  Every array is read-only.
     """
 
     shape: tuple[int, int]
+    orbit: np.ndarray
     indptr: np.ndarray
     indices: np.ndarray
     first: np.ndarray
-    merges: tuple[tuple[np.ndarray, np.ndarray], ...]
+    later: tuple[np.ndarray, np.ndarray]
     row_lower: Optional[np.ndarray] = None
 
     @property
-    def raw_entries(self) -> int:
-        """Entries before duplicates merge: what the shape cache counts."""
-        return self.first.size + sum(slots.size for slots, _ in self.merges)
+    def size(self) -> int:
+        """Orbit cells and raw entries: what the pattern cache counts."""
+        return self.orbit.size + self.first.size + self.later[0].size
 
     def fill(self, M: np.ndarray) -> sp.csc_matrix:
         """The matrix whose raw entries take their values from ``[M.ravel(),
         -M.ravel(), 1, -1]``, each slot the sum of its raw entries in order."""
         values = np.concatenate([M.ravel(), -M.ravel(), [1.0, -1.0]])
         data = values[self.first]
-        for slots, source in self.merges:
-            data[slots] += values[source]
+        slots, positions = self.later
+        np.add.at(data, slots, values[positions])   # unbuffered, in index order
         A = sp.csc_matrix((data, self.indices, self.indptr), shape=self.shape)
         A.has_canonical_format = True
         return A
 
 
-def _merged(sizes: np.ndarray, cols: np.ndarray, source: np.ndarray,
+def _merged(orbit: np.ndarray, sizes: np.ndarray, cols: np.ndarray, source: np.ndarray,
             shape: tuple[int, int], row_lower: Optional[np.ndarray] = None) -> _Pattern:
     """The pattern of raw entries given row by row: ``sizes[r]`` entries in
     row r, each with its column and its position in the fill vector.
@@ -226,16 +175,36 @@ def _merged(sizes: np.ndarray, cols: np.ndarray, source: np.ndarray,
     new[raw.indptr[:-1][np.diff(raw.indptr) > 0]] = True   # each column's first entry
     starts = np.flatnonzero(new)
     later = np.flatnonzero(~new)
-    slot = later - np.arange(1, later.size + 1)   # slots opened before it, less one
-    rank = later - starts[slot]   # 1 for a slot's second raw entry
-    merges = tuple((slot[rank == j], raw.data[later[rank == j]].astype(np.intp))
-                   for j in range(1, rank.max(initial=0) + 1))
-    pattern = _Pattern(shape, np.searchsorted(starts, raw.indptr).astype(np.int32),
-                       rows[starts], raw.data[starts].astype(np.intp), merges, row_lower)
-    _read_only(pattern.indptr, pattern.indices, pattern.first,
-               *(array for merge in merges for array in merge),
-               *([] if row_lower is None else [row_lower]))
+    positions = raw.data[later].astype(np.intp)
+    later -= np.arange(1, later.size + 1)   # its slot: slots opened before it, less one
+    pattern = _Pattern(shape, orbit, np.searchsorted(starts, raw.indptr).astype(np.int32),
+                       rows[starts], raw.data[starts].astype(np.intp), (later, positions),
+                       row_lower)
+    for array in (orbit, pattern.indptr, pattern.indices, pattern.first, later, positions,
+                  *([] if row_lower is None else [row_lower])):
+        array.flags.writeable = False
     return pattern
+
+
+#: (builder name, n, m, k) -> _Pattern, least recently used first.
+_PATTERNS: OrderedDict = OrderedDict()
+
+
+def _cached(build):
+    """Serve ``build(n, m, k)`` from :data:`_PATTERNS`.  After a build, the
+    least recently used patterns are evicted while their total
+    :attr:`_Pattern.size` is over ``MAX_IC_ENTRIES``."""
+    @functools.wraps(build)
+    def get(n: int, m: int, k: int) -> _Pattern:
+        key = (build.__name__, n, m, k)
+        if key in _PATTERNS:
+            _PATTERNS.move_to_end(key)
+            return _PATTERNS[key]
+        pattern = _PATTERNS[key] = build(n, m, k)
+        while sum(cached.size for cached in _PATTERNS.values()) > MAX_IC_ENTRIES:
+            _PATTERNS.popitem(last=False)
+        return pattern
+    return get
 
 
 def _ic_monotone_entries(n: int, m: int, k: int, orbit: np.ndarray):
@@ -277,12 +246,12 @@ def _ic_monotone_entries(n: int, m: int, k: int, orbit: np.ndarray):
     return sizes, cols, source
 
 
-@_SHAPES.serving(weight=lambda pattern: pattern.raw_entries)
+@_cached
 def _omk_pattern(n: int, m: int, k: int) -> _Pattern:
     """The pattern of the OMk LP's rows, filled from the joint noise Rk."""
     orbit, count = item_orbits(n, m, k)
     sizes, cols, source = _ic_monotone_entries(n, m, k, orbit)
-    return _merged(sizes, cols, source, (sizes.size, count))
+    return _merged(orbit, sizes, cols, source, (sizes.size, count))
 
 
 def omk_problem(mi: MultiInstance) -> LpProblem:
@@ -298,9 +267,10 @@ def omk_problem(mi: MultiInstance) -> LpProblem:
     """
     inst, k = mi.base, mi.item_count
     Rk, weights = joint_weights(mi)
-    orbit, count = item_orbits(inst.n, inst.m, k)
-    A = _omk_pattern(inst.n, inst.m, k).fill(Rk)
-    c = np.bincount(orbit, weights=weights, minlength=count)   # summed per orbit
+    pattern = _omk_pattern(inst.n, inst.m, k)
+    A = pattern.fill(Rk)
+    count = pattern.shape[1]
+    c = np.bincount(pattern.orbit, weights=weights, minlength=count)   # summed per orbit
     return LpProblem(c, A, np.zeros(A.shape[0]), np.zeros(count), np.ones(count))
 
 
@@ -317,8 +287,7 @@ def solve_omk(mi: MultiInstance) -> MultiPolicy:
     if sol.status != OPTIMAL:
         raise RuntimeError(f"OMk LP unexpectedly {sol.status}")
     values = np.clip(sol.values, 0.0, 1.0)   # shave solver box noise
-    orbit, _ = item_orbits(n, m, k)
-    return MultiPolicy(values[orbit].reshape(_policy_shape(n, m, k)))
+    return MultiPolicy(values[_omk_pattern(n, m, k).orbit].reshape(_policy_shape(n, m, k)))
 
 
 @dataclass(frozen=True)
@@ -422,9 +391,16 @@ def _union_shares(ys, qualities) -> np.ndarray:
 
 
 def union_policy(mi: MultiInstance, inputs: UnionInputs) -> MultiPolicy:
-    """Apply the union redistribution at every (quality, score) profile."""
+    """Apply the union redistribution at every (quality, score) profile.
+
+    Raises ValueError unless ``inputs`` holds k matrices, each n x m."""
     inst, k = mi.base, mi.item_count
     n, m = inst.n, inst.m
+    if len(inputs.mechanisms) != k:
+        raise ValueError(f"a union of {k} items needs {k} mechanisms, "
+                         f"got {len(inputs.mechanisms)}")
+    for mechanism in inputs.mechanisms:
+        check_mechanism_shape(inst, mechanism)
     check_size(k * n**k * m**k, 0)
     ys, qualities = [], []
     for i in range(k):
@@ -435,7 +411,7 @@ def union_policy(mi: MultiInstance, inputs: UnionInputs) -> MultiPolicy:
     return MultiPolicy(_union_shares(ys, qualities))
 
 
-@_SHAPES.serving(weight=lambda pattern: pattern.raw_entries)
+@_cached
 def _umopt_pattern(n: int, m: int, k: int) -> _Pattern:
     """The pattern of UMOPT's rows over [x, y], filled from the one-item
     noise R: x has one variable per :func:`item_orbits` orbit and y, at
@@ -455,7 +431,7 @@ def _umopt_pattern(n: int, m: int, k: int) -> _Pattern:
                                       coupling_cols.shape)
     sizes, cols, source = _ic_monotone_entries(n, m, 1, count + np.arange(n * m))
     row_lower = np.concatenate([np.zeros(first.size), np.full(sizes.size, -np.inf)])
-    return _merged(np.concatenate([np.full(first.size, 2 * k), sizes]),
+    return _merged(orbit, np.concatenate([np.full(first.size, 2 * k), sizes]),
                    np.concatenate([coupling_cols.ravel().astype(np.int32), cols]),
                    np.concatenate([coupling_source.ravel(), source]),
                    (row_lower.size, count + n * m), row_lower)
@@ -484,16 +460,15 @@ def solve_umopt(mi: MultiInstance) -> tuple[UnionInputs, MultiPolicy]:
     inst, k = mi.base, mi.item_count
     n, m = inst.n, inst.m
     check_size(k * n**k * m**k + k * n * m, omk_ic_entries(n, m, 1))
-    orbit, count = item_orbits(n, m, k)
-    c = np.concatenate([np.bincount(orbit, weights=joint_weights(mi)[1], minlength=count),
-                        np.zeros(n * m)])
     A, row_lower = _umopt_rows(inst, k)
+    pattern = _umopt_pattern(n, m, k)
+    c = np.bincount(pattern.orbit, weights=joint_weights(mi)[1], minlength=pattern.shape[1])
     problem = LpProblem(c, A, np.zeros(A.shape[0]), np.zeros(c.size), np.ones(c.size),
                         row_lower)
     sol = solve_lp(problem)
     if sol.status != OPTIMAL:
         raise RuntimeError(f"UMOPT LP unexpectedly {sol.status}")
-    y = Mechanism(np.clip(sol.values[count:], 0.0, 1.0).reshape(n, m),
+    y = Mechanism(np.clip(sol.values[-n * m:], 0.0, 1.0).reshape(n, m),
                   label="UMOPT-component")
     inputs = UnionInputs((y,) * k)
     return inputs, union_policy(mi, inputs)

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import analysis, multi_item
-from .core import Instance, Mechanism, MultiInstance
+from .core import Instance, Mechanism, MultiInstance, check_mechanism_shape
 from .lp import LpProblem, LpSolution, OPTIMAL, solve_lp
 
 #: Sentinel threshold meaning "no score triggers acquisition" (an all-zero row).
@@ -277,6 +277,7 @@ def reduce_menu(instance: Instance, mechanism: Mechanism) -> Mechanism:
     most |{v : v > t}|.  When no quality exceeds the bar the all-zero
     mechanism is returned.
     """
+    check_mechanism_shape(instance, mechanism)
     X = mechanism.matrix
     above = instance.grid.values > instance.bar
     rows = np.flatnonzero(above)
@@ -288,7 +289,13 @@ def reduce_menu(instance: Instance, mechanism: Mechanism) -> Mechanism:
 
 
 def menu_size(mechanism: Mechanism, tol: float = 1e-6) -> int:
-    """Number of distinct rows (menus) up to entrywise tolerance."""
+    """Number of distinct rows (menus) up to entrywise tolerance.
+
+    For an LP optimum this depends on the vertex HiGHS returned: rows may
+    differ only in cells whose score probability is 0, where any value is
+    optimal.  On the 7-level paper instance at variance 0, two OM1 vertices
+    with the same reward have 5 and 6 menus.
+    """
     reps: list[np.ndarray] = []
     for row in mechanism.matrix:
         if not any(np.allclose(row, rep, rtol=0.0, atol=tol) for rep in reps):

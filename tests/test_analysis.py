@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from acquimech import (Mechanism, MultiInstance, MultiPolicy, UnionInputs,
-                       acquiring_rate, check_ic, check_monotone,
+                       acquire_probability, acquiring_rate, check_ic, check_monotone,
                        expected_reward, multi_acquiring_rate, multi_check_ic,
                        multi_check_monotone, multi_expected_reward, om1_problem,
-                       omk_problem, omniscient_reward, reward_gap_vs_omniscient,
-                       solve_om1, solve_omk, solve_som, total_bias,
-                       union_policy, validate_instance)
+                       omk_problem, omniscient_reward, reduce_menu,
+                       reward_gap_vs_omniscient, solve_om1, solve_omk, solve_som,
+                       total_bias, union_policy, validate_instance)
 from acquimech.gen import random_instance
 from acquimech.multi_item import item_orbits, joint_weights
 from oracles import naive_check_monotone
@@ -48,6 +48,35 @@ def test_expected_reward_published_two_menu_matrix(registry):
 def test_expected_reward_shape_mismatch(example1):
     with pytest.raises(ValueError):
         expected_reward(example1, Mechanism(np.zeros((3, 4))))
+
+
+def union_of_two(inst, *mechanisms):
+    return union_policy(MultiInstance(inst, 2), UnionInputs(mechanisms))
+
+
+SHAPE_CHECKED = {
+    "expected_reward": expected_reward,
+    "acquiring_rate": acquiring_rate,
+    "check_ic": check_ic,
+    "reduce_menu": reduce_menu,
+    "acquire_probability": lambda inst, mech: acquire_probability(inst, mech, 0, 0),
+    "union_policy": lambda inst, mech: union_of_two(inst, mech, mech),
+}
+SHAPE_CASES = [pytest.param(call, shape, "mechanism shape does not match instance grid",
+                            id=f"{name}-{shape[0]}x{shape[1]}")
+               for name, call in SHAPE_CHECKED.items() for shape in [(7, 3), (1, 7), (4, 7)]]
+SHAPE_CASES.append(pytest.param(lambda inst, mech: union_of_two(inst, mech, mech, mech), (3, 7),
+                                "needs 2 mechanisms, got 3", id="union_policy-three-for-two"))
+
+
+@pytest.mark.parametrize("call, shape, message", SHAPE_CASES)
+def test_mis_shaped_mechanisms_are_rejected(call, shape, message):
+    """On a 3-quality, 7-score grid: the transposed matrix, one row, one row
+    too many, and a union of two items given three matrices."""
+    inst = validate_instance(np.linspace(0, 1, 3), np.linspace(0, 1, 7), np.full(3, 1 / 3),
+                             np.full((3, 7), 1 / 7), 0.5)
+    with pytest.raises(ValueError, match=message):
+        call(inst, Mechanism(np.zeros(shape)))
 
 
 def test_check_ic_constant_rows_pass(example1):

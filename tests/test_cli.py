@@ -384,11 +384,11 @@ def test_sweep_csv_does_not_depend_on_the_shape_cache(capsys, tmp_path):
     config_path = tmp_path / "sweep.json"
     config_path.write_text(json.dumps({**SWEEP_CONFIG, "k": 2, "mechanisms": [
         "SOM", "TMM", "OM1", "kxOM1", "UM_TMM", "UMOPT", "OMk"]}))
-    multi_item._SHAPES.clear()
+    multi_item._PATTERNS.clear()
     for name in ("cold.csv", "warm.csv"):
         code, _, _ = run(capsys, "sweep", "--config", str(config_path),
                          "--out", str(tmp_path / name))
-        assert code == 0 and multi_item._SHAPES.keys()
+        assert code == 0 and multi_item._PATTERNS
     assert (tmp_path / "cold.csv").read_bytes() == (tmp_path / "warm.csv").read_bytes()
 
 

@@ -409,6 +409,8 @@ def test_lp_patterns_match_the_coo_builder(n, m, k):
     A_coo, row_lower_coo = coo_umopt_rows(inst, k, orbit, count)
     assert_same_matrix(A, A_coo, k)
     assert np.array_equal(row_lower, row_lower_coo)
+    for pattern in (multi_item._omk_pattern(n, m, k), multi_item._umopt_pattern(n, m, k)):
+        assert np.array_equal(pattern.orbit, orbit)
 
 
 def _problem_arrays(problem):
@@ -437,9 +439,9 @@ def test_results_do_not_depend_on_the_shape_cache(monkeypatch, k):
         monkeypatch.undo()
         return [_problem_arrays(problem) for problem in problems], results
 
-    multi_item._SHAPES.clear()
+    multi_item._PATTERNS.clear()
     cold = solved()
-    assert len(multi_item._SHAPES.keys()) == 3   # orbits, UMOPT and OMk patterns
+    assert len(multi_item._PATTERNS) == 2   # UMOPT and OMk patterns
     warm = solved()
     for cold_problem, warm_problem in zip(cold[0], warm[0]):
         for a, b in zip(cold_problem, warm_problem):
@@ -450,10 +452,9 @@ def test_results_do_not_depend_on_the_shape_cache(monkeypatch, k):
 
 def test_cached_arrays_are_read_only():
     inst = sparse_noise_instance(3, 2, seed=0)
-    orbit, _ = item_orbits(3, 2, 2)
     A = omk_problem(MultiInstance(inst, 2)).constraint_matrix
     _, row_lower = multi_item._umopt_rows(inst, 2)
-    for array in (orbit, A.indptr, A.indices, row_lower):
+    for array in (multi_item._omk_pattern(3, 2, 2).orbit, A.indptr, A.indices, row_lower):
         with pytest.raises(ValueError):
             array[0] = 1
 
@@ -461,22 +462,23 @@ def test_cached_arrays_are_read_only():
 def test_shape_cache_evicts_least_recently_used(monkeypatch):
     """The cache holds at most MAX_IC_ENTRIES raw entries and orbit cells,
     and evicts the shape used longest ago."""
-    multi_item._SHAPES.clear()
-    sizes = {k: item_orbits(3, 3, k)[0].size + multi_item._omk_pattern(3, 3, k).raw_entries
-             for k in (1, 2)}
+    def cached_size():
+        return sum(pattern.size for pattern in multi_item._PATTERNS.values())
+
+    multi_item._PATTERNS.clear()
+    sizes = {k: multi_item._omk_pattern(3, 3, k).size for k in (1, 2)}
     monkeypatch.setattr(multi_item, "MAX_IC_ENTRIES", sizes[1] + sizes[2])
-    multi_item._SHAPES.clear()
+    multi_item._PATTERNS.clear()
     for k in (1, 2, 1):
         omk_problem(MultiInstance(sparse_noise_instance(3, 3, seed=k), k))
-    assert multi_item._SHAPES.keys() == [("item_orbits", 3, 3, 2), ("_omk_pattern", 3, 3, 2),
-                                         ("item_orbits", 3, 3, 1), ("_omk_pattern", 3, 3, 1)]
-    item_orbits(2, 2, 1)   # evicts the least recently used, the k = 2 orbits
-    assert multi_item._SHAPES.keys() == [("_omk_pattern", 3, 3, 2), ("item_orbits", 3, 3, 1),
-                                         ("_omk_pattern", 3, 3, 1), ("item_orbits", 2, 2, 1)]
-    assert multi_item._SHAPES.entries <= multi_item.MAX_IC_ENTRIES
+        assert cached_size() <= multi_item.MAX_IC_ENTRIES
+    assert list(multi_item._PATTERNS) == [("_omk_pattern", 3, 3, 2), ("_omk_pattern", 3, 3, 1)]
+    multi_item._omk_pattern(2, 2, 1)   # evicts the least recently used, the k = 2 pattern
+    assert list(multi_item._PATTERNS) == [("_omk_pattern", 3, 3, 1), ("_omk_pattern", 2, 2, 1)]
+    assert cached_size() <= multi_item.MAX_IC_ENTRIES
     omk_problem(MultiInstance(sparse_noise_instance(4, 4, seed=0), 2))
-    assert multi_item._SHAPES.entries <= multi_item.MAX_IC_ENTRIES
-    multi_item._SHAPES.clear()
+    assert cached_size() <= multi_item.MAX_IC_ENTRIES
+    multi_item._PATTERNS.clear()
 
 
 # --- ranking mechanism ------------------------------------------------------
