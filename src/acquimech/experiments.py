@@ -9,9 +9,10 @@ registry of published 4-level instances used as golden reproduction targets.
 from __future__ import annotations
 
 import math
+from concurrent.futures import Executor, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, Optional, Sequence, TextIO
 
 import numpy as np
 from scipy import stats
@@ -168,16 +169,30 @@ def _multi_record(mi: MultiInstance, policy) -> tuple[float, float, tuple]:
     return reward, overall, tuple(rates.tolist())
 
 
+#: The two LP mechanisms, with the (policy cells, IC entries) that
+#: ``multi_item.check_size`` judges each by.
+_LP_SIZES = {"OMk": multi_item.omk_size, "UMOPT": multi_item.umopt_size}
+
+
 class SolveMemo:
     """The solver results of one instance, each solver run at most once.
 
     TMM feeds both TMM and UM_TMM, and OM1 feeds OM1, kxOM1 and UM_OM1.
     Solvers are looked up as module attributes when called.
+
+    When ``mechanisms`` names both OMk and UMOPT and a ``pool`` is given,
+    the first request for either solves the pair side by side, OMk on the
+    pool and UMOPT on the calling thread, and joins both.  Both size checks
+    run first, in ``mechanisms`` order, so a refused pair builds nothing.
+    The results are the ones solving the two in turn gives.
     """
 
-    def __init__(self, mi: MultiInstance):
+    def __init__(self, mi: MultiInstance, pool: Optional[Executor] = None,
+                 mechanisms: Sequence[str] = ()):
         self.mi = mi
         self.instance = mi.base
+        self._lp_order = [name for name in dict.fromkeys(mechanisms) if name in _LP_SIZES]
+        self._pool = pool if len(self._lp_order) == 2 else None
 
     @cached_property
     def tmm(self):
@@ -189,9 +204,26 @@ class SolveMemo:
         return single_item.solve_om1(self.instance)
 
     @cached_property
+    def omk(self):
+        """The OMk policy."""
+        return self._side_by_side[0] if self._pool else multi_item.solve_omk(self.mi)
+
+    @cached_property
     def umopt(self):
         """(components, policy) of the optimal union mechanism."""
-        return multi_item.solve_umopt(self.mi)
+        return self._side_by_side[1] if self._pool else multi_item.solve_umopt(self.mi)
+
+    @cached_property
+    def _side_by_side(self):
+        n, m, k = self.instance.n, self.instance.m, self.mi.item_count
+        for name in self._lp_order:
+            multi_item.check_size(*_LP_SIZES[name](n, m, k))
+        omk = self._pool.submit(multi_item.solve_omk, self.mi)
+        try:
+            umopt = multi_item.solve_umopt(self.mi)
+        finally:
+            wait([omk])
+        return omk.result(), umopt
 
     def union(self, mechanism: Mechanism):
         inputs = multi_item.UnionInputs((mechanism,) * self.mi.item_count)
@@ -207,7 +239,7 @@ REGISTRY = {
     "TMM": ("single", lambda s: s.tmm[1]),
     "OM1": ("single", lambda s: s.om1),
     "kxOM1": ("single", lambda s: s.om1),
-    "OMk": ("multi", lambda s: multi_item.solve_omk(s.mi)),
+    "OMk": ("multi", lambda s: s.omk),
     "UM_TMM": ("multi", lambda s: s.union(s.tmm[1])),
     "UM_OM1": ("multi", lambda s: s.union(s.om1)),
     "UMOPT": ("multi", lambda s: s.umopt[1]),
@@ -219,26 +251,30 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     """Synthesize one instance per variance and run every requested mechanism.
 
     Deterministic given the config; records come out in grid order, then
-    config mechanism order.
+    config mechanism order.  A point that needs both OMk and UMOPT solves
+    the two side by side on one worker thread (see :class:`SolveMemo`),
+    which ends before this returns or raises.
     """
     grid = QualityGrid(np.array(config.values), np.array(config.scores))
     prior = discretize_prior(config.family, config.prior_mean, config.prior_sd,
                              grid.values)
     records = []
-    for variance in config.variance_grid:
-        model = build_score_model(config.family, variance, grid)
-        instance = validate_instance(grid.values, grid.scores, prior, model,
-                                     config.bar)
-        solved = SolveMemo(MultiInstance(instance, config.item_count))
-        for name in config.mechanisms:
-            kind, solve = REGISTRY[name]
-            result = solve(solved)
-            if kind == "single":
-                triple = _single_record(instance, result)
-            else:
-                triple = _multi_record(solved.mi, result)
-            records.append(SweepRecord(config.family, float(variance), name,
-                                       triple[0], triple[1], triple[2]))
+    with ThreadPoolExecutor(1) as pool:
+        for variance in config.variance_grid:
+            model = build_score_model(config.family, variance, grid)
+            instance = validate_instance(grid.values, grid.scores, prior, model,
+                                         config.bar)
+            solved = SolveMemo(MultiInstance(instance, config.item_count), pool,
+                               config.mechanisms)
+            for name in config.mechanisms:
+                kind, solve = REGISTRY[name]
+                result = solve(solved)
+                if kind == "single":
+                    triple = _single_record(instance, result)
+                else:
+                    triple = _multi_record(solved.mi, result)
+                records.append(SweepRecord(config.family, float(variance), name,
+                                           triple[0], triple[1], triple[2]))
     return records
 
 

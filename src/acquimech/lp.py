@@ -7,13 +7,17 @@ bindings bundled with scipy, which is deterministic and returns basic
 (vertex) solutions, so repeated solves of the same problem are bit-identical
 and golden tests can pin objectives.  Infeasible and unbounded problems are
 reported through the solution status, never by raising.
+
+:func:`linprog` may be called from several threads at once: HiGHS releases
+the GIL while it solves, a large model gets its own HiGHS object and a small
+one the calling thread's, so no object is shared between threads.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -109,21 +113,6 @@ class LpProblem:
                 raise ValueError("row lower bounds must not be NaN")
             if np.any(row_lo > rhs):
                 raise ValueError("row lower bound exceeds its rhs")
-
-    @classmethod
-    def from_rows(cls, objective: Sequence[float],
-                  rows: Sequence[tuple[Sequence[float], float]],
-                  bounds: Sequence[tuple[float, float]]) -> "LpProblem":
-        """Build from (coefficient vector, bound) constraint pairs."""
-        c = np.asarray(objective, dtype=float)
-        lo = np.array([b[0] for b in bounds], dtype=float)
-        hi = np.array([b[1] for b in bounds], dtype=float)
-        if rows:
-            A = np.asarray([r[0] for r in rows], dtype=float)
-            rhs = np.asarray([r[1] for r in rows], dtype=float)
-        else:
-            A, rhs = None, np.empty(0)
-        return cls(c, A, rhs, lo, hi)
 
     @property
     def num_variables(self) -> int:

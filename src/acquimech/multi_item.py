@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional
@@ -19,7 +20,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .core import (Instance, Mechanism, MultiInstance, MultiPolicy, _ic_report,
+from .core import (Mechanism, MultiInstance, MultiPolicy, _ic_report,
                    check_mechanism_shape, item_margins, noise_product, prior_product)
 from .lp import LpProblem, OPTIMAL, solve_lp
 
@@ -56,6 +57,17 @@ def omk_ic_entries(n: int, m: int, k: int) -> int:
     multiset of k (true, reported) quality pairs that are not all equal,
     each with 2 k m^k entries."""
     return (math.comb(n * n + k - 1, k) - math.comb(n + k - 1, k)) * 2 * k * m**k
+
+
+def omk_size(n: int, m: int, k: int) -> tuple[int, int]:
+    """The policy cells and IC entries :func:`solve_omk` is checked by."""
+    return k * n**k * m**k, omk_ic_entries(n, m, k)
+
+
+def umopt_size(n: int, m: int, k: int) -> tuple[int, int]:
+    """The policy and component cells and the one-item IC entries
+    :func:`solve_umopt` is checked by."""
+    return k * n**k * m**k + k * n * m, omk_ic_entries(n, m, 1)
 
 
 def _policy_shape(n: int, m: int, k: int) -> tuple[int, ...]:
@@ -188,22 +200,26 @@ def _merged(orbit: np.ndarray, sizes: np.ndarray, cols: np.ndarray, source: np.n
 
 #: (builder name, n, m, k) -> _Pattern, least recently used first.
 _PATTERNS: OrderedDict = OrderedDict()
+#: Held by every read, build and eviction of :data:`_PATTERNS`.
+_PATTERNS_LOCK = threading.Lock()
 
 
 def _cached(build):
     """Serve ``build(n, m, k)`` from :data:`_PATTERNS`.  After a build, the
     least recently used patterns are evicted while their total
-    :attr:`_Pattern.size` is over ``MAX_IC_ENTRIES``."""
+    :attr:`_Pattern.size` is over ``MAX_IC_ENTRIES``.  One thread at a time
+    reads or builds, so two threads never build the same pattern."""
     @functools.wraps(build)
     def get(n: int, m: int, k: int) -> _Pattern:
         key = (build.__name__, n, m, k)
-        if key in _PATTERNS:
-            _PATTERNS.move_to_end(key)
-            return _PATTERNS[key]
-        pattern = _PATTERNS[key] = build(n, m, k)
-        while sum(cached.size for cached in _PATTERNS.values()) > MAX_IC_ENTRIES:
-            _PATTERNS.popitem(last=False)
-        return pattern
+        with _PATTERNS_LOCK:
+            if key in _PATTERNS:
+                _PATTERNS.move_to_end(key)
+                return _PATTERNS[key]
+            pattern = _PATTERNS[key] = build(n, m, k)
+            while sum(cached.size for cached in _PATTERNS.values()) > MAX_IC_ENTRIES:
+                _PATTERNS.popitem(last=False)
+            return pattern
     return get
 
 
@@ -254,7 +270,7 @@ def _omk_pattern(n: int, m: int, k: int) -> _Pattern:
     return _merged(orbit, sizes, cols, source, (sizes.size, count))
 
 
-def omk_problem(mi: MultiInstance) -> LpProblem:
+def omk_problem(mi: MultiInstance, pattern: Optional[_Pattern] = None) -> LpProblem:
     """The OMk LP: maximize the joint expected margin over policies
     x_i(v-tuple, s-tuple) in [0, 1], one variable per :func:`item_orbits`
     orbit.
@@ -263,11 +279,12 @@ def omk_problem(mi: MultiInstance) -> LpProblem:
     reported quality tuples under the true tuple's noise; monotonicity is
     per item in its own score, other scores fixed.  With one item this is
     the OM1 LP.  The rows' pattern is built once per (n, m, k); each call
-    fills in its values.
+    fills in its values.  A caller that already holds the pattern passes it.
     """
     inst, k = mi.base, mi.item_count
     Rk, weights = joint_weights(mi)
-    pattern = _omk_pattern(inst.n, inst.m, k)
+    if pattern is None:
+        pattern = _omk_pattern(inst.n, inst.m, k)
     A = pattern.fill(Rk)
     count = pattern.shape[1]
     c = np.bincount(pattern.orbit, weights=weights, minlength=count)   # summed per orbit
@@ -282,12 +299,13 @@ def solve_omk(mi: MultiInstance) -> MultiPolicy:
     """
     inst, k = mi.base, mi.item_count
     n, m = inst.n, inst.m
-    check_size(k * n**k * m**k, omk_ic_entries(n, m, k))
-    sol = solve_lp(omk_problem(mi))
+    check_size(*omk_size(n, m, k))
+    pattern = _omk_pattern(n, m, k)   # read once: it may be evicted during the solve
+    sol = solve_lp(omk_problem(mi, pattern))
     if sol.status != OPTIMAL:
         raise RuntimeError(f"OMk LP unexpectedly {sol.status}")
     values = np.clip(sol.values, 0.0, 1.0)   # shave solver box noise
-    return MultiPolicy(values[_omk_pattern(n, m, k).orbit].reshape(_policy_shape(n, m, k)))
+    return MultiPolicy(values[pattern.orbit].reshape(_policy_shape(n, m, k)))
 
 
 @dataclass(frozen=True)
@@ -437,13 +455,6 @@ def _umopt_pattern(n: int, m: int, k: int) -> _Pattern:
                    (row_lower.size, count + n * m), row_lower)
 
 
-def _umopt_rows(inst: Instance, k: int) -> tuple[sp.csc_matrix, np.ndarray]:
-    """UMOPT's constraint matrix (see :func:`_umopt_pattern`), all rows
-    ``<= 0``, and its row lower bounds."""
-    pattern = _umopt_pattern(inst.n, inst.m, k)
-    return pattern.fill(inst.score_model), pattern.row_lower
-
-
 def solve_umopt(mi: MultiInstance) -> tuple[UnionInputs, MultiPolicy]:
     """Optimal union mechanism: jointly pick k IC monotone single-item
     matrices and the coupled per-profile allocation.
@@ -459,12 +470,11 @@ def solve_umopt(mi: MultiInstance) -> tuple[UnionInputs, MultiPolicy]:
     """
     inst, k = mi.base, mi.item_count
     n, m = inst.n, inst.m
-    check_size(k * n**k * m**k + k * n * m, omk_ic_entries(n, m, 1))
-    A, row_lower = _umopt_rows(inst, k)
+    check_size(*umopt_size(n, m, k))
     pattern = _umopt_pattern(n, m, k)
     c = np.bincount(pattern.orbit, weights=joint_weights(mi)[1], minlength=pattern.shape[1])
-    problem = LpProblem(c, A, np.zeros(A.shape[0]), np.zeros(c.size), np.ones(c.size),
-                        row_lower)
+    problem = LpProblem(c, pattern.fill(inst.score_model), np.zeros(pattern.shape[0]),
+                        np.zeros(c.size), np.ones(c.size), pattern.row_lower)
     sol = solve_lp(problem)
     if sol.status != OPTIMAL:
         raise RuntimeError(f"UMOPT LP unexpectedly {sol.status}")

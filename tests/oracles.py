@@ -17,6 +17,19 @@ from acquimech.multi_item import _first_of_each, _multiset_key, _pair_codes
 from acquimech.single_item import _tail, tmm_build
 
 
+def lp_from_rows(objective, rows, bounds):
+    """An LpProblem from (coefficient vector, bound) constraint pairs and
+    (lower, upper) variable bounds."""
+    lo = np.array([b[0] for b in bounds], dtype=float)
+    hi = np.array([b[1] for b in bounds], dtype=float)
+    if rows:
+        A = np.asarray([r[0] for r in rows], dtype=float)
+        rhs = np.asarray([r[1] for r in rows], dtype=float)
+    else:
+        A, rhs = None, np.empty(0)
+    return LpProblem(np.asarray(objective, dtype=float), A, rhs, lo, hi)
+
+
 def dense_tmm_search(instance, step=1e-3):
     """Best two-menu reward found by scanning alpha on a fixed grid for every
     threshold pair (including the never-acquire sentinel)."""
@@ -88,7 +101,7 @@ def random_lp(rng):
         else:
             b = rng.normal(size=k)
         rows = [(A[i], float(b[i])) for i in range(k)]
-    return LpProblem.from_rows(c, rows, list(zip(lo, hi)))
+    return lp_from_rows(c, rows, list(zip(lo, hi)))
 
 
 def enumerate_vertices_best(problem):
@@ -263,7 +276,7 @@ def _single_item_rows(inst, size, col):
 
 
 def _optimum(c, rows):
-    sol = solve_lp(LpProblem.from_rows(c, rows, [(0.0, 1.0)] * len(c)))
+    sol = solve_lp(lp_from_rows(c, rows, [(0.0, 1.0)] * len(c)))
     assert sol.status == OPTIMAL
     return sol.objective_value
 

@@ -378,6 +378,22 @@ def test_sweep_refuses_unwritable_out_before_running(capsys, tmp_path, monkeypat
     assert list(tmp_path.iterdir()) == [config_path]
 
 
+@pytest.mark.parametrize("mechanisms", [["OMk", "UMOPT"], ["UMOPT", "OMk"]])
+def test_sweep_refuses_large_ic_rows_before_building(capsys, tmp_path, monkeypatch,
+                                                     mechanisms):
+    """OMk at seven levels and k = 3 is refused before either LP of the
+    point is built, whichever the config lists first."""
+    for name in ("_umopt_pattern", "_omk_pattern", "omk_problem"):
+        monkeypatch.setattr(multi_item, name, never_built)
+    grid = [i / 6 for i in range(7)]
+    config_path = tmp_path / "sweep.json"
+    config_path.write_text(json.dumps({**SWEEP_CONFIG, "V": grid, "S": grid, "k": 3,
+                                       "mechanisms": mechanisms}))
+    code, out, err = run(capsys, "sweep", "--config", str(config_path),
+                         "--out", str(tmp_path / "x.csv"))
+    assert code == 3 and out == "" and "42684978 entries" in err
+
+
 def test_sweep_csv_does_not_depend_on_the_shape_cache(capsys, tmp_path):
     """Every LP mechanism at k = 2 on two variances, on a cold and then a
     warm shape cache: the same CSV bytes."""

@@ -2,19 +2,22 @@ import io
 import json
 import math
 import pathlib
+import threading
 from collections import Counter
 
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from acquimech import (SweepConfig, build_score_model, discretize_prior,
-                       omniscient_reward, paper_checks, run_sweep, single_item,
-                       validate_instance, write_sweep_csv)
-from acquimech.core import QualityGrid
-from acquimech.experiments import LOGNORMAL_MEAN_FLOOR, MECHANISMS, _cell_edges
+from acquimech import (SweepConfig, SweepRecord, build_score_model, discretize_prior,
+                       multi_item, omniscient_reward, paper_checks, run_sweep,
+                       single_item, validate_instance, write_sweep_csv)
+from acquimech.core import MultiInstance, QualityGrid
+from acquimech.experiments import (LOGNORMAL_MEAN_FLOOR, MECHANISMS, _cell_edges,
+                                   _multi_record, _single_record)
 
 GRID7 = tuple(i / 6 for i in range(7))
+GRID5 = tuple(i / 4 for i in range(5))
 PRINTED_D7 = [0.1377, 0.245, 0.2804, 0.2054, 0.0968, 0.0291, 0.0057]
 
 
@@ -152,6 +155,49 @@ def test_sweep_solves_tmm_and_om1_once_per_variance(monkeypatch):
                          mechanisms=("TMM", "UM_TMM", "OM1", "kxOM1"))
     assert len(run_sweep(config)) == 8
     assert calls == {"tmm_optimal": 2, "solve_om1": 2}
+
+
+def sequential_records(config):
+    """run_sweep's records, each solver called in turn on this thread."""
+    grid = QualityGrid(np.array(config.values), np.array(config.scores))
+    prior = discretize_prior(config.family, config.prior_mean, config.prior_sd, grid.values)
+    records = []
+    for variance in config.variance_grid:
+        inst = validate_instance(grid.values, grid.scores, prior,
+                                 build_score_model(config.family, variance, grid), config.bar)
+        mi = MultiInstance(inst, config.item_count)
+        tmm, om1 = single_item.tmm_optimal(inst)[1], single_item.solve_om1(inst)
+        single = {"SOM": single_item.solve_som(inst), "TMM": tmm, "OM1": om1, "kxOM1": om1}
+        union = multi_item.UnionInputs((tmm,) * mi.item_count)
+        multi = {"OMk": multi_item.solve_omk(mi), "UM_TMM": multi_item.union_policy(mi, union),
+                 "UMOPT": multi_item.solve_umopt(mi)[1]}
+        for name in config.mechanisms:
+            triple = (_single_record(inst, single[name]) if name in single
+                      else _multi_record(mi, multi[name]))
+            records.append(SweepRecord(config.family, float(variance), name, *triple))
+    return records
+
+
+@pytest.mark.parametrize("family", ["normal", "lognormal"])
+def test_sweep_solves_omk_and_umopt_side_by_side(monkeypatch, family):
+    """Every mechanism at k = 2 on three variances: OMk runs on a worker
+    thread beside UMOPT, the records are the ones solving each in turn
+    gives, and no thread is left running."""
+    config = make_config(family=family, values=GRID5, scores=GRID5, item_count=2,
+                         variance_grid=(0.0, 0.1, 0.3), mechanisms=MECHANISMS)
+    expected = sequential_records(config)
+    threads = []
+
+    def recorded(mi, _solve=multi_item.solve_omk):
+        if mi.item_count == 2:   # OM1 is solved as OMk with one item
+            threads.append(threading.get_ident())
+        return _solve(mi)
+
+    monkeypatch.setattr(multi_item, "solve_omk", recorded)
+    before = threading.active_count()
+    assert run_sweep(config) == expected
+    assert threading.active_count() == before
+    assert len(threads) == 3 and threading.get_ident() not in threads
 
 
 def test_csv_schema():

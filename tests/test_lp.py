@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from oracles import enumerate_vertices_best, random_lp
+from oracles import enumerate_vertices_best, lp_from_rows, random_lp
 from scipy.optimize import linprog
 
 from acquimech import LpProblem, gen, lp, multi_item, single_item, solve_lp
@@ -17,15 +17,15 @@ from acquimech.single_item import om1_problem
 
 
 def test_box_only_maximum():
-    sol = solve_lp(LpProblem.from_rows([1.0], [], [(0.0, 1.0)]))
+    sol = solve_lp(lp_from_rows([1.0], [], [(0.0, 1.0)]))
     assert sol.status == OPTIMAL
     assert sol.values[0] == pytest.approx(1.0)
     assert sol.objective_value == pytest.approx(1.0)
 
 
 def test_tight_constraint():
-    sol = solve_lp(LpProblem.from_rows([1.0, 1.0], [([1.0, 1.0], 1.0)],
-                                       [(0.0, 1.0), (0.0, 1.0)]))
+    sol = solve_lp(lp_from_rows([1.0, 1.0], [([1.0, 1.0], 1.0)],
+                                [(0.0, 1.0), (0.0, 1.0)]))
     assert sol.status == OPTIMAL
     assert sol.objective_value == pytest.approx(1.0, abs=1e-9)
 
@@ -37,19 +37,19 @@ def test_example1_mechanism_lp_objective(example1):
 
 
 def test_infeasible_and_unbounded_status():
-    infeasible = LpProblem.from_rows([1.0], [([1.0], -2.0)], [(0.0, 1.0)])
+    infeasible = lp_from_rows([1.0], [([1.0], -2.0)], [(0.0, 1.0)])
     assert solve_lp(infeasible).status == INFEASIBLE
-    unbounded = LpProblem.from_rows([1.0], [], [(0.0, np.inf)])
+    unbounded = lp_from_rows([1.0], [], [(0.0, np.inf)])
     assert solve_lp(unbounded).status == UNBOUNDED
 
 
 def test_malformed_problems_raise():
     with pytest.raises(ValueError):
-        LpProblem.from_rows([1.0, 2.0], [], [(0.0, 1.0)])
+        lp_from_rows([1.0, 2.0], [], [(0.0, 1.0)])
     with pytest.raises(ValueError):
-        LpProblem.from_rows([1.0], [], [(2.0, 1.0)])
+        lp_from_rows([1.0], [], [(2.0, 1.0)])
     with pytest.raises(ValueError):
-        LpProblem.from_rows([1.0], [([1.0, 2.0], 0.0)], [(0.0, 1.0)])
+        lp_from_rows([1.0], [([1.0, 2.0], 0.0)], [(0.0, 1.0)])
 
 
 def test_deterministic_resolve(example1):
@@ -194,7 +194,7 @@ def test_omk_and_umopt_lps_match_scipy():
 
 def test_iterations_reported(example1):
     assert solve_lp(om1_problem(example1)).iterations > 0
-    infeasible = LpProblem.from_rows([1.0], [([1.0], -2.0)], [(0.0, 1.0)])
+    infeasible = lp_from_rows([1.0], [([1.0], -2.0)], [(0.0, 1.0)])
     assert solve_lp(infeasible).iterations == 0
 
 
@@ -215,7 +215,7 @@ def test_non_finite_input_raises(field, index, bad):
 
 @pytest.mark.parametrize("bound", ["lower", "upper"])
 def test_nan_bound_raises(bound):
-    problem = LpProblem.from_rows([1.0, 1.0], [([1.0, 1.0], 1.0)], [(0.0, 1.0)] * 2)
+    problem = lp_from_rows([1.0, 1.0], [([1.0, 1.0], 1.0)], [(0.0, 1.0)] * 2)
     values = getattr(problem, bound).copy()
     values[1] = np.nan
     with pytest.raises(ValueError):
@@ -267,7 +267,7 @@ def _fake_solve(monkeypatch, status, point):
     fake = type("Fake", (_FakeHighs,), {"status": status, "point": [point]})
     monkeypatch.setattr(lp.highs, "_Highs", fake)
     try:
-        return solve_lp(LpProblem.from_rows([1.0], [], [(0.0, 1.0)]))
+        return solve_lp(lp_from_rows([1.0], [], [(0.0, 1.0)]))
     finally:
         assert fake.cleared == 1   # the reused object's model is cleared
 
@@ -294,7 +294,7 @@ def test_highs_call_error_raises(monkeypatch, call):
                 {call: lambda self, *args: lp.highs.HighsStatus.kError})
     monkeypatch.setattr(lp.highs, "_Highs", fake)
     with pytest.raises(RuntimeError, match=call):
-        solve_lp(LpProblem.from_rows([1.0], [([1.0], 1.0)], [(0.0, 1.0)]))
+        solve_lp(lp_from_rows([1.0], [([1.0], 1.0)], [(0.0, 1.0)]))
     assert fake.cleared == 1
 
 
@@ -348,7 +348,7 @@ def test_lp_size_reported():
     problem = LpProblem(np.ones(3), A, np.ones(2), np.zeros(3), np.ones(3))
     sol = solve_lp(problem)
     assert (sol.rows, sol.columns, sol.nonzeros, sol.presolved) == (2, 3, 3, False)
-    infeasible = solve_lp(LpProblem.from_rows([1.0], [([1.0], -2.0)], [(0.0, 1.0)]))
+    infeasible = solve_lp(lp_from_rows([1.0], [([1.0], -2.0)], [(0.0, 1.0)]))
     assert infeasible.status == INFEASIBLE
     assert (infeasible.rows, infeasible.columns, infeasible.nonzeros) == (1, 1, 1)
 

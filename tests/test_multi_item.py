@@ -1,5 +1,7 @@
 import itertools
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from acquimech import (Mechanism, MultiInstance, MultiPolicy, RANK_CLASSES,
+from acquimech import (LpProblem, Mechanism, MultiInstance, MultiPolicy, RANK_CLASSES,
                        SizeBudgetError, UnionInputs, check_ic, check_monotone,
                        expected_reward, multi_check_ic, multi_check_monotone,
                        multi_expected_reward, om1_alternate_optimum, omk_problem,
@@ -208,7 +210,8 @@ def test_every_solver_refuses_what_the_closed_forms_refuse(monkeypatch):
     def built(*args, **kwargs):
         raise _Built
 
-    for name in ("omk_problem", "item_orbits", "_umopt_rows", "_union_shares"):
+    for name in ("omk_problem", "item_orbits", "_omk_pattern", "_umopt_pattern",
+                 "_union_shares"):
         monkeypatch.setattr(multi_item, name, built)
 
     def refused(solve, *args):
@@ -312,22 +315,22 @@ def test_orbit_umopt_matches_full_space_oracle(k, seed):
 
 
 def _umopt_pair_rows(monkeypatch):
-    """Make solve_umopt state each coupling equality as the pair of rows
-    ``sum_i x_i - sum_i y <= 0`` and its negation, each pair in place of its
-    equality row."""
-    original = multi_item._umopt_rows
+    """Make solve_umopt pass its LP with each coupling equality stated as
+    the pair of rows ``sum_i x_i - sum_i y <= 0`` and its negation, each
+    pair in place of its equality row."""
+    original = multi_item.solve_lp
 
-    def pairs(*args):
-        A, row_lower = original(*args)
-        eq = np.isfinite(row_lower)
+    def pairs(problem):
+        A, eq = problem.constraint_matrix, np.isfinite(problem.row_lower)
         assert np.array_equal(np.flatnonzero(eq), np.arange(eq.sum()))   # coupling first
         coupling = A[:eq.sum()]
         paired = sp.vstack([coupling, -coupling], format="csr")
         order = np.arange(2 * eq.sum()).reshape(2, -1).T.ravel()
-        return (sp.vstack([paired[order], A[eq.sum():]], format="csr"),
-                np.full(A.shape[0] + eq.sum(), -np.inf))
+        A = sp.vstack([paired[order], A[eq.sum():]], format="csr")
+        return original(LpProblem(problem.objective, A, np.zeros(A.shape[0]),
+                                  problem.lower, problem.upper))
 
-    monkeypatch.setattr(multi_item, "_umopt_rows", pairs)
+    monkeypatch.setattr(multi_item, "solve_lp", pairs)
 
 
 @pytest.mark.parametrize("k,seed", ORBIT_CASES)
@@ -405,10 +408,10 @@ def test_lp_patterns_match_the_coo_builder(n, m, k):
     Rk, _ = multi_item.joint_weights(mi)
     assert_same_matrix(omk_problem(mi).constraint_matrix,
                        coo_ic_monotone_rows(Rk, n, m, k, orbit, count), k)
-    A, row_lower = multi_item._umopt_rows(inst, k)
+    umopt = multi_item._umopt_pattern(n, m, k)
     A_coo, row_lower_coo = coo_umopt_rows(inst, k, orbit, count)
-    assert_same_matrix(A, A_coo, k)
-    assert np.array_equal(row_lower, row_lower_coo)
+    assert_same_matrix(umopt.fill(inst.score_model), A_coo, k)
+    assert np.array_equal(umopt.row_lower, row_lower_coo)
     for pattern in (multi_item._omk_pattern(n, m, k), multi_item._umopt_pattern(n, m, k)):
         assert np.array_equal(pattern.orbit, orbit)
 
@@ -422,7 +425,7 @@ def _problem_arrays(problem):
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_results_do_not_depend_on_the_shape_cache(monkeypatch, k):
     """On a cold and then a warm shape cache, OMk and UMOPT pass HiGHS the
-    same LPs (built by omk_problem and _umopt_rows) and return the same
+    same LPs (built from the OMk and UMOPT patterns) and return the same
     policies."""
     mi = MultiInstance(sparse_noise_instance(3, 3, seed=k), k)
 
@@ -453,7 +456,7 @@ def test_results_do_not_depend_on_the_shape_cache(monkeypatch, k):
 def test_cached_arrays_are_read_only():
     inst = sparse_noise_instance(3, 2, seed=0)
     A = omk_problem(MultiInstance(inst, 2)).constraint_matrix
-    _, row_lower = multi_item._umopt_rows(inst, 2)
+    row_lower = multi_item._umopt_pattern(3, 2, 2).row_lower
     for array in (multi_item._omk_pattern(3, 2, 2).orbit, A.indptr, A.indices, row_lower):
         with pytest.raises(ValueError):
             array[0] = 1
@@ -479,6 +482,58 @@ def test_shape_cache_evicts_least_recently_used(monkeypatch):
     omk_problem(MultiInstance(sparse_noise_instance(4, 4, seed=0), 2))
     assert cached_size() <= multi_item.MAX_IC_ENTRIES
     multi_item._PATTERNS.clear()
+
+
+@pytest.mark.parametrize("solve, pattern", [(solve_omk, "_omk_pattern"),
+                                            (solve_umopt, "_umopt_pattern")],
+                         ids=["OMk", "UMOPT"])
+def test_one_solve_builds_its_pattern_once(monkeypatch, solve, pattern):
+    """A pattern over the cache budget is evicted as soon as it is built;
+    the solve still reads it once, so it is built once."""
+    multi_item._PATTERNS.clear()
+    size = getattr(multi_item, pattern)(3, 3, 2).size
+    monkeypatch.setattr(multi_item, "MAX_IC_ENTRIES", size - 1)
+    multi_item._PATTERNS.clear()
+    builds, entries = [], multi_item._ic_monotone_entries
+
+    def counted(*args):
+        builds.append(args[:3])
+        return entries(*args)
+
+    monkeypatch.setattr(multi_item, "_ic_monotone_entries", counted)
+    solve(MultiInstance(sparse_noise_instance(3, 3, seed=0), 2))
+    assert len(builds) == 1 and not multi_item._PATTERNS
+
+
+#: Shapes the two-thread test solves cold, OMk and UMOPT side by side.
+THREADED_SHAPES = [(3, 3, 2), (4, 4, 2), (3, 3, 3), (2, 3, 3)]
+
+
+def test_omk_and_umopt_on_two_threads_match_sequential_solves():
+    """OMk and UMOPT solved at the same time on two threads, each time on an
+    empty pattern cache, give the policies of solving them one after the
+    other."""
+    cases = [MultiInstance(sparse_noise_instance(n, m, seed=n + m + k), k)
+             for n, m, k in THREADED_SHAPES]
+
+    def results(omk, umopt):
+        return [omk.tensors, umopt[1].tensors, umopt[0].mechanisms[0].matrix]
+
+    expected = [results(solve_omk(mi), solve_umopt(mi)) for mi in cases]
+    start = threading.Barrier(2)
+
+    def on_start(solve, mi):
+        start.wait()
+        return solve(mi)
+
+    with ThreadPoolExecutor(2) as pool:
+        for _ in range(4):
+            for mi, want in zip(cases, expected):
+                multi_item._PATTERNS.clear()
+                omk = pool.submit(on_start, solve_omk, mi)
+                umopt = pool.submit(on_start, solve_umopt, mi)
+                for a, b in zip(results(omk.result(), umopt.result()), want):
+                    assert np.array_equal(a, b)
 
 
 # --- ranking mechanism ------------------------------------------------------
