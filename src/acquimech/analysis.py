@@ -14,7 +14,7 @@ import numpy as np
 from .core import (Instance, Mechanism, MultiInstance, MultiPolicy,
                    VerificationReport, _ic_report, _monotone_report, _report,
                    check_mechanism_shape, noise_product, prior_product)
-from .multi_item import joint_weights
+from .multi_item import _policy_shape, joint_weights
 
 IC_TOL = 1e-7
 MONOTONE_TOL = 1e-9
@@ -75,8 +75,7 @@ def acquiring_rate(instance: Instance,
 def _check_shape(mi: MultiInstance, policy: MultiPolicy) -> None:
     """A policy of the right size but the wrong shape would otherwise be
     reshaped into a different policy."""
-    inst, k = mi.base, mi.item_count
-    if policy.tensors.shape != (k,) + (inst.n,) * k + (inst.m,) * k:
+    if policy.tensors.shape != _policy_shape(mi.base.n, mi.base.m, mi.item_count):
         raise ValueError("policy shape does not match instance")
 
 

@@ -62,8 +62,7 @@ def discretize_prior(family: str, mean: float, sd: float,
         raise ValueError("a log-normal mean must be positive")
     lo, hi = _cell_edges(values)
     if sd == 0:
-        mids = (values[:-1] + values[1:]) / 2.0 if values.size > 1 else np.empty(0)
-        cell = int(np.searchsorted(mids, mean, side="left"))
+        cell = int(np.searchsorted(hi[:-1], mean, side="left"))   # the inner edges
         out = np.zeros(values.size)
         out[cell] = 1.0
         return out

@@ -16,7 +16,7 @@ one the calling thread's, so no object is shared between threads.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -121,32 +121,19 @@ class LpProblem:
 
 @dataclass(frozen=True)
 class LpSolution:
+    """One HiGHS run: ``values`` is the optimal point and ``objective_value``
+    the objective there (both None unless optimal), ``nit`` the simplex
+    iteration count (0 unless optimal), then the model size as passed to
+    HiGHS (nonzeros count stored entries) and whether presolve ran."""
+
     status: str
     values: Optional[np.ndarray] = None
     objective_value: Optional[float] = None
-    #: HiGHS simplex iterations; 0 unless optimal.
-    iterations: int = 0
-    #: Size of the model as passed to HiGHS; nonzeros count stored entries.
+    nit: int = 0
     rows: int = 0
     columns: int = 0
     nonzeros: int = 0
-    #: Whether HiGHS ran its presolve.
     presolved: bool = False
-
-
-@dataclass(frozen=True)
-class HighsResult:
-    """One HiGHS run: ``x`` is the optimal point (None otherwise), ``nit``
-    the simplex iteration count, then the model size and whether presolve
-    ran."""
-
-    x: Optional[np.ndarray]
-    status: str
-    nit: int
-    rows: int
-    columns: int
-    nonzeros: int
-    presolved: bool
 
 
 def _checked(status, call: str) -> None:
@@ -166,10 +153,11 @@ def _solver(nonzeros: int):
     return solver
 
 
-def linprog(c, A, b, lower, upper, row_lower=None) -> HighsResult:
+def linprog(c, A, b, lower, upper, row_lower=None) -> LpSolution:
     """minimize ``c @ x`` subject to ``row_lower <= A @ x <= b`` and
     ``lower <= x <= upper`` with HiGHS dual simplex, checking inputs and
-    result as ``scipy.optimize.linprog(method="highs-ds")`` does.
+    result as ``scipy.optimize.linprog(method="highs-ds")`` does.  The
+    reported objective is ``c @ x``, of the minimized ``c``.
 
     ``c``, ``b``, ``lower``, ``upper`` and ``row_lower`` are float arrays;
     ``row_lower`` None means -inf on every row.  ``A`` is anything
@@ -215,7 +203,7 @@ def linprog(c, A, b, lower, upper, row_lower=None) -> HighsResult:
             raise RuntimeError(
                 f"LP solver failed: {solver.modelStatusToString(model_status)}")
         if status != OPTIMAL:
-            return HighsResult(None, status, 0, **size)
+            return LpSolution(status, **size)
         solution = solver.getSolution()
         x = np.array(solution.col_value)
         row = np.array(solution.row_value)
@@ -226,7 +214,7 @@ def linprog(c, A, b, lower, upper, row_lower=None) -> HighsResult:
             and np.all(b - row >= -_RESULT_TOL) and np.all(row - row_lower >= -_RESULT_TOL)):
         raise RuntimeError("LP solver failed: the optimal point violates its "
                            f"bounds or rows by more than {_RESULT_TOL:.2e}")
-    return HighsResult(x, OPTIMAL, nit, **size)
+    return LpSolution(OPTIMAL, x, float(c @ x), nit, **size)
 
 
 def solve_lp(problem: LpProblem) -> LpSolution:
@@ -235,13 +223,8 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     The reported objective is recomputed as ``c @ x`` from the returned
     point, so it agrees with the solution values to full precision.
     """
-    res = linprog(-problem.objective, problem.constraint_matrix,
-                  problem.constraint_rhs, problem.lower, problem.upper,
-                  problem.row_lower)
-    size = dict(rows=res.rows, columns=res.columns, nonzeros=res.nonzeros,
-                presolved=res.presolved)
-    if res.status != OPTIMAL:
-        return LpSolution(status=res.status, **size)
-    return LpSolution(status=OPTIMAL, values=res.x,
-                      objective_value=float(problem.objective @ res.x),
-                      iterations=res.nit, **size)
+    sol = linprog(-problem.objective, problem.constraint_matrix, problem.constraint_rhs,
+                  problem.lower, problem.upper, problem.row_lower)
+    if sol.status != OPTIMAL:
+        return sol
+    return replace(sol, objective_value=float(problem.objective @ sol.values))

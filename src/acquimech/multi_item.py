@@ -168,6 +168,15 @@ class _Pattern:
         A.has_canonical_format = True
         return A
 
+    def problem(self, M: np.ndarray, weights: np.ndarray) -> LpProblem:
+        """The LP over the pattern's columns in [0, 1]: maximize the reward
+        ``weights`` of the policy variables, summed per orbit, subject to
+        ``row_lower <= fill(M) @ x <= 0``."""
+        count = self.shape[1]
+        c = np.bincount(self.orbit, weights=weights, minlength=count)
+        return LpProblem(c, self.fill(M), np.zeros(self.shape[0]), np.zeros(count),
+                         np.ones(count), self.row_lower)
+
 
 def _merged(orbit: np.ndarray, sizes: np.ndarray, cols: np.ndarray, source: np.ndarray,
             shape: tuple[int, int], row_lower: Optional[np.ndarray] = None) -> _Pattern:
@@ -270,7 +279,7 @@ def _omk_pattern(n: int, m: int, k: int) -> _Pattern:
     return _merged(orbit, sizes, cols, source, (sizes.size, count))
 
 
-def omk_problem(mi: MultiInstance, pattern: Optional[_Pattern] = None) -> LpProblem:
+def omk_problem(mi: MultiInstance) -> LpProblem:
     """The OMk LP: maximize the joint expected margin over policies
     x_i(v-tuple, s-tuple) in [0, 1], one variable per :func:`item_orbits`
     orbit.
@@ -279,16 +288,18 @@ def omk_problem(mi: MultiInstance, pattern: Optional[_Pattern] = None) -> LpProb
     reported quality tuples under the true tuple's noise; monotonicity is
     per item in its own score, other scores fixed.  With one item this is
     the OM1 LP.  The rows' pattern is built once per (n, m, k); each call
-    fills in its values.  A caller that already holds the pattern passes it.
+    fills in its values.
     """
-    inst, k = mi.base, mi.item_count
-    Rk, weights = joint_weights(mi)
-    if pattern is None:
-        pattern = _omk_pattern(inst.n, inst.m, k)
-    A = pattern.fill(Rk)
-    count = pattern.shape[1]
-    c = np.bincount(pattern.orbit, weights=weights, minlength=count)   # summed per orbit
-    return LpProblem(c, A, np.zeros(A.shape[0]), np.zeros(count), np.ones(count))
+    return _omk_pattern(mi.base.n, mi.base.m, mi.item_count).problem(*joint_weights(mi))
+
+
+def _optimum(problem: LpProblem, what: str) -> np.ndarray:
+    """The optimal point of ``problem``, clipped into [0, 1] to shave solver
+    box noise; RuntimeError unless the LP is optimal."""
+    sol = solve_lp(problem)
+    if sol.status != OPTIMAL:
+        raise RuntimeError(f"{what} LP unexpectedly {sol.status}")
+    return np.clip(sol.values, 0.0, 1.0)
 
 
 def solve_omk(mi: MultiInstance) -> MultiPolicy:
@@ -301,10 +312,7 @@ def solve_omk(mi: MultiInstance) -> MultiPolicy:
     n, m = inst.n, inst.m
     check_size(*omk_size(n, m, k))
     pattern = _omk_pattern(n, m, k)   # read once: it may be evicted during the solve
-    sol = solve_lp(omk_problem(mi, pattern))
-    if sol.status != OPTIMAL:
-        raise RuntimeError(f"OMk LP unexpectedly {sol.status}")
-    values = np.clip(sol.values, 0.0, 1.0)   # shave solver box noise
+    values = _optimum(pattern.problem(*joint_weights(mi)), "OMk")
     return MultiPolicy(values[pattern.orbit].reshape(_policy_shape(n, m, k)))
 
 
@@ -471,14 +479,7 @@ def solve_umopt(mi: MultiInstance) -> tuple[UnionInputs, MultiPolicy]:
     inst, k = mi.base, mi.item_count
     n, m = inst.n, inst.m
     check_size(*umopt_size(n, m, k))
-    pattern = _umopt_pattern(n, m, k)
-    c = np.bincount(pattern.orbit, weights=joint_weights(mi)[1], minlength=pattern.shape[1])
-    problem = LpProblem(c, pattern.fill(inst.score_model), np.zeros(pattern.shape[0]),
-                        np.zeros(c.size), np.ones(c.size), pattern.row_lower)
-    sol = solve_lp(problem)
-    if sol.status != OPTIMAL:
-        raise RuntimeError(f"UMOPT LP unexpectedly {sol.status}")
-    y = Mechanism(np.clip(sol.values[-n * m:], 0.0, 1.0).reshape(n, m),
-                  label="UMOPT-component")
+    problem = _umopt_pattern(n, m, k).problem(inst.score_model, joint_weights(mi)[1])
+    y = Mechanism(_optimum(problem, "UMOPT")[-n * m:].reshape(n, m), label="UMOPT-component")
     inputs = UnionInputs((y,) * k)
     return inputs, union_policy(mi, inputs)

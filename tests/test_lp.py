@@ -193,9 +193,29 @@ def test_omk_and_umopt_lps_match_scipy():
 
 
 def test_iterations_reported(example1):
-    assert solve_lp(om1_problem(example1)).iterations > 0
+    assert solve_lp(om1_problem(example1)).nit > 0
     infeasible = lp_from_rows([1.0], [([1.0], -2.0)], [(0.0, 1.0)])
-    assert solve_lp(infeasible).iterations == 0
+    assert solve_lp(infeasible).nit == 0
+
+
+def test_linprog_returns_the_solution_solve_lp_reports(example1):
+    """One result type from HiGHS to the caller: solve_lp passes on what
+    lp.linprog returns, with the objective of the maximized problem."""
+    problem = om1_problem(example1)
+    raw = lp.linprog(-problem.objective, problem.constraint_matrix, problem.constraint_rhs,
+                     problem.lower, problem.upper)
+    sol = solve_lp(problem)
+    assert isinstance(raw, lp.LpSolution)
+    fields = ("status", "nit", "rows", "columns", "nonzeros", "presolved")
+    assert [getattr(raw, f) for f in fields] == [getattr(sol, f) for f in fields]
+    assert raw.status == OPTIMAL and raw.nit > 0
+    assert np.array_equal(raw.values.view(np.int64), sol.values.view(np.int64))
+    assert sol.objective_value == float(problem.objective @ sol.values)
+    infeasible = lp_from_rows([1.0], [([1.0], -2.0)], [(0.0, 1.0)])
+    raw = lp.linprog(-infeasible.objective, infeasible.constraint_matrix,
+                     infeasible.constraint_rhs, infeasible.lower, infeasible.upper)
+    for got in (raw, solve_lp(infeasible)):
+        assert (got.status, got.nit, got.values) == (INFEASIBLE, 0, None)
 
 
 @pytest.mark.parametrize("field, index", [("objective", 0), ("constraint_rhs", 1),
@@ -285,7 +305,7 @@ def test_solver_failure_raises(monkeypatch, status, point):
 
 def test_optimal_point_within_result_tolerance_accepted(monkeypatch):
     sol = _fake_solve(monkeypatch, _MODEL_STATUS.kOptimal, 1.0 + 1e-4)
-    assert sol.status == OPTIMAL and sol.iterations == 1
+    assert sol.status == OPTIMAL and sol.nit == 1
 
 
 @pytest.mark.parametrize("call", ["passOptions", "setOptionValue", "passModel", "run"])
@@ -382,8 +402,8 @@ def _interleaved_problems():
 def _assert_same_solutions(got, expected):
     assert len(got) == len(expected)
     for a, b in zip(got, expected):
-        assert (a.status, a.iterations, a.objective_value) == \
-            (b.status, b.iterations, b.objective_value)
+        assert (a.status, a.nit, a.objective_value) == \
+            (b.status, b.nit, b.objective_value)
         assert np.array_equal(a.values.view(np.int64), b.values.view(np.int64))
 
 
