@@ -164,7 +164,9 @@ def linprog(c, A, b, lower, upper, row_lower=None) -> LpSolution:
     ``scipy.sparse.csc_array`` accepts, or None.  The model goes to HiGHS
     as column-wise arrays in one call.  Presolve runs only when some row
     has a finite lower bound: on inequality rows alone it removes nothing
-    from the package's LPs and costs up to half the solve time.
+    from the package's LPs and costs up to half the solve time.  No LP the
+    package builds has a finite row lower bound, so presolve never runs on
+    one.
 
     A model of at most ``_REUSE_MAX_NONZEROS`` nonzeros is solved on one
     HiGHS object kept per thread, which saves building and freeing one per

@@ -4,8 +4,11 @@ Covers the joint LP-optimal mechanism OMk, the ordinal ranking mechanism for
 two items together with its incentive audit (it is not truthful), and union
 mechanisms that run k single-item mechanisms and greedily redistribute the
 pooled acquisition mass toward the highest-quality items.  The items are
-i.i.d., so the OMk and UMOPT LPs are solved with one variable per orbit of
-the item permutations and expanded back to full policies.
+i.i.d., so the OMk LP is solved with one variable per orbit of the item
+permutations and expanded back to a full policy.  UMOPT's LP holds one
+component shared by all items and, per orbit of the item profiles, one
+capped variable for each kink of the pooled reward, which the greedy
+redistribution makes concave and piecewise linear.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -78,10 +80,10 @@ def joint_weights(mi: MultiInstance):
     """Flattened joint noise (NV, NS), and each variable's reward weight
     ((v_i - t) prod_j d(v_j)) prod_j r(v_j, s_j) flattened from (k, NV, NS).
 
-    The weights are the one reward formula: the OMk, OM1 and UMOPT LP
-    objectives, the ranking mechanism's decisions and
+    The weights are the one reward formula: the OMk and OM1 LP objectives,
+    UMOPT's pooled reward, the ranking mechanism's decisions and
     ``analysis.expected_reward``/``multi_expected_reward`` all take them, so
-    a reported LP reward is the LP's own ``c @ x``.
+    a reported OMk or OM1 LP reward is the LP's own ``c @ x``.
     """
     inst, k = mi.base, mi.item_count
     Rk = noise_product(inst.score_model, k).reshape(inst.n**k, inst.m**k)
@@ -117,8 +119,8 @@ def item_orbits(n: int, m: int, k: int) -> tuple[np.ndarray, int]:
     Two variables share an orbit when their own (quality, score) pair is the
     same and so is the multiset of the other k - 1 items' pairs.  Orbits are
     numbered in the order of their first column; there are n m C(nm + k - 2,
-    k - 1) of them.  The OMk and UMOPT LPs do not change when the i.i.d.
-    items are permuted, so they have an optimum that is constant on orbits.
+    k - 1) of them.  The OMk LP does not change when the i.i.d. items are
+    permuted, so it has an optimum that is constant on orbits.
     """
     pair = _pair_codes(n, m, k)
     key = np.concatenate([pair[i] * (n * m) ** (k - 1)
@@ -140,8 +142,7 @@ class _Pattern:
     entries, before duplicates merge, take their values from the fill
     vector of :meth:`fill`: ``first`` is the position there of each slot's
     first raw entry, and ``later`` pairs the slot and the position of every
-    further raw entry, in raw order.  ``row_lower`` is the rows' lower
-    bounds, None for -inf on every row.  Every array is read-only.
+    further raw entry, in raw order.  Every array is read-only.
     """
 
     shape: tuple[int, int]
@@ -150,7 +151,6 @@ class _Pattern:
     indices: np.ndarray
     first: np.ndarray
     later: tuple[np.ndarray, np.ndarray]
-    row_lower: Optional[np.ndarray] = None
 
     @property
     def size(self) -> int:
@@ -171,15 +171,15 @@ class _Pattern:
     def problem(self, M: np.ndarray, weights: np.ndarray) -> LpProblem:
         """The LP over the pattern's columns in [0, 1]: maximize the reward
         ``weights`` of the policy variables, summed per orbit, subject to
-        ``row_lower <= fill(M) @ x <= 0``."""
+        ``fill(M) @ x <= 0``."""
         count = self.shape[1]
         c = np.bincount(self.orbit, weights=weights, minlength=count)
         return LpProblem(c, self.fill(M), np.zeros(self.shape[0]), np.zeros(count),
-                         np.ones(count), self.row_lower)
+                         np.ones(count))
 
 
 def _merged(orbit: np.ndarray, sizes: np.ndarray, cols: np.ndarray, source: np.ndarray,
-            shape: tuple[int, int], row_lower: Optional[np.ndarray] = None) -> _Pattern:
+            shape: tuple[int, int]) -> _Pattern:
     """The pattern of raw entries given row by row: ``sizes[r]`` entries in
     row r, each with its column and its position in the fill vector.
 
@@ -199,10 +199,8 @@ def _merged(orbit: np.ndarray, sizes: np.ndarray, cols: np.ndarray, source: np.n
     positions = raw.data[later].astype(np.intp)
     later -= np.arange(1, later.size + 1)   # its slot: slots opened before it, less one
     pattern = _Pattern(shape, orbit, np.searchsorted(starts, raw.indptr).astype(np.int32),
-                       rows[starts], raw.data[starts].astype(np.intp), (later, positions),
-                       row_lower)
-    for array in (orbit, pattern.indptr, pattern.indices, pattern.first, later, positions,
-                  *([] if row_lower is None else [row_lower])):
+                       rows[starts], raw.data[starts].astype(np.intp), (later, positions))
+    for array in (orbit, pattern.indptr, pattern.indices, pattern.first, later, positions):
         array.flags.writeable = False
     return pattern
 
@@ -437,49 +435,60 @@ def union_policy(mi: MultiInstance, inputs: UnionInputs) -> MultiPolicy:
     return MultiPolicy(_union_shares(ys, qualities))
 
 
-@_cached
-def _umopt_pattern(n: int, m: int, k: int) -> _Pattern:
-    """The pattern of UMOPT's rows over [x, y], filled from the one-item
-    noise R: x has one variable per :func:`item_orbits` orbit and y, at
-    column ``count + v * m + s``, is the one component shared by all items.
-    For each profile orbit (multiset of the k (v_i, s_i) pairs), in the
-    order of its first profile, the equality row ``sum_i x_i(v, s) - sum_i
-    y(v_i, s_i) = 0``; then the one-item IC and monotonicity block of y,
-    ``<= 0`` and bounded below by -inf."""
-    orbit, count = item_orbits(n, m, k)
+def _umopt_problem(mi: MultiInstance) -> LpProblem:
+    """The UMOPT LP over the one component y shared by all items and one
+    capped variable per kink of each profile orbit's union reward.
+
+    Greedy redistribution is optimal for any pooled mass Gamma = sum_i
+    y(v_i, s_i), so a profile whose reward weights sorted in descending
+    order are w_(1) >= ... >= w_(k) earns the concave ``w_(k) Gamma +
+    sum_j (w_(j) - w_(j+1)) min(Gamma, j)``, j < k.  The columns are y at
+    ``v * m + s``, then, for each profile orbit (multiset of the k (v_i,
+    s_i) pairs) in the order of its key and each kink j with a positive
+    slope drop, u in [0, j] with the row ``u - sum_i y(v_i, s_i) <= 0``.
+    The rows open with the one-item IC and monotonicity block of y.  The
+    objective, the linear part summed over profiles and each drop times its
+    orbit's size, is divided by its largest magnitude: unscaled, HiGHS can
+    stop 1e-9 short of the optimum.
+    """
+    inst, k = mi.base, mi.item_count
+    n, m = inst.n, inst.m
     pair = _pair_codes(n, m, k)
-    P = pair.shape[1]
-    first = _first_of_each(_multiset_key(pair, n * m))
-    coupling_cols = np.concatenate([orbit[np.arange(k)[:, None] * P + first],
-                                    count + pair[:, first]]).T
-    one = 2 * n * m   # positions of 1 and -1 in the fill vector
-    coupling_source = np.broadcast_to(np.repeat(np.array([one, one + 1], dtype=np.int32), k),
-                                      coupling_cols.shape)
-    sizes, cols, source = _ic_monotone_entries(n, m, 1, count + np.arange(n * m))
-    row_lower = np.concatenate([np.zeros(first.size), np.full(sizes.size, -np.inf)])
-    return _merged(orbit, np.concatenate([np.full(first.size, 2 * k), sizes]),
-                   np.concatenate([coupling_cols.ravel().astype(np.int32), cols]),
-                   np.concatenate([coupling_source.ravel(), source]),
-                   (row_lower.size, count + n * m), row_lower)
+    ranked = -np.sort(-joint_weights(mi)[1].reshape(k, -1), axis=0)
+    linear = np.bincount(pair.ravel(), minlength=n * m,
+                         weights=np.broadcast_to(ranked[-1], pair.shape).ravel())
+    _, first, size = np.unique(_multiset_key(pair, n * m), return_index=True,
+                               return_counts=True)
+    drop = ((ranked[:-1] - ranked[1:])[:, first] * size).T
+    orbit, kink = np.nonzero(drop > 0)
+    count = orbit.size
+    sums = sp.csc_array((np.full(count * k, -1.0), (np.repeat(np.arange(count), k),
+                                                    pair[:, first[orbit]].T.ravel())),
+                        shape=(count, n * m))
+    A = sp.block_array([[_omk_pattern(n, m, 1).fill(inst.score_model), None],
+                        [sums, sp.eye_array(count)]], format="csc")
+    c = np.concatenate([linear, drop[orbit, kink]])
+    return LpProblem(c / (np.abs(c).max() or 1.0), A, np.zeros(A.shape[0]),
+                     np.zeros(c.size), np.concatenate([np.ones(n * m), kink + 1.0]))
 
 
 def solve_umopt(mi: MultiInstance) -> tuple[UnionInputs, MultiPolicy]:
     """Optimal union mechanism: jointly pick k IC monotone single-item
     matrices and the coupled per-profile allocation.
 
-    The LP couples free tensors x_i to the components through
-    ``sum_i x_i(v, s) = sum_i y_i(v_i, s_i)`` per profile and maximizes the
-    joint reward.  Permuting the items leaves it unchanged, so it is solved
-    with x constant on orbits and one component y shared by all items; the
-    k returned components are identical.  The returned policy re-applies the
-    greedy redistribution to the optimal components; per profile both
-    allocate the same mass to maximize the acquired margin under unit caps,
-    so the objective is unchanged.  Its IC rows are the one-item block of y.
+    The union mechanism redistributes each profile's pooled mass greedily,
+    so the best allocation is implied by the components and the LP of
+    :func:`_umopt_problem` carries only them and one variable per kink of
+    the pooled reward.  Permuting the items leaves the problem unchanged,
+    so it is solved with one component y shared by all items; the k
+    returned components are identical.  The returned policy is the greedy
+    redistribution of the optimal components.  Its IC rows are the
+    one-item block of y.
     """
     inst, k = mi.base, mi.item_count
     n, m = inst.n, inst.m
     check_size(*umopt_size(n, m, k))
-    problem = _umopt_pattern(n, m, k).problem(inst.score_model, joint_weights(mi)[1])
-    y = Mechanism(_optimum(problem, "UMOPT")[-n * m:].reshape(n, m), label="UMOPT-component")
+    values = _optimum(_umopt_problem(mi), "UMOPT")
+    y = Mechanism(values[:n * m].reshape(n, m), label="UMOPT-component")
     inputs = UnionInputs((y,) * k)
     return inputs, union_policy(mi, inputs)

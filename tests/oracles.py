@@ -13,7 +13,8 @@ import scipy.sparse as sp
 from acquimech import RANK_CLASSES, RmViolation, Violation
 from acquimech.analysis import expected_reward
 from acquimech.lp import OPTIMAL, LpProblem, solve_lp
-from acquimech.multi_item import _first_of_each, _multiset_key, _pair_codes
+from acquimech.multi_item import (_first_of_each, _multiset_key, _pair_codes, item_orbits,
+                                  joint_weights)
 from acquimech.single_item import _tail, tmm_build
 
 
@@ -403,3 +404,69 @@ def coo_umopt_rows(inst, k, orbit, count):
                   format="csr")
     row_lower = np.concatenate([np.zeros(first.size), np.full(block.shape[0], -np.inf)])
     return A, row_lower
+
+
+def coupling_row_umopt(mi, row_pairs=False):
+    """UMOPT solved in the coupling-row form of :func:`coo_umopt_rows`: x
+    per :func:`item_orbits` orbit and y in [0, 1], the reward weights of x
+    summed per orbit as the objective.  With ``row_pairs`` each equality
+    row is stated as the row ``<= 0`` and its negation, in its place.
+
+    Returns the optimal component y, shape (n, m), clipped into [0, 1], and
+    the LP's optimum.
+    """
+    inst, k = mi.base, mi.item_count
+    n, m = inst.n, inst.m
+    orbit, count = item_orbits(n, m, k)
+    A, row_lower = coo_umopt_rows(inst, k, orbit, count)
+    if row_pairs:
+        eq = np.isfinite(row_lower)
+        coupling = A[eq]
+        paired = sp.vstack([coupling, -coupling], format="csr")
+        order = np.arange(2 * eq.sum()).reshape(2, -1).T.ravel()
+        A, row_lower = sp.vstack([paired[order], A[~eq]], format="csr"), None
+    c = np.concatenate([np.bincount(orbit, weights=joint_weights(mi)[1], minlength=count),
+                        np.zeros(n * m)])
+    sol = solve_lp(LpProblem(c, A, np.zeros(A.shape[0]), np.zeros(c.size), np.ones(c.size),
+                             row_lower))
+    assert sol.status == OPTIMAL
+    return np.clip(sol.values[count:], 0.0, 1.0).reshape(n, m), sol.objective_value
+
+
+def loop_umopt_problem(mi):
+    """UMOPT's kink-form LP built by a loop over profiles.
+
+    Columns: y(v, s) at ``v * m + s``, then for each profile orbit (sorted
+    tuple of the k codes ``v_i * m + s_i``, in ascending tuple order) and
+    each j < k whose slope drop w_(j) - w_(j+1) of the profile's descending
+    reward weights is positive, u in [0, j].  Rows: the one-item IC and
+    monotonicity rows of :func:`coo_ic_monotone_rows`, then ``u - sum_i
+    y(v_i, s_i) <= 0`` per u.  Objective: w_(k) summed onto every y(v_i,
+    s_i) of every profile, and each drop times its orbit's size on u, all
+    divided by the largest magnitude.
+    """
+    inst, k = mi.base, mi.item_count
+    n, m = inst.n, inst.m
+    weights = joint_weights(mi)[1].reshape(k, n**k, m**k)
+    linear = np.zeros(n * m)
+    orbits = {}
+    for a, vt in enumerate(itertools.product(range(n), repeat=k)):
+        for b, st in enumerate(itertools.product(range(m), repeat=k)):
+            codes = [v * m + s for v, s in zip(vt, st)]
+            ranked = sorted(weights[:, a, b], reverse=True)
+            for code in codes:
+                linear[code] += ranked[-1]
+            orbit = orbits.setdefault(tuple(sorted(codes)), [ranked, 0])
+            orbit[1] += 1
+    kinks = [(codes, j, size * (ranked[j - 1] - ranked[j]))
+             for codes, (ranked, size) in sorted(orbits.items())
+             for j in range(1, k) if ranked[j - 1] > ranked[j]]
+    sums = np.zeros((len(kinks), n * m))
+    for r, (codes, _, _) in enumerate(kinks):
+        for code in codes:
+            sums[r, code] -= 1.0
+    block = coo_ic_monotone_rows(inst.score_model, n, m, 1, np.arange(n * m), n * m)
+    A = sp.bmat([[block, None], [sp.csr_matrix(sums), sp.identity(len(kinks))]], format="csc")
+    c = np.concatenate([linear, [drop for _, _, drop in kinks]])
+    upper = np.concatenate([np.ones(n * m), [j for _, j, _ in kinks]])
+    return LpProblem(c / np.abs(c).max(), A, np.zeros(A.shape[0]), np.zeros(c.size), upper)

@@ -383,7 +383,7 @@ def test_sweep_refuses_large_ic_rows_before_building(capsys, tmp_path, monkeypat
                                                      mechanisms):
     """OMk at seven levels and k = 3 is refused before either LP of the
     point is built, whichever the config lists first."""
-    for name in ("_umopt_pattern", "_omk_pattern", "omk_problem"):
+    for name in ("_umopt_problem", "_omk_pattern", "omk_problem"):
         monkeypatch.setattr(multi_item, name, never_built)
     grid = [i / 6 for i in range(7)]
     config_path = tmp_path / "sweep.json"

@@ -1,7 +1,9 @@
 import itertools
+import json
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from acquimech import (LpProblem, Mechanism, MultiInstance, MultiPolicy, RANK_CLASSES,
+from acquimech import (Mechanism, MultiInstance, MultiPolicy, RANK_CLASSES,
                        SizeBudgetError, UnionInputs, check_ic, check_monotone,
                        expected_reward, multi_check_ic, multi_check_monotone,
                        multi_expected_reward, om1_alternate_optimum, omk_problem,
@@ -17,14 +19,14 @@ from acquimech import (LpProblem, Mechanism, MultiInstance, MultiPolicy, RANK_CL
                        solve_umopt, tmm_optimal, union_policy, validate_instance)
 from acquimech import multi_item, solve_lp
 from acquimech.core import QualityGrid
-from acquimech.experiments import (THM7_PRINTED_AGGREGATES, build_score_model,
+from acquimech.experiments import (THM7_PRINTED_AGGREGATES, SweepConfig, build_score_model,
                                    discretize_prior)
 from acquimech.multi_item import (MAX_IC_ENTRIES, MAX_POLICY_CELLS, RankPolicy, item_orbits,
                                   omk_ic_entries)
 from acquimech.gen import random_instance
-from oracles import (coo_ic_monotone_rows, coo_umopt_rows, full_omk_optimum,
-                     full_umopt_optimum, greedy_union_shares, naive_ranking_mechanism,
-                     naive_rm_audit, naive_union_reward)
+from oracles import (coo_ic_monotone_rows, coupling_row_umopt, full_omk_optimum,
+                     full_umopt_optimum, greedy_union_shares, loop_umopt_problem,
+                     naive_ranking_mechanism, naive_rm_audit, naive_union_reward)
 
 GRID4 = [0.0, 1 / 3, 2 / 3, 1.0]
 GRID7 = [i / 6 for i in range(7)]
@@ -210,7 +212,7 @@ def test_every_solver_refuses_what_the_closed_forms_refuse(monkeypatch):
     def built(*args, **kwargs):
         raise _Built
 
-    for name in ("omk_problem", "item_orbits", "_omk_pattern", "_umopt_pattern",
+    for name in ("omk_problem", "item_orbits", "_omk_pattern", "_umopt_problem",
                  "_union_shares"):
         monkeypatch.setattr(multi_item, name, built)
 
@@ -314,40 +316,66 @@ def test_orbit_umopt_matches_full_space_oracle(k, seed):
     assert multi_check_monotone(mi, policy, tol=1e-7).passed
 
 
-def _umopt_pair_rows(monkeypatch):
-    """Make solve_umopt pass its LP with each coupling equality stated as
-    the pair of rows ``sum_i x_i - sum_i y <= 0`` and its negation, each
-    pair in place of its equality row."""
-    original = multi_item.solve_lp
-
-    def pairs(problem):
-        A, eq = problem.constraint_matrix, np.isfinite(problem.row_lower)
-        assert np.array_equal(np.flatnonzero(eq), np.arange(eq.sum()))   # coupling first
-        coupling = A[:eq.sum()]
-        paired = sp.vstack([coupling, -coupling], format="csr")
-        order = np.arange(2 * eq.sum()).reshape(2, -1).T.ravel()
-        A = sp.vstack([paired[order], A[eq.sum():]], format="csr")
-        return original(LpProblem(problem.objective, A, np.zeros(A.shape[0]),
-                                  problem.lower, problem.upper))
-
-    monkeypatch.setattr(multi_item, "solve_lp", pairs)
+def assert_matches_coupling_rows(mi, row_pairs=False):
+    """UMOPT reaches the optimum of the coupling-row LP within 1e-12, and its
+    component acquires each true quality as often as that LP's.  The
+    components themselves may be different optimal vertices: on the
+    lognormal sweep at variances 0.1, 0.45, 0.5 and 0.55 they differ in the
+    lowest quality's row, and that row's expected acquisitions agree."""
+    inputs, policy = solve_umopt(mi)
+    y, optimum = coupling_row_umopt(mi, row_pairs)
+    R = mi.base.score_model
+    assert multi_expected_reward(mi, policy) == pytest.approx(optimum, rel=0, abs=1e-12)
+    np.testing.assert_allclose((R * inputs.mechanisms[0].matrix).sum(axis=1),
+                               (R * y).sum(axis=1), rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("k,seed", ORBIT_CASES)
-def test_umopt_equality_rows_match_row_pairs(monkeypatch, k, seed):
+def test_umopt_equality_rows_match_row_pairs(k, seed):
+    """The coupling-row LP reaches the same optimum with its equality rows
+    as with each stated as a pair of rows, and UMOPT's kink-form LP matches
+    both."""
     mi = orbit_case(k, seed)
-    inputs, policy = solve_umopt(mi)
-    _umopt_pair_rows(monkeypatch)
-    pair_inputs, pair_policy = solve_umopt(mi)
-    # the same vertex; the two forms round differently, by a few ulps of 1
-    np.testing.assert_allclose(inputs.mechanisms[0].matrix,
-                               pair_inputs.mechanisms[0].matrix, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(policy.tensors, pair_policy.tensors, rtol=0, atol=1e-12)
+    assert coupling_row_umopt(mi)[1] == pytest.approx(
+        coupling_row_umopt(mi, row_pairs=True)[1], rel=0, abs=1e-12)
+    for row_pairs in (False, True):
+        assert_matches_coupling_rows(mi, row_pairs)
 
 
-@pytest.mark.parametrize("grid, k, rows", [(GRID7, 2, 1309), (GRID4, 3, 840)])
-def test_umopt_lp_size(monkeypatch, grid, k, rows):
-    """One coupling row per profile orbit: the paper grids' UMOPT LPs."""
+def sweep_points(family):
+    """(variance, MultiInstance) of every point of the committed sweep
+    config of ``family``, built as ``run_sweep`` builds them."""
+    path = Path(__file__).resolve().parents[1] / "configs" / f"sweep_{family}.json"
+    config = SweepConfig.from_dict(json.loads(path.read_text()))
+    grid = QualityGrid(np.array(config.values), np.array(config.scores))
+    prior = discretize_prior(config.family, config.prior_mean, config.prior_sd, grid.values)
+    for variance in config.variance_grid:
+        inst = validate_instance(grid.values, grid.scores, prior,
+                                 build_score_model(config.family, variance, grid), config.bar)
+        yield variance, MultiInstance(inst, config.item_count)
+
+
+@pytest.mark.parametrize("family", ["normal", "lognormal"])
+def test_umopt_matches_the_coupling_row_lp_on_the_sweep_configs(family):
+    for _, mi in sweep_points(family):
+        assert_matches_coupling_rows(mi)
+
+
+def test_umopt_objective_scaling_reaches_the_optimum():
+    """Unscaled, the kink-form LP stops 1.4e-9 below the optimum on the
+    lognormal sweep at variance 0.4; divided by its largest magnitude, it
+    reaches it."""
+    mi = dict(sweep_points("lognormal"))[0.4]
+    assert multi_expected_reward(mi, solve_umopt(mi)[1]) == pytest.approx(
+        coupling_row_umopt(mi)[1], rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("grid, k, rows, cols, nonzeros",
+                         [(GRID7, 2, 1113, 1078, 3759), (GRID4, 3, 1016, 1008, 3896)])
+def test_umopt_lp_size(monkeypatch, grid, k, rows, cols, nonzeros):
+    """The paper grids' UMOPT LPs: the one-item block of y and one capped
+    variable and row per kink; no row has a finite lower bound, so neither
+    UMOPT nor OMk is presolved."""
     solutions = []
 
     def recording(problem):
@@ -359,10 +387,9 @@ def test_umopt_lp_size(monkeypatch, grid, k, rows):
     solve_umopt(MultiInstance(inst, k))
     solve_omk(MultiInstance(inst, k))
     umopt, omk = solutions
-    orbit_count = item_orbits(len(grid), len(grid), k)[1]
-    assert (umopt.rows, umopt.columns) == (rows, orbit_count + len(grid) ** 2)
-    assert umopt.presolved and not omk.presolved
-    assert omk.columns == orbit_count and omk.nonzeros > 0
+    assert (umopt.rows, umopt.columns, umopt.nonzeros) == (rows, cols, nonzeros)
+    assert not umopt.presolved and not omk.presolved
+    assert omk.columns == item_orbits(len(grid), len(grid), k)[1] and omk.nonzeros > 0
 
 
 def test_orbit_cases_are_not_trivial():
@@ -400,20 +427,24 @@ PATTERN_SHAPES = [(n, m, k) for n in range(2, 6) for m in range(2, 6) for k in (
 
 @pytest.mark.parametrize("n,m,k", PATTERN_SHAPES)
 def test_lp_patterns_match_the_coo_builder(n, m, k):
-    """The OMk and UMOPT matrices filled from their cached patterns are the
-    ones scipy's COO-to-CSR merge builds from the same raw entries."""
+    """The OMk matrix filled from its cached pattern is the one scipy's
+    COO-to-CSR merge builds from the same raw entries; UMOPT's LP, whose
+    block of y is filled from the one-item pattern, is the one a loop over
+    profiles builds."""
     inst = sparse_noise_instance(n, m, seed=n * 100 + m * 10 + k)
     mi = MultiInstance(inst, k)
     orbit, count = item_orbits(n, m, k)
     Rk, _ = multi_item.joint_weights(mi)
     assert_same_matrix(omk_problem(mi).constraint_matrix,
                        coo_ic_monotone_rows(Rk, n, m, k, orbit, count), k)
-    umopt = multi_item._umopt_pattern(n, m, k)
-    A_coo, row_lower_coo = coo_umopt_rows(inst, k, orbit, count)
-    assert_same_matrix(umopt.fill(inst.score_model), A_coo, k)
-    assert np.array_equal(umopt.row_lower, row_lower_coo)
-    for pattern in (multi_item._omk_pattern(n, m, k), multi_item._umopt_pattern(n, m, k)):
-        assert np.array_equal(pattern.orbit, orbit)
+    umopt, loop = multi_item._umopt_problem(mi), loop_umopt_problem(mi)
+    assert_same_matrix(umopt.constraint_matrix, loop.constraint_matrix, 1)
+    np.testing.assert_allclose(umopt.objective, loop.objective, rtol=0, atol=1e-14)
+    for a, b in ((umopt.constraint_rhs, loop.constraint_rhs), (umopt.lower, loop.lower),
+                 (umopt.upper, loop.upper)):
+        assert np.array_equal(a, b)
+    assert umopt.row_lower is None
+    assert np.array_equal(multi_item._omk_pattern(n, m, k).orbit, orbit)
 
 
 def _problem_arrays(problem):
@@ -425,8 +456,8 @@ def _problem_arrays(problem):
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_results_do_not_depend_on_the_shape_cache(monkeypatch, k):
     """On a cold and then a warm shape cache, OMk and UMOPT pass HiGHS the
-    same LPs (built from the OMk and UMOPT patterns) and return the same
-    policies."""
+    same LPs (built from the OMk pattern and the one-item pattern) and
+    return the same policies."""
     mi = MultiInstance(sparse_noise_instance(3, 3, seed=k), k)
 
     def solved():
@@ -444,7 +475,7 @@ def test_results_do_not_depend_on_the_shape_cache(monkeypatch, k):
 
     multi_item._PATTERNS.clear()
     cold = solved()
-    assert len(multi_item._PATTERNS) == 2   # UMOPT and OMk patterns
+    assert set(multi_item._PATTERNS) == {("_omk_pattern", 3, 3, 1), ("_omk_pattern", 3, 3, k)}
     warm = solved()
     for cold_problem, warm_problem in zip(cold[0], warm[0]):
         for a, b in zip(cold_problem, warm_problem):
@@ -456,8 +487,8 @@ def test_results_do_not_depend_on_the_shape_cache(monkeypatch, k):
 def test_cached_arrays_are_read_only():
     inst = sparse_noise_instance(3, 2, seed=0)
     A = omk_problem(MultiInstance(inst, 2)).constraint_matrix
-    row_lower = multi_item._umopt_pattern(3, 2, 2).row_lower
-    for array in (multi_item._omk_pattern(3, 2, 2).orbit, A.indptr, A.indices, row_lower):
+    first = multi_item._omk_pattern(3, 2, 1).first   # UMOPT's block of y
+    for array in (multi_item._omk_pattern(3, 2, 2).orbit, A.indptr, A.indices, first):
         with pytest.raises(ValueError):
             array[0] = 1
 
@@ -484,14 +515,14 @@ def test_shape_cache_evicts_least_recently_used(monkeypatch):
     multi_item._PATTERNS.clear()
 
 
-@pytest.mark.parametrize("solve, pattern", [(solve_omk, "_omk_pattern"),
-                                            (solve_umopt, "_umopt_pattern")],
+@pytest.mark.parametrize("solve, pattern_k", [(solve_omk, 2), (solve_umopt, 1)],
                          ids=["OMk", "UMOPT"])
-def test_one_solve_builds_its_pattern_once(monkeypatch, solve, pattern):
+def test_one_solve_builds_its_pattern_once(monkeypatch, solve, pattern_k):
     """A pattern over the cache budget is evicted as soon as it is built;
-    the solve still reads it once, so it is built once."""
+    the solve still reads it once, so it is built once.  UMOPT at k = 2
+    reads the one-item pattern of its component."""
     multi_item._PATTERNS.clear()
-    size = getattr(multi_item, pattern)(3, 3, 2).size
+    size = multi_item._omk_pattern(3, 3, pattern_k).size
     monkeypatch.setattr(multi_item, "MAX_IC_ENTRIES", size - 1)
     multi_item._PATTERNS.clear()
     builds, entries = [], multi_item._ic_monotone_entries
@@ -502,7 +533,7 @@ def test_one_solve_builds_its_pattern_once(monkeypatch, solve, pattern):
 
     monkeypatch.setattr(multi_item, "_ic_monotone_entries", counted)
     solve(MultiInstance(sparse_noise_instance(3, 3, seed=0), 2))
-    assert len(builds) == 1 and not multi_item._PATTERNS
+    assert builds == [(3, 3, pattern_k)] and not multi_item._PATTERNS
 
 
 #: Shapes the two-thread test solves cold, OMk and UMOPT side by side.
@@ -821,11 +852,13 @@ def test_union_reward_matches_naive_recomputation():
 # --- optimal union ----------------------------------------------------------
 
 def test_umopt_reduces_to_om1_at_k_one():
-    inst = small_instance(4)
-    mi = MultiInstance(inst, 1)
-    _, policy = solve_umopt(mi)
-    assert multi_expected_reward(mi, policy) == pytest.approx(
-        expected_reward(inst, solve_om1(inst)), abs=1e-7)
+    """With one item UMOPT's LP is OM1's with a scaled objective."""
+    for inst in [small_instance(4), paper_instance(0.1), paper_instance(0.3, GRID4),
+                 *(small_instance(seed, max_levels=5) for seed in range(5, 9))]:
+        mi = MultiInstance(inst, 1)
+        _, policy = solve_umopt(mi)
+        assert multi_expected_reward(mi, policy) == pytest.approx(
+            expected_reward(inst, solve_om1(inst)), rel=0, abs=1e-12)
 
 
 def test_umopt_dominates_fixed_om1_union(registry):
@@ -838,11 +871,15 @@ def test_umopt_dominates_fixed_om1_union(registry):
 
 
 def test_umopt_zero_on_all_below_bar():
-    inst = validate_instance([0.1, 0.2], [0.0, 1.0], [0.5, 0.5],
-                             [[0.8, 0.2], [0.3, 0.7]], 0.9)
-    mi = MultiInstance(inst, 2)
-    _, policy = solve_umopt(mi)
-    assert multi_expected_reward(mi, policy) == pytest.approx(0.0, abs=1e-9)
+    """Also one quality level at the bar, where every reward weight and so
+    the whole LP objective is 0."""
+    below = validate_instance([0.1, 0.2], [0.0, 1.0], [0.5, 0.5],
+                              [[0.8, 0.2], [0.3, 0.7]], 0.9)
+    at_bar = validate_instance([0.5], [0.0, 1.0], [1.0], [[0.5, 0.5]], 0.5)
+    for inst in (below, at_bar):
+        mi = MultiInstance(inst, 2)
+        _, policy = solve_umopt(mi)
+        assert multi_expected_reward(mi, policy) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_union_of_two_menu_gap_bounded_by_scaled_bias():
