@@ -1,7 +1,6 @@
-"""Bounded-variable linear programs with ranged rows.
+"""Bounded-variable linear programs.
 
-Problems are ``maximize c @ x  s.t.  row_lower <= A x <= b,  lo <= x <= hi``,
-where ``row_lower`` is -inf on every row unless given.  Solving is delegated
+Problems are ``maximize c @ x  s.t.  A x <= b,  lo <= x <= hi``.  Solving is delegated
 to HiGHS dual simplex (Huangfu & Hall, Math. Prog. Comp. 2018) through the
 bindings bundled with scipy, which is deterministic and returns basic
 (vertex) solutions, so repeated solves of the same problem are bit-identical
@@ -25,8 +24,6 @@ from scipy.optimize._highspy import _core as highs
 
 #: Constraint slack accepted in an optimal solution.
 FEASIBILITY_TOL = 1e-7
-#: Bound slack accepted in an optimal solution.
-BOUND_TOL = 1e-9
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -37,10 +34,11 @@ _STATUS = {highs.HighsModelStatus.kOptimal: OPTIMAL,
            highs.HighsModelStatus.kUnbounded: UNBOUNDED}
 
 #: The options ``scipy.optimize.linprog(method="highs-ds")`` passes, with
-#: both feasibility tolerances at 1e-9; everything else is the HiGHS default.
-#: ``linprog`` turns presolve off per solve, never here.
+#: both feasibility tolerances at 1e-9, and presolve off: on inequality rows
+#: alone it removes nothing from the package's LPs and costs up to half the
+#: solve time.  Everything else is the HiGHS default.
 _OPTIONS = highs.HighsOptions()
-_OPTIONS.presolve = "on"
+_OPTIONS.presolve = "off"
 _OPTIONS.solver = "simplex"
 _OPTIONS.simplex_strategy = int(highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
 _OPTIONS.primal_feasibility_tolerance = 1e-9
@@ -65,13 +63,11 @@ _RESULT_TOL = np.sqrt(1e-9) * 10
 
 @dataclass(frozen=True)
 class LpProblem:
-    """maximize ``objective @ x`` subject to ``constraint_matrix @ x <= constraint_rhs``,
-    ``row_lower <= constraint_matrix @ x`` and ``lower <= x <= upper``.
+    """maximize ``objective @ x`` subject to ``constraint_matrix @ x <= constraint_rhs``
+    and ``lower <= x <= upper``.
 
     ``constraint_matrix`` may be a dense array or any scipy sparse matrix;
-    pass ``None`` (with empty rhs) for box-only problems.  ``row_lower``
-    None means -inf on every row; an entry equal to its rhs makes the row
-    an equality.
+    pass ``None`` (with empty rhs) for box-only problems.
     """
 
     objective: np.ndarray
@@ -79,7 +75,6 @@ class LpProblem:
     constraint_rhs: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
-    row_lower: Optional[np.ndarray] = None
 
     def __post_init__(self):
         c = np.asarray(self.objective, dtype=float)
@@ -104,15 +99,6 @@ class LpProblem:
                 raise ValueError("constraint rhs length does not match matrix rows")
         elif rhs.size:
             raise ValueError("rhs given without a constraint matrix")
-        if self.row_lower is not None:
-            row_lo = np.asarray(self.row_lower, dtype=float)
-            object.__setattr__(self, "row_lower", row_lo)
-            if row_lo.shape != rhs.shape:
-                raise ValueError("row lower bounds must match the rhs length")
-            if np.isnan(row_lo).any():
-                raise ValueError("row lower bounds must not be NaN")
-            if np.any(row_lo > rhs):
-                raise ValueError("row lower bound exceeds its rhs")
 
     @property
     def num_variables(self) -> int:
@@ -124,7 +110,7 @@ class LpSolution:
     """One HiGHS run: ``values`` is the optimal point and ``objective_value``
     the objective there (both None unless optimal), ``nit`` the simplex
     iteration count (0 unless optimal), then the model size as passed to
-    HiGHS (nonzeros count stored entries) and whether presolve ran."""
+    HiGHS (nonzeros count stored entries)."""
 
     status: str
     values: Optional[np.ndarray] = None
@@ -133,7 +119,6 @@ class LpSolution:
     rows: int = 0
     columns: int = 0
     nonzeros: int = 0
-    presolved: bool = False
 
 
 def _checked(status, call: str) -> None:
@@ -153,20 +138,16 @@ def _solver(nonzeros: int):
     return solver
 
 
-def linprog(c, A, b, lower, upper, row_lower=None) -> LpSolution:
-    """minimize ``c @ x`` subject to ``row_lower <= A @ x <= b`` and
-    ``lower <= x <= upper`` with HiGHS dual simplex, checking inputs and
-    result as ``scipy.optimize.linprog(method="highs-ds")`` does.  The
-    reported objective is ``c @ x``, of the minimized ``c``.
+def linprog(c, A, b, lower, upper) -> LpSolution:
+    """minimize ``c @ x`` subject to ``A @ x <= b`` and ``lower <= x <= upper``
+    with HiGHS dual simplex, checking inputs and result as
+    ``scipy.optimize.linprog(method="highs-ds")`` does.  The reported
+    objective is ``c @ x``, of the minimized ``c``.
 
-    ``c``, ``b``, ``lower``, ``upper`` and ``row_lower`` are float arrays;
-    ``row_lower`` None means -inf on every row.  ``A`` is anything
-    ``scipy.sparse.csc_array`` accepts, or None.  The model goes to HiGHS
-    as column-wise arrays in one call.  Presolve runs only when some row
-    has a finite lower bound: on inequality rows alone it removes nothing
-    from the package's LPs and costs up to half the solve time.  No LP the
-    package builds has a finite row lower bound, so presolve never runs on
-    one.
+    ``c``, ``b``, ``lower`` and ``upper`` are float arrays.  ``A`` is
+    anything ``scipy.sparse.csc_array`` accepts, or None.  The model goes to
+    HiGHS as column-wise arrays in one call, with every row lower bound
+    -inf.
 
     A model of at most ``_REUSE_MAX_NONZEROS`` nonzeros is solved on one
     HiGHS object kept per thread, which saves building and freeing one per
@@ -182,20 +163,16 @@ def linprog(c, A, b, lower, upper, row_lower=None) -> LpSolution:
     A = sp.csc_array((0, c.size) if A is None else A)
     if not (np.isfinite(c).all() and np.isfinite(A.data).all() and np.isfinite(b).all()):
         raise ValueError("LP objective, constraint matrix and rhs must be finite")
-    if row_lower is None:
-        row_lower = np.full(b.size, -np.inf)
-    if np.isnan(lower).any() or np.isnan(upper).any() or np.isnan(row_lower).any():
-        raise ValueError("LP variable and row bounds must not be NaN")
-    presolve = bool(np.isfinite(row_lower).any())
-    size = dict(rows=b.size, columns=c.size, nonzeros=A.nnz, presolved=presolve)
+    if np.isnan(lower).any() or np.isnan(upper).any():
+        raise ValueError("LP variable bounds must not be NaN")
+    size = dict(rows=b.size, columns=c.size, nonzeros=A.nnz)
     solver = _solver(A.nnz)
     try:
         _checked(solver.passOptions(_OPTIONS), "passOptions")
-        if not presolve:
-            _checked(solver.setOptionValue("presolve", "off"), "setOptionValue")
         _checked(solver.passModel(
             c.size, b.size, A.nnz, highs.MatrixFormat.kColwise, highs.ObjSense.kMinimize,
-            0.0, c, lower, upper, row_lower, b, A.indptr.astype(np.int32, copy=False),
+            0.0, c, lower, upper, np.full(b.size, -np.inf), b,
+            A.indptr.astype(np.int32, copy=False),
             A.indices.astype(np.int32, copy=False), np.asarray(A.data, dtype=float),
             np.zeros(c.size, dtype=np.int32)), "passModel")   # all continuous
         _checked(solver.run(), "run")
@@ -213,7 +190,7 @@ def linprog(c, A, b, lower, upper, row_lower=None) -> LpSolution:
     finally:
         solver.clearModel()
     if not (np.all(x >= lower - _RESULT_TOL) and np.all(x <= upper + _RESULT_TOL)
-            and np.all(b - row >= -_RESULT_TOL) and np.all(row - row_lower >= -_RESULT_TOL)):
+            and np.all(b - row >= -_RESULT_TOL)):
         raise RuntimeError("LP solver failed: the optimal point violates its "
                            f"bounds or rows by more than {_RESULT_TOL:.2e}")
     return LpSolution(OPTIMAL, x, float(c @ x), nit, **size)
@@ -226,7 +203,7 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     point, so it agrees with the solution values to full precision.
     """
     sol = linprog(-problem.objective, problem.constraint_matrix, problem.constraint_rhs,
-                  problem.lower, problem.upper, problem.row_lower)
+                  problem.lower, problem.upper)
     if sol.status != OPTIMAL:
         return sol
     return replace(sol, objective_value=float(problem.objective @ sol.values))

@@ -13,7 +13,6 @@ redistribution makes concave and piecewise linear.
 
 from __future__ import annotations
 
-import functools
 import math
 import threading
 from collections import OrderedDict
@@ -205,29 +204,10 @@ def _merged(orbit: np.ndarray, sizes: np.ndarray, cols: np.ndarray, source: np.n
     return pattern
 
 
-#: (builder name, n, m, k) -> _Pattern, least recently used first.
+#: (n, m, k) -> the :func:`_omk_pattern`, least recently used first.
 _PATTERNS: OrderedDict = OrderedDict()
 #: Held by every read, build and eviction of :data:`_PATTERNS`.
 _PATTERNS_LOCK = threading.Lock()
-
-
-def _cached(build):
-    """Serve ``build(n, m, k)`` from :data:`_PATTERNS`.  After a build, the
-    least recently used patterns are evicted while their total
-    :attr:`_Pattern.size` is over ``MAX_IC_ENTRIES``.  One thread at a time
-    reads or builds, so two threads never build the same pattern."""
-    @functools.wraps(build)
-    def get(n: int, m: int, k: int) -> _Pattern:
-        key = (build.__name__, n, m, k)
-        with _PATTERNS_LOCK:
-            if key in _PATTERNS:
-                _PATTERNS.move_to_end(key)
-                return _PATTERNS[key]
-            pattern = _PATTERNS[key] = build(n, m, k)
-            while sum(cached.size for cached in _PATTERNS.values()) > MAX_IC_ENTRIES:
-                _PATTERNS.popitem(last=False)
-            return pattern
-    return get
 
 
 def _ic_monotone_entries(n: int, m: int, k: int, orbit: np.ndarray):
@@ -269,12 +249,24 @@ def _ic_monotone_entries(n: int, m: int, k: int, orbit: np.ndarray):
     return sizes, cols, source
 
 
-@_cached
 def _omk_pattern(n: int, m: int, k: int) -> _Pattern:
-    """The pattern of the OMk LP's rows, filled from the joint noise Rk."""
-    orbit, count = item_orbits(n, m, k)
-    sizes, cols, source = _ic_monotone_entries(n, m, k, orbit)
-    return _merged(orbit, sizes, cols, source, (sizes.size, count))
+    """The pattern of the OMk LP's rows, filled from the joint noise Rk.
+
+    Served from :data:`_PATTERNS`.  After a build, the least recently used
+    patterns are evicted while their total :attr:`_Pattern.size` is over
+    ``MAX_IC_ENTRIES``.  One thread at a time reads or builds, so two
+    threads never build the same pattern."""
+    key = (n, m, k)
+    with _PATTERNS_LOCK:
+        if key in _PATTERNS:
+            _PATTERNS.move_to_end(key)
+            return _PATTERNS[key]
+        orbit, count = item_orbits(n, m, k)
+        sizes, cols, source = _ic_monotone_entries(n, m, k, orbit)
+        pattern = _PATTERNS[key] = _merged(orbit, sizes, cols, source, (sizes.size, count))
+        while sum(cached.size for cached in _PATTERNS.values()) > MAX_IC_ENTRIES:
+            _PATTERNS.popitem(last=False)
+        return pattern
 
 
 def omk_problem(mi: MultiInstance) -> LpProblem:
@@ -484,6 +476,12 @@ def solve_umopt(mi: MultiInstance) -> tuple[UnionInputs, MultiPolicy]:
     returned components are identical.  The returned policy is the greedy
     redistribution of the optimal components.  Its IC rows are the
     one-item block of y.
+
+    y is the optimal vertex HiGHS returns.  Where the optimum is not unique,
+    another optimal vertex has the same reward, so a change of LP form can
+    change y's cells: on the lognormal sweep instance at variance 0.1
+    (k = 2) the lowest quality's row changed when the LP took its kink form,
+    while ``(R * y).sum(axis=1)`` stayed the same.
     """
     inst, k = mi.base, mi.item_count
     n, m = inst.n, inst.m

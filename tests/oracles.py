@@ -9,6 +9,7 @@ import itertools
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.optimize import linprog
 
 from acquimech import RANK_CLASSES, RmViolation, Violation
 from acquimech.analysis import expected_reward
@@ -385,10 +386,10 @@ def coo_ic_monotone_rows(Rk, n, m, k, orbit, count):
 
 
 def coo_umopt_rows(inst, k, orbit, count):
-    """UMOPT's rows over [x, y] and their lower bounds, built with scipy's
-    COO and stacking constructors: one equality row ``sum_i x_i(v, s) -
-    sum_i y(v_i, s_i) = 0`` per profile orbit, then the one-item IC and
-    monotonicity block of y, bounded below by -inf."""
+    """UMOPT's rows over [x, y], built with scipy's COO and stacking
+    constructors: the coupling rows ``sum_i x_i(v, s) - sum_i y(v_i, s_i)``,
+    one per profile orbit, and the one-item IC and monotonicity block of y.
+    The coupling rows are equal to 0, the block's rows at most 0."""
     n, m = inst.n, inst.m
     pair = _pair_codes(n, m, k)
     P = pair.shape[1]
@@ -400,17 +401,16 @@ def coo_umopt_rows(inst, k, orbit, count):
                                profile_cols.ravel())),
                              shape=(first.size, count + n * m))
     block = coo_ic_monotone_rows(inst.score_model, n, m, 1, np.arange(n * m), n * m)
-    A = sp.vstack([coupling, sp.hstack([sp.csr_matrix((block.shape[0], count)), block])],
-                  format="csr")
-    row_lower = np.concatenate([np.zeros(first.size), np.full(block.shape[0], -np.inf)])
-    return A, row_lower
+    return coupling, sp.hstack([sp.csr_matrix((block.shape[0], count)), block], format="csr")
 
 
 def coupling_row_umopt(mi, row_pairs=False):
     """UMOPT solved in the coupling-row form of :func:`coo_umopt_rows`: x
     per :func:`item_orbits` orbit and y in [0, 1], the reward weights of x
-    summed per orbit as the objective.  With ``row_pairs`` each equality
-    row is stated as the row ``<= 0`` and its negation, in its place.
+    summed per orbit as the objective.  The equality rows go to
+    ``scipy.optimize.linprog(method="highs-ds")`` as ``A_eq``; with
+    ``row_pairs`` each is stated as the row ``<= 0`` and its negation, and
+    the LP goes to :func:`solve_lp`.
 
     Returns the optimal component y, shape (n, m), clipped into [0, 1], and
     the LP's optimum.
@@ -418,19 +418,25 @@ def coupling_row_umopt(mi, row_pairs=False):
     inst, k = mi.base, mi.item_count
     n, m = inst.n, inst.m
     orbit, count = item_orbits(n, m, k)
-    A, row_lower = coo_umopt_rows(inst, k, orbit, count)
-    if row_pairs:
-        eq = np.isfinite(row_lower)
-        coupling = A[eq]
-        paired = sp.vstack([coupling, -coupling], format="csr")
-        order = np.arange(2 * eq.sum()).reshape(2, -1).T.ravel()
-        A, row_lower = sp.vstack([paired[order], A[~eq]], format="csr"), None
+    coupling, block = coo_umopt_rows(inst, k, orbit, count)
     c = np.concatenate([np.bincount(orbit, weights=joint_weights(mi)[1], minlength=count),
                         np.zeros(n * m)])
-    sol = solve_lp(LpProblem(c, A, np.zeros(A.shape[0]), np.zeros(c.size), np.ones(c.size),
-                             row_lower))
-    assert sol.status == OPTIMAL
-    return np.clip(sol.values[count:], 0.0, 1.0).reshape(n, m), sol.objective_value
+    if row_pairs:
+        paired = sp.vstack([coupling, -coupling], format="csr")
+        order = np.arange(2 * coupling.shape[0]).reshape(2, -1).T.ravel()
+        A = sp.vstack([paired[order], block], format="csr")
+        sol = solve_lp(LpProblem(c, A, np.zeros(A.shape[0]), np.zeros(c.size),
+                                 np.ones(c.size)))
+        assert sol.status == OPTIMAL
+        x = sol.values
+    else:
+        res = linprog(-c, A_ub=block, b_ub=np.zeros(block.shape[0]), A_eq=coupling,
+                      b_eq=np.zeros(coupling.shape[0]), bounds=(0.0, 1.0), method="highs-ds",
+                      options={"primal_feasibility_tolerance": 1e-9,
+                               "dual_feasibility_tolerance": 1e-9})
+        assert res.status == 0
+        x = res.x
+    return np.clip(x[count:], 0.0, 1.0).reshape(n, m), float(c @ x)
 
 
 def loop_umopt_problem(mi):

@@ -93,27 +93,13 @@ _SCIPY_STATUS = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}
 
 
 def assert_matches_scipy(problem):
-    """solve_lp runs presolve only on a problem with equality rows; scipy gets
-    those rows as ``A_eq`` and puts them after the inequality rows, so
-    solve_lp is given the rows in that order too."""
     A, b = problem.constraint_matrix, problem.constraint_rhs
-    rows = {"A_ub": A, "b_ub": b if A is not None else None}
-    presolve = problem.row_lower is not None and bool(np.isfinite(problem.row_lower).any())
-    if presolve:
-        eq = np.isfinite(problem.row_lower)
-        assert np.array_equal(problem.row_lower[eq], b[eq])   # no ranged rows
-        A = sp.csr_array(A)
-        rows = {"A_ub": A[~eq], "b_ub": b[~eq], "A_eq": A[eq], "b_eq": b[eq]}
-        order = np.concatenate([np.flatnonzero(~eq), np.flatnonzero(eq)])
-        problem = dataclasses.replace(problem, constraint_matrix=A[order],
-                                      constraint_rhs=b[order],
-                                      row_lower=problem.row_lower[order])
-    res = linprog(-problem.objective, **rows,
+    res = linprog(-problem.objective, A_ub=A, b_ub=b if A is not None else None,
                   bounds=np.column_stack([problem.lower, problem.upper]),
                   method="highs-ds",
                   options={"primal_feasibility_tolerance": 1e-9,
                            "dual_feasibility_tolerance": 1e-9,
-                           "presolve": presolve})
+                           "presolve": False})
     sol = solve_lp(problem)
     assert sol.status == _SCIPY_STATUS[res.status]
     if sol.status == OPTIMAL:
@@ -206,7 +192,7 @@ def test_linprog_returns_the_solution_solve_lp_reports(example1):
                      problem.lower, problem.upper)
     sol = solve_lp(problem)
     assert isinstance(raw, lp.LpSolution)
-    fields = ("status", "nit", "rows", "columns", "nonzeros", "presolved")
+    fields = ("status", "nit", "rows", "columns", "nonzeros")
     assert [getattr(raw, f) for f in fields] == [getattr(sol, f) for f in fields]
     assert raw.status == OPTIMAL and raw.nit > 0
     assert np.array_equal(raw.values.view(np.int64), sol.values.view(np.int64))
@@ -257,9 +243,6 @@ class _FakeHighs:
     def passOptions(self, options):
         return _OK
 
-    def setOptionValue(self, name, value):
-        return _OK
-
     def passModel(self, *model):
         return _OK
 
@@ -308,7 +291,7 @@ def test_optimal_point_within_result_tolerance_accepted(monkeypatch):
     assert sol.status == OPTIMAL and sol.nit == 1
 
 
-@pytest.mark.parametrize("call", ["passOptions", "setOptionValue", "passModel", "run"])
+@pytest.mark.parametrize("call", ["passOptions", "passModel", "run"])
 def test_highs_call_error_raises(monkeypatch, call):
     fake = type("Fake", (_FakeHighs,),
                 {call: lambda self, *args: lp.highs.HighsStatus.kError})
@@ -318,28 +301,7 @@ def test_highs_call_error_raises(monkeypatch, call):
     assert fake.cleared == 1
 
 
-# -- equality rows and presolve -----------------------------------------------
-
-def _equality_problem(row_lower):
-    """maximize x0 + x1 s.t. row_lower <= x0 - x1 <= 0.25 in the unit box."""
-    return LpProblem(np.ones(2), np.array([[1.0, -1.0]]), np.array([0.25]),
-                     np.zeros(2), np.ones(2), row_lower)
-
-
-@pytest.mark.parametrize("row_lower", [[0.0, 0.0], [np.nan], [0.5]],
-                         ids=["wrong-length", "nan", "above-rhs"])
-def test_bad_row_lower_rejected(row_lower):
-    with pytest.raises(ValueError):
-        _equality_problem(row_lower)
-
-
-def test_equality_row_is_met():
-    sol = solve_lp(_equality_problem([0.25]))
-    assert sol.status == OPTIMAL
-    assert sol.values[0] - sol.values[1] == pytest.approx(0.25, abs=1e-9)
-    assert sol.objective_value == pytest.approx(1.75, abs=1e-9)
-    assert sol.presolved
-
+# -- presolve ------------------------------------------------------------------
 
 class _RecordingHighs(lp.highs._Highs):
     """The real solver, recording the presolve setting each run uses."""
@@ -351,35 +313,27 @@ class _RecordingHighs(lp.highs._Highs):
         return super().run()
 
 
-@pytest.mark.parametrize("row_lower, presolve", [
-    (None, "off"), ([-np.inf], "off"), ([0.25], "on"), ([-1.0], "on")])
-def test_presolve_runs_only_with_finite_row_lower(monkeypatch, row_lower, presolve):
+@pytest.mark.parametrize("solve, k, runs", [
+    (single_item.solve_om1, 1, 1), (single_item.om1_alternate_optimum, 1, 2),
+    (multi_item.solve_omk, 2, 1), (multi_item.solve_umopt, 2, 1)],
+    ids=["OM1", "OM1-alt", "OMk", "UMOPT"])
+def test_presolve_never_runs_on_a_package_lp(monkeypatch, solve, k, runs):
     monkeypatch.setattr(_RecordingHighs, "presolve", [])
     monkeypatch.setattr(lp.highs, "_Highs", _RecordingHighs)
-    sol = solve_lp(_equality_problem(row_lower))
-    assert sol.status == OPTIMAL
-    assert _RecordingHighs.presolve == [presolve]
-    assert sol.presolved == (presolve == "on")
-    assert lp._OPTIONS.presolve == "on"   # the shared options are untouched
+    inst = gen.random_instance(11, 4, 4)
+    solve(MultiInstance(inst, k) if k > 1 else inst)
+    assert _RecordingHighs.presolve == ["off"] * runs
+    assert lp._OPTIONS.presolve == "off"
 
 
 def test_lp_size_reported():
     A = sp.csr_array(np.array([[1.0, 0.0, 2.0], [0.0, 0.0, 1.0]]))
     problem = LpProblem(np.ones(3), A, np.ones(2), np.zeros(3), np.ones(3))
     sol = solve_lp(problem)
-    assert (sol.rows, sol.columns, sol.nonzeros, sol.presolved) == (2, 3, 3, False)
+    assert (sol.rows, sol.columns, sol.nonzeros) == (2, 3, 3)
     infeasible = solve_lp(lp_from_rows([1.0], [([1.0], -2.0)], [(0.0, 1.0)]))
     assert infeasible.status == INFEASIBLE
     assert (infeasible.rows, infeasible.columns, infeasible.nonzeros) == (1, 1, 1)
-
-
-def test_presolve_is_set_per_solve_on_the_reused_object(monkeypatch):
-    monkeypatch.setattr(_RecordingHighs, "presolve", [])
-    monkeypatch.setattr(lp.highs, "_Highs", _RecordingHighs)
-    for row_lower in (None, [0.25], None, [-1.0]):
-        assert solve_lp(_equality_problem(row_lower)).status == OPTIMAL
-    assert _RecordingHighs.presolve == ["off", "on", "off", "on"]
-    assert type(lp._REUSED.solver) is _RecordingHighs
 
 
 # -- the per-thread HiGHS object ---------------------------------------------

@@ -374,8 +374,7 @@ def test_umopt_objective_scaling_reaches_the_optimum():
                          [(GRID7, 2, 1113, 1078, 3759), (GRID4, 3, 1016, 1008, 3896)])
 def test_umopt_lp_size(monkeypatch, grid, k, rows, cols, nonzeros):
     """The paper grids' UMOPT LPs: the one-item block of y and one capped
-    variable and row per kink; no row has a finite lower bound, so neither
-    UMOPT nor OMk is presolved."""
+    variable and row per kink."""
     solutions = []
 
     def recording(problem):
@@ -388,7 +387,6 @@ def test_umopt_lp_size(monkeypatch, grid, k, rows, cols, nonzeros):
     solve_omk(MultiInstance(inst, k))
     umopt, omk = solutions
     assert (umopt.rows, umopt.columns, umopt.nonzeros) == (rows, cols, nonzeros)
-    assert not umopt.presolved and not omk.presolved
     assert omk.columns == item_orbits(len(grid), len(grid), k)[1] and omk.nonzeros > 0
 
 
@@ -443,14 +441,13 @@ def test_lp_patterns_match_the_coo_builder(n, m, k):
     for a, b in ((umopt.constraint_rhs, loop.constraint_rhs), (umopt.lower, loop.lower),
                  (umopt.upper, loop.upper)):
         assert np.array_equal(a, b)
-    assert umopt.row_lower is None
     assert np.array_equal(multi_item._omk_pattern(n, m, k).orbit, orbit)
 
 
 def _problem_arrays(problem):
     A = problem.constraint_matrix
     return [problem.objective, problem.constraint_rhs, problem.lower, problem.upper,
-            problem.row_lower, A.shape, A.indptr, A.indices, A.data.view(np.int64)]
+            A.shape, A.indptr, A.indices, A.data.view(np.int64)]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -475,7 +472,7 @@ def test_results_do_not_depend_on_the_shape_cache(monkeypatch, k):
 
     multi_item._PATTERNS.clear()
     cold = solved()
-    assert set(multi_item._PATTERNS) == {("_omk_pattern", 3, 3, 1), ("_omk_pattern", 3, 3, k)}
+    assert set(multi_item._PATTERNS) == {(3, 3, 1), (3, 3, k)}
     warm = solved()
     for cold_problem, warm_problem in zip(cold[0], warm[0]):
         for a, b in zip(cold_problem, warm_problem):
@@ -506,9 +503,9 @@ def test_shape_cache_evicts_least_recently_used(monkeypatch):
     for k in (1, 2, 1):
         omk_problem(MultiInstance(sparse_noise_instance(3, 3, seed=k), k))
         assert cached_size() <= multi_item.MAX_IC_ENTRIES
-    assert list(multi_item._PATTERNS) == [("_omk_pattern", 3, 3, 2), ("_omk_pattern", 3, 3, 1)]
+    assert list(multi_item._PATTERNS) == [(3, 3, 2), (3, 3, 1)]
     multi_item._omk_pattern(2, 2, 1)   # evicts the least recently used, the k = 2 pattern
-    assert list(multi_item._PATTERNS) == [("_omk_pattern", 3, 3, 1), ("_omk_pattern", 2, 2, 1)]
+    assert list(multi_item._PATTERNS) == [(3, 3, 1), (2, 2, 1)]
     assert cached_size() <= multi_item.MAX_IC_ENTRIES
     omk_problem(MultiInstance(sparse_noise_instance(4, 4, seed=0), 2))
     assert cached_size() <= multi_item.MAX_IC_ENTRIES
