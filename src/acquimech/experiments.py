@@ -168,7 +168,7 @@ def _multi_record(mi: MultiInstance, policy) -> tuple[float, float, tuple]:
     return reward, overall, tuple(rates.tolist())
 
 
-#: The two LP mechanisms, with the (policy cells, IC entries) that
+#: The two LP mechanisms, with the (policy cells, pattern entries) that
 #: ``multi_item.check_size`` judges each by.
 _LP_SIZES = {"OMk": multi_item.omk_size, "UMOPT": multi_item.umopt_size}
 

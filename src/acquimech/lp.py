@@ -7,6 +7,11 @@ bindings bundled with scipy, which is deterministic and returns basic
 and golden tests can pin objectives.  Infeasible and unbounded problems are
 reported through the solution status, never by raising.
 
+A solve may start from some of the rows and generate the rest: HiGHS gets
+the listed rows, and each other row the optimum violates is added to the live
+model and re-solved from the current basis until none is violated.  The
+result is checked against every row, as a one-run solve is.
+
 :func:`linprog` may be called from several threads at once: HiGHS releases
 the GIL while it solves, a large model gets its own HiGHS object and a small
 one the calling thread's, so no object is shared between threads.
@@ -138,7 +143,58 @@ def _solver(nonzeros: int):
     return solver
 
 
-def linprog(c, A, b, lower, upper) -> LpSolution:
+def _run(solver) -> str:
+    """Run HiGHS on its model and return the status; RuntimeError on any
+    outcome but optimal, infeasible or unbounded."""
+    _checked(solver.run(), "run")
+    model_status = solver.getModelStatus()
+    status = _STATUS.get(model_status)
+    if status is None:
+        raise RuntimeError(f"LP solver failed: {solver.modelStatusToString(model_status)}")
+    return status
+
+
+def _generate(solver, rows, b: np.ndarray, start) -> tuple[str, int]:
+    """Solve the model of rows ``start`` of ``rows @ x <= b`` already on
+    ``solver``, adding the other rows as they are needed: the status of the
+    last run and the simplex iterations of the runs before it.
+
+    After each optimal run, every row left out that the point violates by
+    more than the HiGHS primal tolerance goes onto the model with
+    ``addRows`` and HiGHS re-solves from its current basis, where dual
+    simplex stays dual feasible.  An unbounded run gets every row left out.
+    If any row was added, one more run on a fresh factorization of the final
+    basis gives the point: warm re-solves can leave a row 1.8e-7 off.
+    """
+    live = np.zeros(b.size, dtype=bool)
+    live[start] = True
+    status, earlier, added = _run(solver), 0, False
+    while status != INFEASIBLE:
+        if status == UNBOUNDED:
+            new = np.flatnonzero(~live)
+        else:
+            x = np.array(solver.getSolution().col_value)
+            new = np.flatnonzero(~live & (rows @ x - b > _OPTIONS.primal_feasibility_tolerance))
+        if not new.size:
+            break
+        earlier += solver.getInfo().simplex_iteration_count   # a model change voids it
+        block = rows[new]
+        _checked(solver.addRows(new.size, np.full(new.size, -np.inf), b[new], block.nnz,
+                                block.indptr.astype(np.int32, copy=False),
+                                block.indices.astype(np.int32, copy=False), block.data),
+                 "addRows")
+        live[new] = added = True
+        status = _run(solver)
+    if status == OPTIMAL and added:
+        earlier += solver.getInfo().simplex_iteration_count
+        basis = solver.getBasis()
+        _checked(solver.clearSolver(), "clearSolver")
+        _checked(solver.setBasis(basis), "setBasis")
+        status = _run(solver)
+    return status, earlier
+
+
+def linprog(c, A, b, lower, upper, start=None) -> LpSolution:
     """minimize ``c @ x`` subject to ``A @ x <= b`` and ``lower <= x <= upper``
     with HiGHS dual simplex, checking inputs and result as
     ``scipy.optimize.linprog(method="highs-ds")`` does.  The reported
@@ -149,16 +205,22 @@ def linprog(c, A, b, lower, upper) -> LpSolution:
     HiGHS as column-wise arrays in one call, with every row lower bound
     -inf.
 
-    A model of at most ``_REUSE_MAX_NONZEROS`` nonzeros is solved on one
-    HiGHS object kept per thread, which saves building and freeing one per
-    call.  Its model is cleared after every solve, failed ones too, so each
-    solve starts cold and gives the bits and iteration count of a fresh
-    object.
+    ``start``, if given, lists the rows of ``A`` that HiGHS gets first (as
+    row-wise arrays); the others are generated (:func:`_generate`) until
+    none is violated.  The result is an optimum of the whole problem, whose
+    size it reports, and ``nit`` counts the iterations of every run.  With
+    ``start`` None the whole model is solved in one run.
+
+    A model of at most ``_REUSE_MAX_NONZEROS`` nonzeros, counted over all of
+    ``A``, is solved on one HiGHS object kept per thread, which saves
+    building and freeing one per call.  Its model is cleared after every
+    solve, failed ones too, so each solve starts cold and gives the bits and
+    iteration count of a fresh object.
 
     Raises ValueError on a non-finite ``c``, ``A`` or ``b`` entry or a NaN
     bound, and RuntimeError on a HiGHS call that returns an error or any
     outcome but optimal, infeasible or unbounded, including an optimal point
-    off its bounds or rows by more than ``sqrt(1e-9) * 10``.
+    off its bounds or any row of ``A`` by more than ``sqrt(1e-9) * 10``.
     """
     A = sp.csc_array((0, c.size) if A is None else A)
     if not (np.isfinite(c).all() and np.isfinite(A.data).all() and np.isfinite(b).all()):
@@ -169,24 +231,27 @@ def linprog(c, A, b, lower, upper) -> LpSolution:
     solver = _solver(A.nnz)
     try:
         _checked(solver.passOptions(_OPTIONS), "passOptions")
+        if start is None:
+            model, model_format, rhs = A, highs.MatrixFormat.kColwise, b
+        else:
+            rows = A.tocsr()
+            model, model_format, rhs = rows[start], highs.MatrixFormat.kRowwise, b[start]
         _checked(solver.passModel(
-            c.size, b.size, A.nnz, highs.MatrixFormat.kColwise, highs.ObjSense.kMinimize,
-            0.0, c, lower, upper, np.full(b.size, -np.inf), b,
-            A.indptr.astype(np.int32, copy=False),
-            A.indices.astype(np.int32, copy=False), np.asarray(A.data, dtype=float),
+            c.size, rhs.size, model.nnz, model_format, highs.ObjSense.kMinimize,
+            0.0, c, lower, upper, np.full(rhs.size, -np.inf), rhs,
+            model.indptr.astype(np.int32, copy=False),
+            model.indices.astype(np.int32, copy=False), np.asarray(model.data, dtype=float),
             np.zeros(c.size, dtype=np.int32)), "passModel")   # all continuous
-        _checked(solver.run(), "run")
-        model_status = solver.getModelStatus()
-        status = _STATUS.get(model_status)
-        if status is None:
-            raise RuntimeError(
-                f"LP solver failed: {solver.modelStatusToString(model_status)}")
+        if start is None:
+            status, earlier = _run(solver), 0
+        else:
+            status, earlier = _generate(solver, rows, b, start)
         if status != OPTIMAL:
             return LpSolution(status, **size)
         solution = solver.getSolution()
         x = np.array(solution.col_value)
-        row = np.array(solution.row_value)
-        nit = solver.getInfo().simplex_iteration_count
+        row = np.array(solution.row_value) if start is None else rows @ x
+        nit = earlier + solver.getInfo().simplex_iteration_count
     finally:
         solver.clearModel()
     if not (np.all(x >= lower - _RESULT_TOL) and np.all(x <= upper + _RESULT_TOL)
@@ -196,14 +261,17 @@ def linprog(c, A, b, lower, upper) -> LpSolution:
     return LpSolution(OPTIMAL, x, float(c @ x), nit, **size)
 
 
-def solve_lp(problem: LpProblem) -> LpSolution:
+def solve_lp(problem: LpProblem, start=None) -> LpSolution:
     """Solve to a vertex optimum; deterministic across repeated calls.
 
-    The reported objective is recomputed as ``c @ x`` from the returned
-    point, so it agrees with the solution values to full precision.
+    ``start`` is passed to :func:`linprog`: the rows HiGHS gets first, the
+    others added as the optimum violates them, or None for one solve of the
+    whole problem.  The reported objective is recomputed as ``c @ x`` from
+    the returned point, so it agrees with the solution values to full
+    precision.
     """
     sol = linprog(-problem.objective, problem.constraint_matrix, problem.constraint_rhs,
-                  problem.lower, problem.upper)
+                  problem.lower, problem.upper, start=start)
     if sol.status != OPTIMAL:
         return sol
     return replace(sol, objective_value=float(problem.objective @ sol.values))

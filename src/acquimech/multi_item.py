@@ -28,8 +28,9 @@ from .lp import LpProblem, OPTIMAL, solve_lp
 #: Refuse a policy tensor, and the LP behind it, beyond this many cells.
 MAX_POLICY_CELLS = 1_000_000
 
-#: Refuse an LP whose IC rows would hold more entries than this before it is
-#: built (OMk at n = 7, k = 3 has 42.7M and HiGHS runs out of memory).
+#: Refuse an LP whose pattern would hold more orbit cells and raw entries
+#: than this before it is built (OMk at n = 7, k = 3 has 43.1M, and HiGHS ran
+#: out of memory on its dense form).
 MAX_IC_ENTRIES = 20_000_000
 
 #: Pooled acquisition mass at or below this is treated as exactly zero.
@@ -42,14 +43,15 @@ class SizeBudgetError(RuntimeError):
     """The problem is over ``MAX_POLICY_CELLS`` or ``MAX_IC_ENTRIES``."""
 
 
-def check_size(cells: int, ic_entries: int) -> None:
-    """Raise :class:`SizeBudgetError` when a problem's policy cells or IC
-    entries are over the limits; every solver calls it before it builds."""
+def check_size(cells: int, entries: int) -> None:
+    """Raise :class:`SizeBudgetError` when a problem's policy cells or
+    pattern entries are over the limits; every solver calls it before it
+    builds."""
     if cells > MAX_POLICY_CELLS:
         raise SizeBudgetError(f"policy of {cells} cells is over the limit "
                               f"of {MAX_POLICY_CELLS}")
-    if ic_entries > MAX_IC_ENTRIES:
-        raise SizeBudgetError(f"IC rows would hold {ic_entries} entries, "
+    if entries > MAX_IC_ENTRIES:
+        raise SizeBudgetError(f"LP would hold {entries} pattern entries, "
                               f"over the limit of {MAX_IC_ENTRIES}")
 
 
@@ -61,14 +63,21 @@ def omk_ic_entries(n: int, m: int, k: int) -> int:
 
 
 def omk_size(n: int, m: int, k: int) -> tuple[int, int]:
-    """The policy cells and IC entries :func:`solve_omk` is checked by."""
-    return k * n**k * m**k, omk_ic_entries(n, m, k)
+    """The policy cells and pattern entries :func:`solve_omk` is checked by.
+
+    The pattern entries are the :attr:`_Pattern.size` of the OMk pattern,
+    by closed form: its orbit map, one cell per policy cell, the raw IC
+    entries and two raw entries per monotone row, one row per orbit whose
+    own score is above the lowest."""
+    cells = k * n**k * m**k
+    return cells, (cells + omk_ic_entries(n, m, k)
+                   + 2 * n * (m - 1) * math.comb(n * m + k - 2, k - 1))
 
 
 def umopt_size(n: int, m: int, k: int) -> tuple[int, int]:
-    """The policy and component cells and the one-item IC entries
+    """The policy and component cells and the one-item pattern entries
     :func:`solve_umopt` is checked by."""
-    return k * n**k * m**k + k * n * m, omk_ic_entries(n, m, 1)
+    return k * n**k * m**k + k * n * m, omk_size(n, m, 1)[1]
 
 
 def _policy_shape(n: int, m: int, k: int) -> tuple[int, ...]:
@@ -141,11 +150,14 @@ class _Pattern:
     entries, before duplicates merge, take their values from the fill
     vector of :meth:`fill`: ``first`` is the position there of each slot's
     first raw entry, and ``later`` pairs the slot and the position of every
-    further raw entry, in raw order.  Every array is read-only.
+    further raw entry, in raw order.  ``start`` lists the rows that row
+    generation starts from (:func:`_ic_monotone_entries`).  Every array is
+    read-only.
     """
 
     shape: tuple[int, int]
     orbit: np.ndarray
+    start: np.ndarray
     indptr: np.ndarray
     indices: np.ndarray
     first: np.ndarray
@@ -177,8 +189,8 @@ class _Pattern:
                          np.ones(count))
 
 
-def _merged(orbit: np.ndarray, sizes: np.ndarray, cols: np.ndarray, source: np.ndarray,
-            shape: tuple[int, int]) -> _Pattern:
+def _merged(orbit: np.ndarray, start: np.ndarray, sizes: np.ndarray, cols: np.ndarray,
+            source: np.ndarray, shape: tuple[int, int]) -> _Pattern:
     """The pattern of raw entries given row by row: ``sizes[r]`` entries in
     row r, each with its column and its position in the fill vector.
 
@@ -197,9 +209,11 @@ def _merged(orbit: np.ndarray, sizes: np.ndarray, cols: np.ndarray, source: np.n
     later = np.flatnonzero(~new)
     positions = raw.data[later].astype(np.intp)
     later -= np.arange(1, later.size + 1)   # its slot: slots opened before it, less one
-    pattern = _Pattern(shape, orbit, np.searchsorted(starts, raw.indptr).astype(np.int32),
+    pattern = _Pattern(shape, orbit, start,
+                       np.searchsorted(starts, raw.indptr).astype(np.int32),
                        rows[starts], raw.data[starts].astype(np.intp), (later, positions))
-    for array in (orbit, pattern.indptr, pattern.indices, pattern.first, later, positions):
+    for array in (orbit, start, pattern.indptr, pattern.indices, pattern.first, later,
+                  positions):
         array.flags.writeable = False
     return pattern
 
@@ -215,6 +229,9 @@ def _ic_monotone_entries(n: int, m: int, k: int, orbit: np.ndarray):
     :func:`item_orbits` orbit of x_i(a, b) (quality tuple a, score tuple b),
     as raw entries: each row's entry count, and each entry's column and
     position in the fill vector ``[Rk, -Rk, 1, -1]`` of :meth:`_Pattern.fill`.
+    Then the start rows of row generation, ascending: each local IC row,
+    whose reported tuple differs from the true one in one item by one
+    level, and every monotone row.
 
     IC row (a, ap), a-major over distinct tuples, is ``sum_i sum_b Rk[a, b]
     (x_i(ap, b) - x_i(a, b))``, zeros of Rk kept as entries.  Monotone row
@@ -232,6 +249,7 @@ def _ic_monotone_entries(n: int, m: int, k: int, orbit: np.ndarray):
     quality = np.indices((n,) * k).reshape(k, NV)
     first = _first_of_each(_multiset_key(quality[:, a] * n + quality[:, ap], n * n))
     a, ap = a[first], ap[first]
+    local = np.abs(quality[:, a] - quality[:, ap]).sum(axis=0) == 1
     hi = hi[_first_of_each(orbit[hi])]
     lo = hi - m ** (k - 1 - hi // (NV * NS))
     # IC entries in the order (row, item, [reported, true], score): +Rk[a, b]
@@ -246,7 +264,8 @@ def _ic_monotone_entries(n: int, m: int, k: int, orbit: np.ndarray):
     cols = np.concatenate([ic_cols.ravel(), orbit[np.stack([lo, hi], axis=1)].ravel()])
     source = np.concatenate([np.broadcast_to(ic_source, ic_cols.shape).ravel(),
                              np.tile(np.array([one, one + 1], dtype=np.int32), hi.size)])
-    return sizes, cols, source
+    start = np.concatenate([np.flatnonzero(local), a.size + np.arange(hi.size)])
+    return sizes, cols, source, start
 
 
 def _omk_pattern(n: int, m: int, k: int) -> _Pattern:
@@ -262,8 +281,9 @@ def _omk_pattern(n: int, m: int, k: int) -> _Pattern:
             _PATTERNS.move_to_end(key)
             return _PATTERNS[key]
         orbit, count = item_orbits(n, m, k)
-        sizes, cols, source = _ic_monotone_entries(n, m, k, orbit)
-        pattern = _PATTERNS[key] = _merged(orbit, sizes, cols, source, (sizes.size, count))
+        sizes, cols, source, start = _ic_monotone_entries(n, m, k, orbit)
+        pattern = _PATTERNS[key] = _merged(orbit, start, sizes, cols, source,
+                                           (sizes.size, count))
         while sum(cached.size for cached in _PATTERNS.values()) > MAX_IC_ENTRIES:
             _PATTERNS.popitem(last=False)
         return pattern
@@ -283,10 +303,11 @@ def omk_problem(mi: MultiInstance) -> LpProblem:
     return _omk_pattern(mi.base.n, mi.base.m, mi.item_count).problem(*joint_weights(mi))
 
 
-def _optimum(problem: LpProblem, what: str) -> np.ndarray:
-    """The optimal point of ``problem``, clipped into [0, 1] to shave solver
-    box noise; RuntimeError unless the LP is optimal."""
-    sol = solve_lp(problem)
+def _optimum(problem: LpProblem, what: str, start=None) -> np.ndarray:
+    """The optimal point of ``problem``, solved from the rows ``start`` as
+    :func:`solve_lp` does, clipped into [0, 1] to shave solver box noise;
+    RuntimeError unless the LP is optimal."""
+    sol = solve_lp(problem, start=start)
     if sol.status != OPTIMAL:
         raise RuntimeError(f"{what} LP unexpectedly {sol.status}")
     return np.clip(sol.values, 0.0, 1.0)
@@ -297,12 +318,21 @@ def solve_omk(mi: MultiInstance) -> MultiPolicy:
 
     The LP has one variable per orbit and is expanded back to the k * n^k *
     m^k policy cells; it is refused by :func:`check_size` before it is built.
+    With k >= 2, HiGHS starts from the pattern's start rows, the local IC
+    rows and every monotone row, and each IC row the optimum violates is
+    added and re-solved warm (:func:`lp.linprog`); on the paper sweeps
+    (n = 7, k = 2) the optimum needed at most 474 of the 1197 IC rows.
+    With one item (OM1) the LP is solved whole in one run: at 42 IC rows
+    the extra runs cost more than they save.  Where the optimum is not
+    unique, the vertex returned can differ from that of one solve of the
+    whole LP, with the same reward.
     """
     inst, k = mi.base, mi.item_count
     n, m = inst.n, inst.m
     check_size(*omk_size(n, m, k))
     pattern = _omk_pattern(n, m, k)   # read once: it may be evicted during the solve
-    values = _optimum(pattern.problem(*joint_weights(mi)), "OMk")
+    values = _optimum(pattern.problem(*joint_weights(mi)), "OMk",
+                      pattern.start if k > 1 else None)
     return MultiPolicy(values[pattern.orbit].reshape(_policy_shape(n, m, k)))
 
 

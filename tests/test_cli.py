@@ -189,16 +189,16 @@ def test_solve_omk_refuses_large_ic_rows_before_building(capsys, tmp_path, monke
     monkeypatch.setattr(multi_item, "omk_problem", never_built)
     path = identity_instance_path(tmp_path, 7, 3)
     code, out, err = run(capsys, "solve", "--instance", path, "--mechanism", "omk")
-    assert code == 3 and out == "" and "42684978 entries" in err
+    assert code == 3 and out == "" and "43140825 pattern entries" in err
 
 
 def test_solve_umopt_refuses_large_ic_rows_before_building(capsys, tmp_path, monkeypatch):
-    """UMOPT's IC rows are the one-item block, 21,199,200 entries at 220
-    levels, over MAX_IC_ENTRIES."""
+    """UMOPT's IC rows are the one-item block, whose pattern holds
+    21,343,960 entries at 220 levels, over MAX_IC_ENTRIES."""
     monkeypatch.setattr(multi_item, "_ic_monotone_entries", never_built)
     path = identity_instance_path(tmp_path, 220, 1)
     code, out, err = run(capsys, "solve", "--instance", path, "--mechanism", "umopt")
-    assert code == 3 and out == "" and "21199200 entries" in err
+    assert code == 3 and out == "" and "21343960 pattern entries" in err
 
 
 def test_verify_published_matrix(capsys, tmp_path, example1_path, example1_matrix):
@@ -391,7 +391,7 @@ def test_sweep_refuses_large_ic_rows_before_building(capsys, tmp_path, monkeypat
                                        "mechanisms": mechanisms}))
     code, out, err = run(capsys, "sweep", "--config", str(config_path),
                          "--out", str(tmp_path / "x.csv"))
-    assert code == 3 and out == "" and "42684978 entries" in err
+    assert code == 3 and out == "" and "43140825 pattern entries" in err
 
 
 def test_sweep_csv_does_not_depend_on_the_shape_cache(capsys, tmp_path):

@@ -111,9 +111,9 @@ def _solved_problems(module, solve, *args):
     """Every LpProblem that ``solve(*args)`` passes to ``module.solve_lp``."""
     problems, original = [], module.solve_lp
 
-    def recording(problem):
+    def recording(problem, start=None):
         problems.append(problem)
-        return original(problem)
+        return original(problem, start=start)
 
     module.solve_lp = recording
     try:
@@ -315,15 +315,149 @@ class _RecordingHighs(lp.highs._Highs):
 
 @pytest.mark.parametrize("solve, k, runs", [
     (single_item.solve_om1, 1, 1), (single_item.om1_alternate_optimum, 1, 2),
-    (multi_item.solve_omk, 2, 1), (multi_item.solve_umopt, 2, 1)],
+    (multi_item.solve_omk, 2, 3), (multi_item.solve_umopt, 2, 1)],
     ids=["OM1", "OM1-alt", "OMk", "UMOPT"])
 def test_presolve_never_runs_on_a_package_lp(monkeypatch, solve, k, runs):
+    """OMk runs on its start rows, once more after one round of added rows,
+    and once on a fresh factorization."""
     monkeypatch.setattr(_RecordingHighs, "presolve", [])
     monkeypatch.setattr(lp.highs, "_Highs", _RecordingHighs)
     inst = gen.random_instance(11, 4, 4)
     solve(MultiInstance(inst, k) if k > 1 else inst)
     assert _RecordingHighs.presolve == ["off"] * runs
     assert lp._OPTIONS.presolve == "off"
+
+
+# -- row generation ------------------------------------------------------------
+
+#: HiGHS as bundled, before any test replaces it.
+_HIGHS = lp.highs._Highs
+
+
+def _generation_lp():
+    """maximize x + y over the unit box s.t. x + 2y <= 2 and 2x + y <= 2:
+    from row 0 alone the optimum (1, 0.5) violates row 1, and the whole
+    LP's optimum is (2/3, 2/3)."""
+    return lp_from_rows([1.0, 1.0], [([1.0, 2.0], 2.0), ([2.0, 1.0], 2.0)],
+                        [(0.0, 1.0), (0.0, 1.0)])
+
+
+class _CountingHighs(_HIGHS):
+    """The real solver, recording each model pass, row addition and run,
+    with the iterations of each run."""
+
+    calls: list = []
+    iterations: list = []
+
+    def passModel(self, *model):
+        self.calls.append("passModel")
+        return super().passModel(*model)
+
+    def addRows(self, *rows):
+        self.calls.append("addRows")
+        return super().addRows(*rows)
+
+    def run(self):
+        self.calls.append("run")
+        status = super().run()
+        self.iterations.append(self.getInfo().simplex_iteration_count)
+        return status
+
+
+@pytest.fixture
+def counting(monkeypatch):
+    monkeypatch.setattr(_CountingHighs, "calls", [])
+    monkeypatch.setattr(_CountingHighs, "iterations", [])
+    monkeypatch.setattr(lp.highs, "_Highs", _CountingHighs)
+    return _CountingHighs
+
+
+def test_a_violated_row_left_out_is_added(counting):
+    problem = _generation_lp()
+    whole = solve_lp(problem)
+    generated = solve_lp(problem, start=[0])
+    assert counting.calls == ["passModel", "run", "passModel", "run", "addRows", "run", "run"]
+    assert generated.status == whole.status == OPTIMAL
+    np.testing.assert_allclose(generated.values, [2 / 3, 2 / 3], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(generated.values, whole.values, rtol=0, atol=1e-12)
+    assert generated.objective_value == pytest.approx(whole.objective_value, abs=1e-12)
+    assert (generated.rows, generated.columns, generated.nonzeros) == (2, 2, 4)
+
+
+def test_generated_solve_reports_infeasible():
+    """Row 0 alone (x >= 0.5) is feasible; row 1 (x <= 0.2) makes the whole
+    LP infeasible once it is added."""
+    problem = lp_from_rows([1.0], [([-1.0], -0.5), ([1.0], 0.2)], [(0.0, 1.0)])
+    for start in ([0], [1], []):
+        sol = solve_lp(problem, start=start)
+        assert (sol.status, sol.nit, sol.values) == (INFEASIBLE, 0, None)
+        assert sol.rows == 2
+
+
+def test_generated_solve_adds_every_row_to_an_unbounded_start():
+    bounded = lp_from_rows([1.0], [([1.0], 3.0)], [(0.0, np.inf)])
+    sol = solve_lp(bounded, start=[])
+    assert sol.status == OPTIMAL and sol.values[0] == pytest.approx(3.0)
+    unbounded = lp_from_rows([1.0, 1.0], [([1.0, -1.0], 3.0)], [(0.0, np.inf)] * 2)
+    assert solve_lp(unbounded, start=[]).status == UNBOUNDED
+
+
+def test_generated_solve_counts_the_iterations_of_every_run(counting):
+    mi = MultiInstance(gen.random_instance(11, 4, 4), 2)
+    problem = multi_item.omk_problem(mi)
+    sol = solve_lp(problem, start=multi_item._omk_pattern(4, 4, 2).start)
+    assert counting.calls.count("run") == len(counting.iterations) >= 3
+    assert sol.nit == sum(counting.iterations) > counting.iterations[0]
+
+
+def test_small_generated_solve_leaves_the_reused_object_cleared(interleaved):
+    """A generated solve of a model under the reuse limit runs on the
+    thread's reused object, which it leaves with no model and no basis, so
+    the next solves give the bits of fresh objects."""
+    problems, fresh = interleaved
+    solve_lp(_generation_lp(), start=[0])
+    solver = lp._REUSED.solver
+    assert (solver.getNumRow(), solver.getNumCol()) == (0, 0)
+    assert not solver.getBasis().valid
+    _assert_same_solutions([solve_lp(p) for p in problems[:2]], fresh[:2])
+    assert lp._REUSED.solver is solver
+
+
+def _one_run(problem):
+    """The point and iterations of one model pass and one run of the whole
+    LP on a fresh HiGHS object."""
+    c, b = -problem.objective, problem.constraint_rhs
+    A = sp.csc_array(problem.constraint_matrix)
+    solver = _HIGHS()
+    solver.passOptions(lp._OPTIONS)
+    solver.passModel(c.size, b.size, A.nnz, lp.highs.MatrixFormat.kColwise,
+                     lp.highs.ObjSense.kMinimize, 0.0, c, problem.lower, problem.upper,
+                     np.full(b.size, -np.inf), b, A.indptr.astype(np.int32),
+                     A.indices.astype(np.int32), A.data, np.zeros(c.size, dtype=np.int32))
+    solver.run()
+    return np.array(solver.getSolution().col_value), solver.getInfo().simplex_iteration_count
+
+
+@pytest.mark.parametrize("solve, k", [
+    (single_item.solve_om1, 1), (single_item.om1_alternate_optimum, 1),
+    (multi_item.solve_umopt, 2)], ids=["OM1", "OM1-alt", "UMOPT"])
+def test_one_item_lps_are_solved_whole_in_one_run(monkeypatch, counting, solve, k):
+    """With no start rows (OM1, OM1-alt and UMOPT's one-item block), each LP
+    is one model pass and one run, with the bits and iterations of that."""
+    solved = []
+    for module in (single_item, multi_item):
+        def recording(problem, start=None, original=module.solve_lp):
+            solved.append((problem, start, original(problem, start=start)))
+            return solved[-1][2]
+        monkeypatch.setattr(module, "solve_lp", recording)
+    for seed in range(5):
+        inst = gen.random_instance(seed, 2, 7)
+        solve(MultiInstance(inst, k) if k > 1 else inst)
+    assert counting.calls == ["passModel", "run"] * len(solved)
+    for problem, start, sol in solved:
+        x, nit = _one_run(problem)
+        assert start is None
+        assert np.array_equal(sol.values.view(np.int64), x.view(np.int64)) and sol.nit == nit
 
 
 def test_lp_size_reported():

@@ -19,6 +19,7 @@ from acquimech import (Mechanism, MultiInstance, MultiPolicy, RANK_CLASSES,
                        solve_umopt, tmm_optimal, union_policy, validate_instance)
 from acquimech import multi_item, solve_lp
 from acquimech.core import QualityGrid
+from acquimech.lp import FEASIBILITY_TOL
 from acquimech.experiments import (THM7_PRINTED_AGGREGATES, SweepConfig, build_score_model,
                                    discretize_prior)
 from acquimech.multi_item import (MAX_IC_ENTRIES, MAX_POLICY_CELLS, RankPolicy, item_orbits,
@@ -192,11 +193,33 @@ def test_omk_ic_entry_limit():
 @pytest.mark.parametrize("solve", [lambda inst: solve_umopt(MultiInstance(inst, 1)),
                                    om1_alternate_optimum], ids=["UMOPT", "OM1-alt"])
 def test_one_item_ic_entry_limit(monkeypatch, solve):
-    """At 220 levels the one-item IC rows, UMOPT's component block among
-    them, hold 21,199,200 entries, over MAX_IC_ENTRIES, as OM1's do."""
+    """At 220 levels the one-item pattern, which UMOPT's component block is
+    filled from, holds 21,343,960 entries, over MAX_IC_ENTRIES, as OM1's
+    does."""
     monkeypatch.setattr(multi_item, "_ic_monotone_entries", never_built)
-    with pytest.raises(SizeBudgetError, match="21199200 entries"):
+    with pytest.raises(SizeBudgetError, match="21343960 pattern entries"):
         solve(identity_instance(220))
+
+
+def pattern_entries(n, m, k):
+    """Orbit cells and raw entries of the OMk pattern: one cell per policy
+    cell, the IC entries, and two entries per monotone row, one row per
+    orbit whose own score is above the lowest."""
+    return (k * n**k * m**k + omk_ic_entries(n, m, k)
+            + 2 * n * (m - 1) * math.comb(n * m + k - 2, k - 1))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_size_gate_counts_the_pattern_built(k):
+    """The gate's count, ``omk_size`` and ``umopt_size``, is the size of the
+    pattern each solver builds or reads, for every n, m <= 5."""
+    for n, m in itertools.product(range(1, 6), repeat=2):
+        size = multi_item._omk_pattern(n, m, k).size
+        assert multi_item.omk_size(n, m, k) == (k * n**k * m**k, size)
+        assert size == pattern_entries(n, m, k)
+        if k == 1:
+            assert multi_item.umopt_size(n, m, 2)[1] == size
+    assert multi_item.omk_size(7, 7, 3)[1] == 43_140_825
 
 
 class _Built(Exception):
@@ -206,7 +229,7 @@ class _Built(Exception):
 def test_every_solver_refuses_what_the_closed_forms_refuse(monkeypatch):
     """For n, m in 2..30 and k in 1..3, and for one-item sizes past each
     limit, a solver raises SizeBudgetError exactly when its policy cells are
-    over MAX_POLICY_CELLS or its IC entries over MAX_IC_ENTRIES.  Every
+    over MAX_POLICY_CELLS or its pattern entries over MAX_IC_ENTRIES.  Every
     other input reaches the first step of its build, patched to raise, so
     nothing is built.  OM1-alt is refused exactly when OM1 is."""
     def built(*args, **kwargs):
@@ -225,23 +248,23 @@ def test_every_solver_refuses_what_the_closed_forms_refuse(monkeypatch):
             return False
         raise AssertionError(f"{solve.__name__} returned without building")
 
-    def over(cells, ic_entries):
-        return cells > MAX_POLICY_CELLS or ic_entries > MAX_IC_ENTRIES
+    def over(cells, entries):
+        return cells > MAX_POLICY_CELLS or entries > MAX_IC_ENTRIES
 
     sizes = [(n, m) for n in range(2, 31) for m in range(2, 31)]
     sizes += [(220, 220), (1000, 1000), (1000, 1001)]   # IC entries, cells at and past
     mismatches = []
     for n, m in sizes:
         inst = identity_instance(n, m)
-        one_item = over(n * m, omk_ic_entries(n, m, 1))
+        one_item = over(n * m, pattern_entries(n, m, 1))
         for name, solve in (("OM1", solve_om1), ("OM1-alt", om1_alternate_optimum)):
             if refused(solve, inst) != one_item:
                 mismatches.append((name, n, m))
         zero = Mechanism(np.zeros((n, m)))
         for k in (1, 2, 3):
             mi, cells = MultiInstance(inst, k), k * n**k * m**k
-            expected = {"OMk": over(cells, omk_ic_entries(n, m, k)),
-                        "UMOPT": over(cells + k * n * m, omk_ic_entries(n, m, 1)),
+            expected = {"OMk": over(cells, pattern_entries(n, m, k)),
+                        "UMOPT": over(cells + k * n * m, pattern_entries(n, m, 1)),
                         "union": over(cells, 0)}
             got = {"OMk": refused(solve_omk, mi), "UMOPT": refused(solve_umopt, mi),
                    "union": refused(union_policy, mi, UnionInputs((zero,) * k))}
@@ -377,8 +400,8 @@ def test_umopt_lp_size(monkeypatch, grid, k, rows, cols, nonzeros):
     variable and row per kink."""
     solutions = []
 
-    def recording(problem):
-        solutions.append(solve_lp(problem))
+    def recording(problem, start=None):
+        solutions.append(solve_lp(problem, start=start))
         return solutions[-1]
 
     monkeypatch.setattr(multi_item, "solve_lp", recording)
@@ -388,6 +411,64 @@ def test_umopt_lp_size(monkeypatch, grid, k, rows, cols, nonzeros):
     umopt, omk = solutions
     assert (umopt.rows, umopt.columns, umopt.nonzeros) == (rows, cols, nonzeros)
     assert omk.columns == item_orbits(len(grid), len(grid), k)[1] and omk.nonzeros > 0
+
+
+def assert_generated_omk_matches_the_whole_lp(mi):
+    """``solve_omk``, which generates its IC rows from the local ones at
+    k >= 2, against one solve of the whole OMk LP: the same objective
+    within 1e-9, every row of the whole LP within 1e-8 at the returned
+    point, and IC and monotone at the package tolerance."""
+    problem = omk_problem(mi)
+    whole = solve_lp(problem)
+    policy = solve_omk(mi)
+    assert multi_expected_reward(mi, policy) == pytest.approx(
+        whole.objective_value, rel=0, abs=1e-9)
+    _, first = np.unique(item_orbits(mi.base.n, mi.base.m, mi.item_count)[0],
+                         return_index=True)
+    assert (problem.constraint_matrix @ policy.tensors.ravel()[first]).max() <= 1e-8
+    assert multi_check_ic(mi, policy, tol=FEASIBILITY_TOL).passed
+    assert multi_check_monotone(mi, policy, tol=FEASIBILITY_TOL).passed
+
+
+@pytest.mark.parametrize("family", ["normal", "lognormal"])
+def test_generated_omk_matches_the_whole_lp_on_the_sweep_configs(family):
+    """Every point of both paper sweeps (n = 7, k = 2).  Without the last
+    run on a fresh factorization, a monotone row of the lognormal point at
+    variance 0.25 is 1.8e-7 off."""
+    for _, mi in sweep_points(family):
+        assert_generated_omk_matches_the_whole_lp(mi)
+
+
+@pytest.mark.parametrize("grid, variance", [(GRID4, v) for v in (0.2, 0.3, 0.4, 0.5)]
+                         + [([i / 4 for i in range(5)], 0.3)],
+                         ids=["n4-0.2", "n4-0.3", "n4-0.4", "n4-0.5", "n5-0.3"])
+def test_generated_omk_matches_the_whole_lp_at_k3(grid, variance):
+    """The benchmark's four (4, 3) points and (5, 3)."""
+    assert_generated_omk_matches_the_whole_lp(MultiInstance(paper_instance(variance, grid), 3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_generated_omk_matches_the_whole_lp_on_random_instances(seed):
+    assert_generated_omk_matches_the_whole_lp(MultiInstance(random_instance(seed, 2, 4), 2))
+
+
+def test_start_rows_are_the_local_ic_rows_and_the_monotone_rows():
+    """The start rows of the (3, 2, 2) pattern, by brute force over its
+    rows: IC rows whose quality tuples differ in one item by one level,
+    then every monotone row."""
+    n, m, k = 3, 2, 2
+    tuples = list(itertools.product(range(n), repeat=k))
+    ic_rows = {}   # first (a, ap) of each multiset of pairs, a-major
+    for a in tuples:
+        for ap in tuples:
+            if a != ap:
+                ic_rows.setdefault(tuple(sorted(zip(a, ap))), (a, ap))
+    local = [row for row, (a, ap) in enumerate(ic_rows.values())
+             if sum(abs(x - y) for x, y in zip(a, ap)) == 1]
+    pattern = multi_item._omk_pattern(n, m, k)
+    assert np.array_equal(pattern.start,
+                          local + list(range(len(ic_rows), pattern.shape[0])))
 
 
 def test_orbit_cases_are_not_trivial():
@@ -460,9 +541,9 @@ def test_results_do_not_depend_on_the_shape_cache(monkeypatch, k):
     def solved():
         problems = []
 
-        def recording(problem):
+        def recording(problem, start=None):
             problems.append(problem)
-            return solve_lp(problem)
+            return solve_lp(problem, start=start)
 
         monkeypatch.setattr(multi_item, "solve_lp", recording)
         inputs, umopt = solve_umopt(mi)
@@ -515,13 +596,12 @@ def test_shape_cache_evicts_least_recently_used(monkeypatch):
 @pytest.mark.parametrize("solve, pattern_k", [(solve_omk, 2), (solve_umopt, 1)],
                          ids=["OMk", "UMOPT"])
 def test_one_solve_builds_its_pattern_once(monkeypatch, solve, pattern_k):
-    """A pattern over the cache budget is evicted as soon as it is built;
-    the solve still reads it once, so it is built once.  UMOPT at k = 2
-    reads the one-item pattern of its component."""
+    """The gate counts the pattern a solve builds, so the largest pattern it
+    admits fits the cache: the solve builds it once and it stays cached.
+    One entry less and the solve is refused before anything is built.
+    UMOPT at k = 2 reads the one-item pattern of its component."""
     multi_item._PATTERNS.clear()
     size = multi_item._omk_pattern(3, 3, pattern_k).size
-    monkeypatch.setattr(multi_item, "MAX_IC_ENTRIES", size - 1)
-    multi_item._PATTERNS.clear()
     builds, entries = [], multi_item._ic_monotone_entries
 
     def counted(*args):
@@ -529,8 +609,18 @@ def test_one_solve_builds_its_pattern_once(monkeypatch, solve, pattern_k):
         return entries(*args)
 
     monkeypatch.setattr(multi_item, "_ic_monotone_entries", counted)
-    solve(MultiInstance(sparse_noise_instance(3, 3, seed=0), 2))
-    assert builds == [(3, 3, pattern_k)] and not multi_item._PATTERNS
+    mi = MultiInstance(sparse_noise_instance(3, 3, seed=0), 2)
+    for limit, expected in ((size, [(3, 3, pattern_k)]), (size - 1, [])):
+        multi_item._PATTERNS.clear()
+        builds.clear()
+        monkeypatch.setattr(multi_item, "MAX_IC_ENTRIES", limit)
+        if expected:
+            solve(mi)
+        else:
+            with pytest.raises(SizeBudgetError, match=f"{size} pattern entries"):
+                solve(mi)
+        assert builds == expected and list(multi_item._PATTERNS) == expected
+    multi_item._PATTERNS.clear()
 
 
 #: Shapes the two-thread test solves cold, OMk and UMOPT side by side.
