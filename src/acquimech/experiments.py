@@ -15,7 +15,7 @@ from functools import cached_property
 from typing import Iterable, Optional, Sequence, TextIO
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtr
 
 from . import analysis, multi_item, single_item
 from .core import (Instance, Mechanism, MultiInstance, QualityGrid, check_item_count,
@@ -52,6 +52,10 @@ def discretize_prior(family: str, mean: float, sd: float,
     match the targets.  ``sd == 0`` degenerates to a point mass on the cell
     containing the mean (boundary ties go to the lower cell).  A log-normal
     mean must be positive.
+
+    The CDFs are ``scipy.special.ndtr`` of the standardized edge, which
+    gives the bits of ``scipy.stats.norm.cdf`` and ``lognorm.cdf`` without
+    importing ``scipy.stats`` (half a second at start-up).
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
@@ -67,15 +71,17 @@ def discretize_prior(family: str, mean: float, sd: float,
         out[cell] = 1.0
         return out
     if family == "normal":
-        cdf_hi = stats.norm.cdf(hi, loc=mean, scale=sd)
-        cdf_lo = stats.norm.cdf(lo, loc=mean, scale=sd)
+        def cdf(x):
+            return ndtr((x - mean) / sd)
     else:
         sigma2 = math.log1p((sd / mean) ** 2)
         sigma = math.sqrt(sigma2)
         scale = mean * math.exp(-sigma2 / 2.0)
-        cdf_hi = stats.lognorm.cdf(hi, s=sigma, scale=scale)
-        cdf_lo = stats.lognorm.cdf(lo, s=sigma, scale=scale)
-    mass = np.clip(cdf_hi - cdf_lo, 0.0, None)
+
+        def cdf(x):   # 0 at and below 0, where log(x / scale) is -inf or NaN
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return np.where(x > 0, ndtr(np.log(x / scale) / sigma), 0.0)
+    mass = np.clip(cdf(hi) - cdf(lo), 0.0, None)
     total = mass.sum()
     if total <= 0:
         raise ValueError("no probability mass falls on the grid cells")

@@ -5,12 +5,14 @@ to HiGHS dual simplex (Huangfu & Hall, Math. Prog. Comp. 2018) through the
 bindings bundled with scipy, which is deterministic and returns basic
 (vertex) solutions, so repeated solves of the same problem are bit-identical
 and golden tests can pin objectives.  Infeasible and unbounded problems are
-reported through the solution status, never by raising.
+reported through the solution status, never by raising, except that a
+generated solve raises on an unbounded start model.
 
-A solve may start from some of the rows and generate the rest: HiGHS gets
-the listed rows, and each other row the optimum violates is added to the live
-model and re-solved from the current basis until none is violated.  The
-result is checked against every row, as a one-run solve is.
+A solve may generate rows: HiGHS gets a start model, and a separation
+oracle, asked at each optimum, returns the rows of the whole problem that the
+point violates.  They are added to the live model and HiGHS re-solves from
+its current basis until the oracle returns none.  The result is checked
+against the live model's rows and asked of the oracle once more.
 
 :func:`linprog` may be called from several threads at once: HiGHS releases
 the GIL while it solves, a large model gets its own HiGHS object and a small
@@ -38,6 +40,10 @@ _STATUS = {highs.HighsModelStatus.kOptimal: OPTIMAL,
            highs.HighsModelStatus.kInfeasible: INFEASIBLE,
            highs.HighsModelStatus.kUnbounded: UNBOUNDED}
 
+#: HiGHS's primal feasibility tolerance: a row violated by no more than this
+#: counts as met.
+ROW_TOL = 1e-9
+
 #: The options ``scipy.optimize.linprog(method="highs-ds")`` passes, with
 #: both feasibility tolerances at 1e-9, and presolve off: on inequality rows
 #: alone it removes nothing from the package's LPs and costs up to half the
@@ -46,7 +52,7 @@ _OPTIONS = highs.HighsOptions()
 _OPTIONS.presolve = "off"
 _OPTIONS.solver = "simplex"
 _OPTIONS.simplex_strategy = int(highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
-_OPTIONS.primal_feasibility_tolerance = 1e-9
+_OPTIONS.primal_feasibility_tolerance = ROW_TOL
 _OPTIONS.dual_feasibility_tolerance = 1e-9
 _OPTIONS.output_flag = False
 _OPTIONS.log_to_console = False
@@ -112,10 +118,11 @@ class LpProblem:
 
 @dataclass(frozen=True)
 class LpSolution:
-    """One HiGHS run: ``values`` is the optimal point and ``objective_value``
+    """One solve: ``values`` is the optimal point and ``objective_value``
     the objective there (both None unless optimal), ``nit`` the simplex
-    iteration count (0 unless optimal), then the model size as passed to
-    HiGHS (nonzeros count stored entries)."""
+    iterations of every HiGHS run (0 unless optimal), then the size of the
+    final live model (nonzeros count stored entries) and ``rounds``, the
+    number of HiGHS runs."""
 
     status: str
     values: Optional[np.ndarray] = None
@@ -124,6 +131,7 @@ class LpSolution:
     rows: int = 0
     columns: int = 0
     nonzeros: int = 0
+    rounds: int = 0
 
 
 def _checked(status, call: str) -> None:
@@ -154,47 +162,47 @@ def _run(solver) -> str:
     return status
 
 
-def _generate(solver, rows, b: np.ndarray, start) -> tuple[str, int]:
-    """Solve the model of rows ``start`` of ``rows @ x <= b`` already on
-    ``solver``, adding the other rows as they are needed: the status of the
-    last run and the simplex iterations of the runs before it.
+def _generate(solver, separate) -> tuple[str, int, list, int]:
+    """Solve the start model already on ``solver``, adding the rows
+    ``separate`` returns: the status of the last run, the simplex
+    iterations of the runs before it, the added (rows, rhs) blocks and the
+    number of runs.
 
-    After each optimal run, every row left out that the point violates by
-    more than the HiGHS primal tolerance goes onto the model with
-    ``addRows`` and HiGHS re-solves from its current basis, where dual
-    simplex stays dual feasible.  An unbounded run gets every row left out.
-    If any row was added, one more run on a fresh factorization of the final
-    basis gives the point: warm re-solves can leave a row 1.8e-7 off.
+    After each optimal run the oracle is asked for every row the point
+    violates (``tol`` 0, so the oracle holds back what it counts as met);
+    its rows go onto the model with ``addRows`` and HiGHS re-solves from its
+    current basis, where dual simplex stays dual feasible.  If any row was
+    added, one more run on a fresh factorization of the final basis gives
+    the point: warm re-solves can leave a row 1.8e-7 off.  RuntimeError if
+    the start model is unbounded: added rows cut a bounded model, they are
+    not there to bound it.
     """
-    live = np.zeros(b.size, dtype=bool)
-    live[start] = True
-    status, earlier, added = _run(solver), 0, False
-    while status != INFEASIBLE:
-        if status == UNBOUNDED:
-            new = np.flatnonzero(~live)
-        else:
-            x = np.array(solver.getSolution().col_value)
-            new = np.flatnonzero(~live & (rows @ x - b > _OPTIONS.primal_feasibility_tolerance))
-        if not new.size:
+    status, earlier, added, runs = _run(solver), 0, [], 1
+    while status == OPTIMAL:
+        block = separate(np.array(solver.getSolution().col_value), 0.0)
+        if block is None:
             break
+        rows, rhs = block
         earlier += solver.getInfo().simplex_iteration_count   # a model change voids it
-        block = rows[new]
-        _checked(solver.addRows(new.size, np.full(new.size, -np.inf), b[new], block.nnz,
-                                block.indptr.astype(np.int32, copy=False),
-                                block.indices.astype(np.int32, copy=False), block.data),
+        _checked(solver.addRows(rhs.size, np.full(rhs.size, -np.inf), rhs, rows.nnz,
+                                rows.indptr.astype(np.int32, copy=False),
+                                rows.indices.astype(np.int32, copy=False), rows.data),
                  "addRows")
-        live[new] = added = True
-        status = _run(solver)
+        added.append((rows, rhs))
+        status, runs = _run(solver), runs + 1
+    if status == UNBOUNDED:
+        raise RuntimeError("LP solver failed: the start model of a generated solve "
+                           "is unbounded")
     if status == OPTIMAL and added:
         earlier += solver.getInfo().simplex_iteration_count
         basis = solver.getBasis()
         _checked(solver.clearSolver(), "clearSolver")
         _checked(solver.setBasis(basis), "setBasis")
-        status = _run(solver)
-    return status, earlier
+        status, runs = _run(solver), runs + 1
+    return status, earlier, added, runs
 
 
-def linprog(c, A, b, lower, upper, start=None) -> LpSolution:
+def linprog(c, A, b, lower, upper, separate=None) -> LpSolution:
     """minimize ``c @ x`` subject to ``A @ x <= b`` and ``lower <= x <= upper``
     with HiGHS dual simplex, checking inputs and result as
     ``scipy.optimize.linprog(method="highs-ds")`` does.  The reported
@@ -205,73 +213,75 @@ def linprog(c, A, b, lower, upper, start=None) -> LpSolution:
     HiGHS as column-wise arrays in one call, with every row lower bound
     -inf.
 
-    ``start``, if given, lists the rows of ``A`` that HiGHS gets first (as
-    row-wise arrays); the others are generated (:func:`_generate`) until
-    none is violated.  The result is an optimum of the whole problem, whose
-    size it reports, and ``nit`` counts the iterations of every run.  With
-    ``start`` None the whole model is solved in one run.
+    With ``separate`` None the model is solved whole in one run.  Otherwise
+    it is the start model of a generated solve (:func:`_generate`):
+    ``separate(x, tol)`` returns the rows of the whole problem that ``x``
+    violates by more than ``tol``, as a CSR block and its rhs, or None.  It
+    is asked with ``tol`` 0 after each run and with ``sqrt(1e-9) * 10`` by
+    the post-solve check.  The result is then an optimum of the whole
+    problem, ``nit`` counts the iterations of every run, and the size is
+    that of the final live model.
 
-    A model of at most ``_REUSE_MAX_NONZEROS`` nonzeros, counted over all of
-    ``A``, is solved on one HiGHS object kept per thread, which saves
-    building and freeing one per call.  Its model is cleared after every
-    solve, failed ones too, so each solve starts cold and gives the bits and
-    iteration count of a fresh object.
+    A model of at most ``_REUSE_MAX_NONZEROS`` nonzeros, counted over ``A``,
+    is solved on one HiGHS object kept per thread, which saves building and
+    freeing one per call.  Its model is cleared after every solve, failed
+    ones too, so each solve starts cold and gives the bits and iteration
+    count of a fresh object.
 
     Raises ValueError on a non-finite ``c``, ``A`` or ``b`` entry or a NaN
-    bound, and RuntimeError on a HiGHS call that returns an error or any
-    outcome but optimal, infeasible or unbounded, including an optimal point
-    off its bounds or any row of ``A`` by more than ``sqrt(1e-9) * 10``.
+    bound, and RuntimeError on a HiGHS call that returns an error, any
+    outcome but optimal, infeasible or unbounded, an unbounded generated
+    solve, or an optimal point off its bounds or a live row by more than
+    ``sqrt(1e-9) * 10``, or that the oracle still cuts at that slack.
     """
     A = sp.csc_array((0, c.size) if A is None else A)
     if not (np.isfinite(c).all() and np.isfinite(A.data).all() and np.isfinite(b).all()):
         raise ValueError("LP objective, constraint matrix and rhs must be finite")
     if np.isnan(lower).any() or np.isnan(upper).any():
         raise ValueError("LP variable bounds must not be NaN")
-    size = dict(rows=b.size, columns=c.size, nonzeros=A.nnz)
     solver = _solver(A.nnz)
     try:
         _checked(solver.passOptions(_OPTIONS), "passOptions")
-        if start is None:
-            model, model_format, rhs = A, highs.MatrixFormat.kColwise, b
-        else:
-            rows = A.tocsr()
-            model, model_format, rhs = rows[start], highs.MatrixFormat.kRowwise, b[start]
         _checked(solver.passModel(
-            c.size, rhs.size, model.nnz, model_format, highs.ObjSense.kMinimize,
-            0.0, c, lower, upper, np.full(rhs.size, -np.inf), rhs,
-            model.indptr.astype(np.int32, copy=False),
-            model.indices.astype(np.int32, copy=False), np.asarray(model.data, dtype=float),
-            np.zeros(c.size, dtype=np.int32)), "passModel")   # all continuous
-        if start is None:
-            status, earlier = _run(solver), 0
+            c.size, b.size, A.nnz, highs.MatrixFormat.kColwise, highs.ObjSense.kMinimize,
+            0.0, c, lower, upper, np.full(b.size, -np.inf), b,
+            A.indptr.astype(np.int32, copy=False), A.indices.astype(np.int32, copy=False),
+            np.asarray(A.data, dtype=float), np.zeros(c.size, dtype=np.int32)),
+            "passModel")   # all continuous
+        if separate is None:
+            status, earlier, added, rounds = _run(solver), 0, [], 1
         else:
-            status, earlier = _generate(solver, rows, b, start)
+            status, earlier, added, rounds = _generate(solver, separate)
+        size = dict(rows=b.size + sum(rhs.size for _, rhs in added), columns=c.size,
+                    nonzeros=A.nnz + sum(rows.nnz for rows, _ in added), rounds=rounds)
         if status != OPTIMAL:
             return LpSolution(status, **size)
         solution = solver.getSolution()
         x = np.array(solution.col_value)
-        row = np.array(solution.row_value) if start is None else rows @ x
+        row = np.array(solution.row_value)
         nit = earlier + solver.getInfo().simplex_iteration_count
     finally:
         solver.clearModel()
+    live_rhs = np.concatenate([b] + [rhs for _, rhs in added])
     if not (np.all(x >= lower - _RESULT_TOL) and np.all(x <= upper + _RESULT_TOL)
-            and np.all(b - row >= -_RESULT_TOL)):
+            and np.all(live_rhs - row >= -_RESULT_TOL)
+            and (separate is None or separate(x, _RESULT_TOL) is None)):
         raise RuntimeError("LP solver failed: the optimal point violates its "
                            f"bounds or rows by more than {_RESULT_TOL:.2e}")
     return LpSolution(OPTIMAL, x, float(c @ x), nit, **size)
 
 
-def solve_lp(problem: LpProblem, start=None) -> LpSolution:
+def solve_lp(problem: LpProblem, separate=None) -> LpSolution:
     """Solve to a vertex optimum; deterministic across repeated calls.
 
-    ``start`` is passed to :func:`linprog`: the rows HiGHS gets first, the
-    others added as the optimum violates them, or None for one solve of the
-    whole problem.  The reported objective is recomputed as ``c @ x`` from
-    the returned point, so it agrees with the solution values to full
+    ``separate`` is passed to :func:`linprog`: None for one solve of the
+    whole problem, or the oracle of the rows that ``problem``, the start
+    model, leaves out.  The reported objective is recomputed as ``c @ x``
+    from the returned point, so it agrees with the solution values to full
     precision.
     """
     sol = linprog(-problem.objective, problem.constraint_matrix, problem.constraint_rhs,
-                  problem.lower, problem.upper, start=start)
+                  problem.lower, problem.upper, separate=separate)
     if sol.status != OPTIMAL:
         return sol
     return replace(sol, objective_value=float(problem.objective @ sol.values))

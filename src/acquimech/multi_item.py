@@ -5,10 +5,12 @@ two items together with its incentive audit (it is not truthful), and union
 mechanisms that run k single-item mechanisms and greedily redistribute the
 pooled acquisition mass toward the highest-quality items.  The items are
 i.i.d., so the OMk LP is solved with one variable per orbit of the item
-permutations and expanded back to a full policy.  UMOPT's LP holds one
-component shared by all items and, per orbit of the item profiles, one
-capped variable for each kink of the pooled reward, which the greedy
-redistribution makes concave and piecewise linear.
+permutations and expanded back to a full policy; with k >= 2 its IC rows
+are generated, each added when the optimum violates it.  The greedy
+redistribution makes the union reward a concave, piecewise-linear function
+of one component shared by all items, so UMOPT maximizes it by Kelley's
+cutting planes over that component's one-item LP.  Both add their rows
+through the separation-oracle loop of :func:`lp.linprog`.
 """
 
 from __future__ import annotations
@@ -16,14 +18,14 @@ from __future__ import annotations
 import math
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
 
 from .core import (Mechanism, MultiInstance, MultiPolicy, _ic_report,
                    check_mechanism_shape, item_margins, noise_product, prior_product)
-from .lp import LpProblem, OPTIMAL, solve_lp
+from .lp import LpProblem, OPTIMAL, ROW_TOL, solve_lp
 
 #: Refuse a policy tensor, and the LP behind it, beyond this many cells.
 MAX_POLICY_CELLS = 1_000_000
@@ -35,6 +37,13 @@ MAX_IC_ENTRIES = 20_000_000
 
 #: Pooled acquisition mass at or below this is treated as exactly zero.
 GAMMA_ZERO_TOL = 1e-12
+
+#: Kelley's method for UMOPT stops once theta is within this of f(y), on the
+#: scaled objective.  The gap is reward not yet reached, not row slack:
+#: stopped at 1e-7 the reward fell up to 1.3e-8 short, while at 1e-9 and
+#: 1e-12 it was the same to the bit on the sweep points and 200 random
+#: instances.
+_CUT_GAP = 1e-12
 
 RANK_CLASSES = ("greater", "equal", "smaller")
 
@@ -303,14 +312,34 @@ def omk_problem(mi: MultiInstance) -> LpProblem:
     return _omk_pattern(mi.base.n, mi.base.m, mi.item_count).problem(*joint_weights(mi))
 
 
-def _optimum(problem: LpProblem, what: str, start=None) -> np.ndarray:
-    """The optimal point of ``problem``, solved from the rows ``start`` as
-    :func:`solve_lp` does, clipped into [0, 1] to shave solver box noise;
+def _optimum(problem: LpProblem, what: str, separate=None) -> np.ndarray:
+    """The optimal point of ``problem``, solved with the oracle ``separate``
+    as :func:`solve_lp` does, clipped into [0, 1] to shave solver box noise;
     RuntimeError unless the LP is optimal."""
-    sol = solve_lp(problem, start=start)
+    sol = solve_lp(problem, separate=separate)
     if sol.status != OPTIMAL:
         raise RuntimeError(f"{what} LP unexpectedly {sol.status}")
     return np.clip(sol.values, 0.0, 1.0)
+
+
+def _left_out_rows(problem: LpProblem, start: np.ndarray):
+    """The start model of ``problem`` over its rows ``start``, and the
+    oracle of the rows left out: each call returns, in ascending order, the
+    left-out rows not yet returned that x violates by more than ``tol``, or
+    by more than ``lp.ROW_TOL`` if that is larger."""
+    rows = sp.csr_array(problem.constraint_matrix)
+    b = problem.constraint_rhs
+    live = np.zeros(b.size, dtype=bool)
+    live[start] = True
+
+    def separate(x, tol):
+        new = np.flatnonzero(~live & (rows @ x - b > max(tol, ROW_TOL)))
+        if not new.size:
+            return None
+        live[new] = True
+        return rows[new], b[new]
+
+    return replace(problem, constraint_matrix=rows[start], constraint_rhs=b[start]), separate
 
 
 def solve_omk(mi: MultiInstance) -> MultiPolicy:
@@ -319,20 +348,22 @@ def solve_omk(mi: MultiInstance) -> MultiPolicy:
     The LP has one variable per orbit and is expanded back to the k * n^k *
     m^k policy cells; it is refused by :func:`check_size` before it is built.
     With k >= 2, HiGHS starts from the pattern's start rows, the local IC
-    rows and every monotone row, and each IC row the optimum violates is
-    added and re-solved warm (:func:`lp.linprog`); on the paper sweeps
-    (n = 7, k = 2) the optimum needed at most 474 of the 1197 IC rows.
-    With one item (OM1) the LP is solved whole in one run: at 42 IC rows
-    the extra runs cost more than they save.  Where the optimum is not
-    unique, the vertex returned can differ from that of one solve of the
-    whole LP, with the same reward.
+    rows and every monotone row, and the oracle of :func:`_left_out_rows`
+    adds each IC row the optimum violates, re-solved warm
+    (:func:`lp.linprog`); on the paper sweeps (n = 7, k = 2) the optimum
+    needed at most 474 of the 1197 IC rows.  With one item (OM1) the LP is
+    solved whole in one run: at 42 IC rows the extra runs cost more than
+    they save.  Where the optimum is not unique, the vertex returned can
+    differ from that of one solve of the whole LP, with the same reward.
     """
     inst, k = mi.base, mi.item_count
     n, m = inst.n, inst.m
     check_size(*omk_size(n, m, k))
     pattern = _omk_pattern(n, m, k)   # read once: it may be evicted during the solve
-    values = _optimum(pattern.problem(*joint_weights(mi)), "OMk",
-                      pattern.start if k > 1 else None)
+    problem, separate = pattern.problem(*joint_weights(mi)), None
+    if k > 1:
+        problem, separate = _left_out_rows(problem, pattern.start)
+    values = _optimum(problem, "OMk", separate)
     return MultiPolicy(values[pattern.orbit].reshape(_policy_shape(n, m, k)))
 
 
@@ -457,41 +488,83 @@ def union_policy(mi: MultiInstance, inputs: UnionInputs) -> MultiPolicy:
     return MultiPolicy(_union_shares(ys, qualities))
 
 
-def _umopt_problem(mi: MultiInstance) -> LpProblem:
-    """The UMOPT LP over the one component y shared by all items and one
-    capped variable per kink of each profile orbit's union reward.
+def _umopt_problem(mi: MultiInstance):
+    """UMOPT's cutting-plane LP over the one component y shared by all
+    items and theta, a bound on the union reward f(y): the start model and
+    its oracle.
 
     Greedy redistribution is optimal for any pooled mass Gamma = sum_i
     y(v_i, s_i), so a profile whose reward weights sorted in descending
     order are w_(1) >= ... >= w_(k) earns the concave ``w_(k) Gamma +
-    sum_j (w_(j) - w_(j+1)) min(Gamma, j)``, j < k.  The columns are y at
-    ``v * m + s``, then, for each profile orbit (multiset of the k (v_i,
-    s_i) pairs) in the order of its key and each kink j with a positive
-    slope drop, u in [0, j] with the row ``u - sum_i y(v_i, s_i) <= 0``.
-    The rows open with the one-item IC and monotonicity block of y.  The
-    objective, the linear part summed over profiles and each drop times its
-    orbit's size, is divided by its largest magnitude: unscaled, HiGHS can
-    stop 1e-9 short of the optimum.
+    sum_j (w_(j) - w_(j+1)) min(Gamma, j)``, j < k.  Summed over profiles,
+    f(y) is ``linear @ y`` plus, for each profile orbit (multiset of the k
+    (v_i, s_i) pairs) and each kink j with a positive slope drop, the drop
+    times the orbit's size times ``min(Gamma_o(y), j)``.  Every coefficient
+    is divided by the largest magnitude, as the objective of the former
+    kink-form LP was: unscaled, that LP stopped 1.4e-9 short of the optimum.
+
+    The columns are y at ``v * m + s``, in [0, 1], then theta, free; the LP
+    maximizes theta.  The cut at y-hat is ``theta <= linear @ y + sum of
+    drop * Gamma_o(y) over the kinks with Gamma_o(y-hat) < j + sum of drop
+    * j over the others``: f is at most each of its pieces, and equal to
+    this cut at y-hat.  The start rows are the one-item IC and monotonicity
+    block of y and the cut at y = 0, which bounds theta over the box.
+
+    The oracle returns the cut at an optimum only the first time its set of
+    kinks with Gamma_o(y-hat) < j comes up.  That set fixes the cut, so
+    there are finitely many and the loop ends: at a repeated set the cut is
+    on the model already and tight at y-hat, so the gap left is HiGHS's row
+    slack.
     """
     inst, k = mi.base, mi.item_count
     n, m = inst.n, inst.m
+    count = n * m
     pair = _pair_codes(n, m, k)
     ranked = -np.sort(-joint_weights(mi)[1].reshape(k, -1), axis=0)
-    linear = np.bincount(pair.ravel(), minlength=n * m,
+    linear = np.bincount(pair.ravel(), minlength=count,
                          weights=np.broadcast_to(ranked[-1], pair.shape).ravel())
-    _, first, size = np.unique(_multiset_key(pair, n * m), return_index=True,
+    _, first, size = np.unique(_multiset_key(pair, count), return_index=True,
                                return_counts=True)
     drop = ((ranked[:-1] - ranked[1:])[:, first] * size).T
     orbit, kink = np.nonzero(drop > 0)
-    count = orbit.size
-    sums = sp.csc_array((np.full(count * k, -1.0), (np.repeat(np.arange(count), k),
-                                                    pair[:, first[orbit]].T.ravel())),
-                        shape=(count, n * m))
-    A = sp.block_array([[_omk_pattern(n, m, 1).fill(inst.score_model), None],
-                        [sums, sp.eye_array(count)]], format="csc")
-    c = np.concatenate([linear, drop[orbit, kink]])
-    return LpProblem(c / (np.abs(c).max() or 1.0), A, np.zeros(A.shape[0]),
-                     np.zeros(c.size), np.concatenate([np.ones(n * m), kink + 1.0]))
+    scale = np.abs(np.concatenate([linear, drop[orbit, kink]])).max() or 1.0
+    linear, drop, level = linear / scale, drop[orbit, kink] / scale, kink + 1.0
+    codes = np.ascontiguousarray(pair[:, first[orbit]])   # (k, kinks): each orbit's codes
+    seen = set()
+
+    def cut(below):
+        """The cut of the kinks ``below`` as the CSR row ``theta - g @ y <=
+        h``, its set recorded as seen."""
+        seen.add(np.packbits(below).tobytes())
+        weights = np.where(below, drop, 0.0)
+        g = linear + sum(np.bincount(c, weights=weights, minlength=count) for c in codes)
+        cols = np.flatnonzero(g)
+        row = sp.csr_array((np.append(-g[cols], 1.0), np.append(cols, count),
+                            [0, cols.size + 1]), shape=(1, count + 1))
+        return row, np.array([(drop - weights) @ level])
+
+    def separate(x, tol):
+        """The cut at y-hat = ``x[:-1]``, if theta-hat = ``x[-1]`` exceeds
+        f(y-hat) by more than ``_CUT_GAP`` and ``tol`` and its set of kinks
+        with Gamma_o(y-hat) < j is new."""
+        y = x[:count]
+        gamma = sum(y[c] for c in codes)
+        below = gamma < level
+        if (x[count] - linear @ y - drop @ np.minimum(gamma, level) <= max(tol, _CUT_GAP)
+                or np.packbits(below).tobytes() in seen):
+            return None
+        return cut(below)
+
+    block = _omk_pattern(n, m, 1).fill(inst.score_model).tocsr()
+    row, rhs = cut(np.ones(level.size, dtype=bool))
+    A = sp.csr_array((np.concatenate([block.data, row.data]),
+                      np.concatenate([block.indices, row.indices]),
+                      np.append(block.indptr, block.nnz + row.nnz)),
+                     shape=(block.shape[0] + 1, count + 1))
+    return (LpProblem(np.append(np.zeros(count), 1.0), A,
+                      np.append(np.zeros(block.shape[0]), rhs),
+                      np.append(np.zeros(count), -np.inf), np.append(np.ones(count), np.inf)),
+            separate)
 
 
 def solve_umopt(mi: MultiInstance) -> tuple[UnionInputs, MultiPolicy]:
@@ -499,24 +572,26 @@ def solve_umopt(mi: MultiInstance) -> tuple[UnionInputs, MultiPolicy]:
     matrices and the coupled per-profile allocation.
 
     The union mechanism redistributes each profile's pooled mass greedily,
-    so the best allocation is implied by the components and the LP of
-    :func:`_umopt_problem` carries only them and one variable per kink of
-    the pooled reward.  Permuting the items leaves the problem unchanged,
-    so it is solved with one component y shared by all items; the k
-    returned components are identical.  The returned policy is the greedy
-    redistribution of the optimal components.  Its IC rows are the
-    one-item block of y.
+    so the best allocation is implied by the components, and the union
+    reward is a concave piecewise-linear f of them.  Permuting the items
+    leaves the problem unchanged, so it is solved with one component y
+    shared by all items; the k returned components are identical.  y
+    maximizes f over its one-item IC and monotone block by Kelley's
+    cutting planes (:func:`_umopt_problem`), each cut added to the live
+    HiGHS model and re-solved warm (:func:`lp.linprog`).  The returned
+    policy is the greedy redistribution of the optimal components.
 
     y is the optimal vertex HiGHS returns.  Where the optimum is not unique,
     another optimal vertex has the same reward, so a change of LP form can
-    change y's cells: on the lognormal sweep instance at variance 0.1
-    (k = 2) the lowest quality's row changed when the LP took its kink form,
-    while ``(R * y).sum(axis=1)`` stayed the same.
+    change y's cells while ``(R * y).sum(axis=1)`` stays the same: on the
+    lognormal sweep (k = 2) the cut form moved cells of y at variances 0.1,
+    0.45, 0.5 and 0.55.
     """
     inst, k = mi.base, mi.item_count
     n, m = inst.n, inst.m
     check_size(*umopt_size(n, m, k))
-    values = _optimum(_umopt_problem(mi), "UMOPT")
+    problem, separate = _umopt_problem(mi)
+    values = _optimum(problem, "UMOPT", separate)
     y = Mechanism(values[:n * m].reshape(n, m), label="UMOPT-component")
     inputs = UnionInputs((y,) * k)
     return inputs, union_policy(mi, inputs)

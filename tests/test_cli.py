@@ -7,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from acquimech import (experiments, instance_to_dict, multi_item, solve_som,
-                       validate_instance)
+from acquimech import (QualityGrid, build_score_model, discretize_prior, experiments,
+                       instance_to_dict, multi_item, solve_som, validate_instance)
 from acquimech.cli import SOLVE_MECHANISMS, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -199,6 +199,21 @@ def test_solve_umopt_refuses_large_ic_rows_before_building(capsys, tmp_path, mon
     path = identity_instance_path(tmp_path, 220, 1)
     code, out, err = run(capsys, "solve", "--instance", path, "--mechanism", "umopt")
     assert code == 3 and out == "" and "21343960 pattern entries" in err
+
+
+def test_solve_umopt_at_seven_levels_and_three_items(capsys, tmp_path):
+    """The sweep's instance at (7, 3), variance 0.3: OMk is refused there,
+    UMOPT is solved by cutting planes over its one-item component."""
+    grid = np.linspace(0.0, 1.0, 7)
+    inst = validate_instance(grid, grid, discretize_prior("normal", 0.3, 0.25, grid),
+                             build_score_model("normal", 0.3, QualityGrid(grid, grid)), 0.25)
+    path, out_path = tmp_path / "paper_k3.json", tmp_path / "umopt.json"
+    path.write_text(json.dumps(instance_to_dict(inst, item_count=3)))
+    code, out, _ = run(capsys, "solve", "--instance", str(path), "--mechanism", "umopt",
+                       "--out", str(out_path))
+    summary = json.loads(out_path.read_text())["summary"]
+    assert code == 0 and out == ""
+    assert summary["ic"] is True and summary["monotone"] is True
 
 
 def test_verify_published_matrix(capsys, tmp_path, example1_path, example1_matrix):

@@ -1,7 +1,10 @@
 import io
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 import threading
 from collections import Counter
 
@@ -54,6 +57,45 @@ def test_renormalization_preserves_cell_ratios():
     assert 0.0 < raw.sum() <= 1.0
     d = discretize_prior("normal", 0.3, 0.25, GRID7)
     assert np.allclose(d, raw / raw.sum(), atol=1e-15)
+
+
+def test_discretized_priors_match_scipy_stats_bit_for_bit():
+    """The ndtr CDFs give the cell masses of ``scipy.stats`` to the bit, on
+    random grids that reach below 0 and on edges at 0 and +-inf."""
+    rng = np.random.default_rng(6000)
+    grids = [np.sort(rng.uniform(-1.0, 2.0, rng.integers(1, 12))) for _ in range(500)]
+    grids += [np.array(GRID7), np.array([0.0, 1.0]), np.array([0.0]),
+              np.array([-np.inf, 0.0, 1.0]), np.array([0.0, 1.0, np.inf])]
+    checked = 0
+    for values in grids:
+        mean, sd = rng.uniform(0.01, 1.5), rng.uniform(0.001, 1.0)
+        lo, hi = _cell_edges(values)
+        sigma2 = math.log1p((sd / mean) ** 2)
+        lognorm = stats.lognorm(s=math.sqrt(sigma2), scale=mean * math.exp(-sigma2 / 2))
+        for family, dist in (("normal", stats.norm(mean, sd)), ("lognormal", lognorm)):
+            with np.errstate(invalid="ignore"):
+                mass = np.clip(dist.cdf(hi) - dist.cdf(lo), 0.0, None)
+            if not mass.sum() > 0:
+                with pytest.raises(ValueError):
+                    discretize_prior(family, mean, sd, values)
+                continue
+            got = discretize_prior(family, mean, sd, values)
+            assert np.array_equal(got.view(np.int64), (mass / mass.sum()).view(np.int64))
+            checked += 1
+    assert checked > 900
+
+
+def test_package_import_leaves_scipy_stats_out():
+    """``scipy.stats`` costs half a second to import and the package uses
+    none of it."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, acquimech.cli; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(pathlib.Path(__file__).resolve().parents[1] / "src"),
+             os.environ.get("PYTHONPATH", "")])})
+    assert proc.stdout.strip() == "False"
 
 
 def test_lognormal_moment_matching_against_quadrature():

@@ -111,9 +111,9 @@ def _solved_problems(module, solve, *args):
     """Every LpProblem that ``solve(*args)`` passes to ``module.solve_lp``."""
     problems, original = [], module.solve_lp
 
-    def recording(problem, start=None):
+    def recording(problem, separate=None):
         problems.append(problem)
-        return original(problem, start=start)
+        return original(problem, separate=separate)
 
     module.solve_lp = recording
     try:
@@ -315,11 +315,12 @@ class _RecordingHighs(lp.highs._Highs):
 
 @pytest.mark.parametrize("solve, k, runs", [
     (single_item.solve_om1, 1, 1), (single_item.om1_alternate_optimum, 1, 2),
-    (multi_item.solve_omk, 2, 3), (multi_item.solve_umopt, 2, 1)],
+    (multi_item.solve_omk, 2, 3), (multi_item.solve_umopt, 2, 3)],
     ids=["OM1", "OM1-alt", "OMk", "UMOPT"])
 def test_presolve_never_runs_on_a_package_lp(monkeypatch, solve, k, runs):
     """OMk runs on its start rows, once more after one round of added rows,
-    and once on a fresh factorization."""
+    and once on a fresh factorization; UMOPT on its start rows, once more
+    after one cut, and once on a fresh factorization."""
     monkeypatch.setattr(_RecordingHighs, "presolve", [])
     monkeypatch.setattr(lp.highs, "_Highs", _RecordingHighs)
     inst = gen.random_instance(11, 4, 4)
@@ -373,41 +374,69 @@ def counting(monkeypatch):
 
 
 def test_a_violated_row_left_out_is_added(counting):
+    """The oracle of the rows left out adds row 1 to the start model of row
+    0: one run, one added row and its warm run, and one run on a fresh
+    factorization, to the whole LP's optimum."""
     problem = _generation_lp()
     whole = solve_lp(problem)
-    generated = solve_lp(problem, start=[0])
+    generated = solve_lp(*multi_item._left_out_rows(problem, [0]))
     assert counting.calls == ["passModel", "run", "passModel", "run", "addRows", "run", "run"]
     assert generated.status == whole.status == OPTIMAL
     np.testing.assert_allclose(generated.values, [2 / 3, 2 / 3], rtol=0, atol=1e-12)
     np.testing.assert_allclose(generated.values, whole.values, rtol=0, atol=1e-12)
     assert generated.objective_value == pytest.approx(whole.objective_value, abs=1e-12)
     assert (generated.rows, generated.columns, generated.nonzeros) == (2, 2, 4)
+    assert (whole.rounds, generated.rounds) == (1, 3)
 
 
 def test_generated_solve_reports_infeasible():
     """Row 0 alone (x >= 0.5) is feasible; row 1 (x <= 0.2) makes the whole
     LP infeasible once it is added."""
     problem = lp_from_rows([1.0], [([-1.0], -0.5), ([1.0], 0.2)], [(0.0, 1.0)])
+    assert solve_lp(problem).status == INFEASIBLE
     for start in ([0], [1], []):
-        sol = solve_lp(problem, start=start)
+        sol = solve_lp(*multi_item._left_out_rows(problem, start))
         assert (sol.status, sol.nit, sol.values) == (INFEASIBLE, 0, None)
         assert sol.rows == 2
 
 
-def test_generated_solve_adds_every_row_to_an_unbounded_start():
-    bounded = lp_from_rows([1.0], [([1.0], 3.0)], [(0.0, np.inf)])
-    sol = solve_lp(bounded, start=[])
-    assert sol.status == OPTIMAL and sol.values[0] == pytest.approx(3.0)
-    unbounded = lp_from_rows([1.0, 1.0], [([1.0, -1.0], 3.0)], [(0.0, np.inf)] * 2)
-    assert solve_lp(unbounded, start=[]).status == UNBOUNDED
+def test_generated_solve_raises_on_an_unbounded_start():
+    """A start model with no row bounding x is an error of the caller, not
+    an LP outcome; solved whole in one run, it is reported unbounded."""
+    problem = lp_from_rows([1.0], [([1.0], 3.0)], [(0.0, np.inf)])
+    start, separate = multi_item._left_out_rows(problem, [])
+    assert solve_lp(start).status == UNBOUNDED
+    with pytest.raises(RuntimeError, match="unbounded"):
+        solve_lp(start, separate)
 
 
 def test_generated_solve_counts_the_iterations_of_every_run(counting):
     mi = MultiInstance(gen.random_instance(11, 4, 4), 2)
     problem = multi_item.omk_problem(mi)
-    sol = solve_lp(problem, start=multi_item._omk_pattern(4, 4, 2).start)
-    assert counting.calls.count("run") == len(counting.iterations) >= 3
+    sol = solve_lp(*multi_item._left_out_rows(problem, multi_item._omk_pattern(4, 4, 2).start))
+    assert counting.calls.count("run") == len(counting.iterations) == sol.rounds >= 3
     assert sol.nit == sum(counting.iterations) > counting.iterations[0]
+
+
+@pytest.mark.parametrize("cuts", [False, True])
+def test_post_solve_check_asks_the_oracle_once_more(cuts):
+    """After the loop, whose calls ask for every violated row, the oracle is
+    asked once more at ``_RESULT_TOL``; a row it reports then fails the
+    solve.  (1, 0.5), the optimum of row 0 alone, violates row 1 by 0.5."""
+    problem = _generation_lp()
+    start, _ = multi_item._left_out_rows(problem, [0])
+    rows, asked = sp.csr_array(problem.constraint_matrix), []
+
+    def separate(x, tol):
+        asked.append(tol)
+        return (rows[[1]], problem.constraint_rhs[[1]]) if cuts and tol > 0 else None
+
+    if cuts:
+        with pytest.raises(RuntimeError, match="violates"):
+            solve_lp(start, separate)
+    else:
+        assert solve_lp(start, separate).values == pytest.approx([1.0, 0.5])
+    assert asked == [0.0, lp._RESULT_TOL]
 
 
 def test_small_generated_solve_leaves_the_reused_object_cleared(interleaved):
@@ -415,7 +444,7 @@ def test_small_generated_solve_leaves_the_reused_object_cleared(interleaved):
     thread's reused object, which it leaves with no model and no basis, so
     the next solves give the bits of fresh objects."""
     problems, fresh = interleaved
-    solve_lp(_generation_lp(), start=[0])
+    solve_lp(*multi_item._left_out_rows(_generation_lp(), [0]))
     solver = lp._REUSED.solver
     assert (solver.getNumRow(), solver.getNumCol()) == (0, 0)
     assert not solver.getBasis().valid
@@ -442,21 +471,33 @@ def _one_run(problem):
     (single_item.solve_om1, 1), (single_item.om1_alternate_optimum, 1),
     (multi_item.solve_umopt, 2)], ids=["OM1", "OM1-alt", "UMOPT"])
 def test_one_item_lps_are_solved_whole_in_one_run(monkeypatch, counting, solve, k):
-    """With no start rows (OM1, OM1-alt and UMOPT's one-item block), each LP
-    is one model pass and one run, with the bits and iterations of that."""
+    """With no oracle (OM1 and OM1-alt), each LP is one model pass and one
+    run, with the bits and iterations of that.  UMOPT's LP over its
+    one-item component is the cut loop: one model pass, one run, each cut
+    added and run warm, and one run on a fresh factorization if any was."""
     solved = []
     for module in (single_item, multi_item):
-        def recording(problem, start=None, original=module.solve_lp):
-            solved.append((problem, start, original(problem, start=start)))
+        def recording(problem, separate=None, original=module.solve_lp):
+            solved.append((problem, separate, original(problem, separate=separate)))
             return solved[-1][2]
         monkeypatch.setattr(module, "solve_lp", recording)
     for seed in range(5):
         inst = gen.random_instance(seed, 2, 7)
         solve(MultiInstance(inst, k) if k > 1 else inst)
+    if k > 1:
+        expected = []
+        for _, separate, sol in solved:
+            cuts = max(sol.rounds - 2, 0)
+            expected += ["passModel", "run"] + ["addRows", "run"] * cuts + ["run"] * (cuts > 0)
+            assert separate is not None
+        assert counting.calls == expected
+        assert sum(counting.iterations) == sum(sol.nit for _, _, sol in solved)
+        assert any(sol.rounds > 1 for _, _, sol in solved)
+        return
     assert counting.calls == ["passModel", "run"] * len(solved)
-    for problem, start, sol in solved:
+    for problem, separate, sol in solved:
         x, nit = _one_run(problem)
-        assert start is None
+        assert separate is None and sol.rounds == 1
         assert np.array_equal(sol.values.view(np.int64), x.view(np.int64)) and sol.nit == nit
 
 
@@ -464,7 +505,7 @@ def test_lp_size_reported():
     A = sp.csr_array(np.array([[1.0, 0.0, 2.0], [0.0, 0.0, 1.0]]))
     problem = LpProblem(np.ones(3), A, np.ones(2), np.zeros(3), np.ones(3))
     sol = solve_lp(problem)
-    assert (sol.rows, sol.columns, sol.nonzeros) == (2, 3, 3)
+    assert (sol.rows, sol.columns, sol.nonzeros, sol.rounds) == (2, 3, 3, 1)
     infeasible = solve_lp(lp_from_rows([1.0], [([1.0], -2.0)], [(0.0, 1.0)]))
     assert infeasible.status == INFEASIBLE
     assert (infeasible.rows, infeasible.columns, infeasible.nonzeros) == (1, 1, 1)

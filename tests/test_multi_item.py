@@ -18,8 +18,9 @@ from acquimech import (Mechanism, MultiInstance, MultiPolicy, RANK_CLASSES,
                        ranking_mechanism, rm_ic_audit, solve_om1, solve_omk,
                        solve_umopt, tmm_optimal, union_policy, validate_instance)
 from acquimech import multi_item, solve_lp
+from acquimech.analysis import IC_TOL
 from acquimech.core import QualityGrid
-from acquimech.lp import FEASIBILITY_TOL
+from acquimech.lp import FEASIBILITY_TOL, OPTIMAL
 from acquimech.experiments import (THM7_PRINTED_AGGREGATES, SweepConfig, build_score_model,
                                    discretize_prior)
 from acquimech.multi_item import (MAX_IC_ENTRIES, MAX_POLICY_CELLS, RankPolicy, item_orbits,
@@ -393,23 +394,95 @@ def test_umopt_objective_scaling_reaches_the_optimum():
         coupling_row_umopt(mi)[1], rel=0, abs=1e-12)
 
 
-@pytest.mark.parametrize("grid, k, rows, cols, nonzeros",
-                         [(GRID7, 2, 1113, 1078, 3759), (GRID4, 3, 1016, 1008, 3896)])
-def test_umopt_lp_size(monkeypatch, grid, k, rows, cols, nonzeros):
-    """The paper grids' UMOPT LPs: the one-item block of y and one capped
-    variable and row per kink."""
+def assert_umopt_matches_the_kink_form(mi):
+    """UMOPT by cutting planes against its kink-form LP solved whole: the
+    union reward within 1e-11, each true quality's expected acquisitions
+    ``(R * y).sum(axis=1)`` within 1e-9, and y IC and monotone at the
+    package tolerance.  y itself may be another optimal vertex."""
+    n, m, k = mi.base.n, mi.base.m, mi.item_count
+    inputs, policy = solve_umopt(mi)
+    whole = solve_lp(loop_umopt_problem(mi))
+    assert whole.status == OPTIMAL
+    kink_y = Mechanism(np.clip(whole.values[:n * m], 0.0, 1.0).reshape(n, m))
+    y = inputs.mechanisms[0]
+    R = mi.base.score_model
+    assert multi_expected_reward(mi, policy) == pytest.approx(
+        multi_expected_reward(mi, union_policy(mi, UnionInputs((kink_y,) * k))),
+        rel=0, abs=1e-11)
+    np.testing.assert_allclose((R * y.matrix).sum(axis=1), (R * kink_y.matrix).sum(axis=1),
+                               rtol=0, atol=1e-9)
+    assert check_ic(mi.base, y, tol=FEASIBILITY_TOL).passed
+    assert check_monotone(y, tol=FEASIBILITY_TOL).passed
+
+
+@pytest.mark.parametrize("family", ["normal", "lognormal"])
+def test_umopt_cuts_match_the_kink_form_on_the_sweep_configs(family):
+    """Every point of both paper sweeps (n = 7, k = 2)."""
+    for _, mi in sweep_points(family):
+        assert_umopt_matches_the_kink_form(mi)
+
+
+@pytest.mark.parametrize("grid, variance", [(GRID4, v) for v in (0.2, 0.3, 0.4, 0.5)]
+                         + [([i / 4 for i in range(5)], 0.3)],
+                         ids=["n4-0.2", "n4-0.3", "n4-0.4", "n4-0.5", "n5-0.3"])
+def test_umopt_cuts_match_the_kink_form_at_k3(grid, variance):
+    """The benchmark's four (4, 3) points and (5, 3)."""
+    assert_umopt_matches_the_kink_form(MultiInstance(paper_instance(variance, grid), 3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]))
+def test_umopt_cuts_match_the_kink_form_on_random_instances(seed, k):
+    assert_umopt_matches_the_kink_form(MultiInstance(random_instance(seed, 2, 4), k))
+
+
+@pytest.mark.parametrize("variance, rounds", [(0.05, 185), (0.3, 9)])
+def test_umopt_at_seven_levels_and_three_items(monkeypatch, variance, rounds):
+    """(7, 3), whose kink-form LP has 32326 columns: the cut loop ends, after
+    one HiGHS run per cut at variance 0.05, where the cuts zigzag; y is IC
+    and monotone at 1e-7; and the union reward is at least k x OM1 and
+    UM_TMM's."""
     solutions = []
 
-    def recording(problem, start=None):
-        solutions.append(solve_lp(problem, start=start))
+    def recording(problem, separate=None):
+        solutions.append(solve_lp(problem, separate=separate))
         return solutions[-1]
+
+    monkeypatch.setattr(multi_item, "solve_lp", recording)
+    mi = MultiInstance(paper_instance(variance), 3)
+    inputs, policy = solve_umopt(mi)
+    assert [sol.rounds for sol in solutions] == [rounds]
+    y = inputs.mechanisms[0]
+    assert check_ic(mi.base, y, tol=1e-7).passed and check_monotone(y, tol=1e-7).passed
+    reward = multi_expected_reward(mi, policy)
+    _, tmm, _ = tmm_optimal(mi.base)
+    um_tmm = union_policy(mi, UnionInputs((tmm,) * 3))
+    assert reward >= 3 * expected_reward(mi.base, solve_om1(mi.base)) - IC_TOL
+    assert reward >= multi_expected_reward(mi, um_tmm) - IC_TOL
+
+
+@pytest.mark.parametrize("grid, k, start, final, rounds",
+                         [(GRID7, 2, (85, 50, 722), (95, 50, 1222), 12),
+                          (GRID4, 3, (25, 17, 137), (32, 17, 256), 9)],
+                         ids=["n7-k2", "n4-k3"])
+def test_umopt_lp_size(monkeypatch, grid, k, start, final, rounds):
+    """The paper grids' UMOPT LPs start from the one-item block of y and
+    the cut at y = 0, over y and theta, and add one cut a run."""
+    solutions = []
+
+    def recording(problem, separate=None):
+        solutions.append((problem, solve_lp(problem, separate=separate)))
+        return solutions[-1][1]
 
     monkeypatch.setattr(multi_item, "solve_lp", recording)
     inst = paper_instance(0.3, grid)
     solve_umopt(MultiInstance(inst, k))
     solve_omk(MultiInstance(inst, k))
-    umopt, omk = solutions
-    assert (umopt.rows, umopt.columns, umopt.nonzeros) == (rows, cols, nonzeros)
+    (problem, umopt), (_, omk) = solutions
+    A = problem.constraint_matrix
+    assert (A.shape[0], A.shape[1], A.nnz) == start
+    assert (umopt.rows, umopt.columns, umopt.nonzeros, umopt.rounds) == final + (rounds,)
+    assert umopt.rows - start[0] == rounds - 2
     assert omk.columns == item_orbits(len(grid), len(grid), k)[1] and omk.nonzeros > 0
 
 
@@ -507,22 +580,41 @@ PATTERN_SHAPES = [(n, m, k) for n in range(2, 6) for m in range(2, 6) for k in (
 @pytest.mark.parametrize("n,m,k", PATTERN_SHAPES)
 def test_lp_patterns_match_the_coo_builder(n, m, k):
     """The OMk matrix filled from its cached pattern is the one scipy's
-    COO-to-CSR merge builds from the same raw entries; UMOPT's LP, whose
-    block of y is filled from the one-item pattern, is the one a loop over
-    profiles builds."""
+    COO-to-CSR merge builds from the same raw entries; UMOPT's start model
+    agrees with the kink-form LP a loop over profiles builds."""
     inst = sparse_noise_instance(n, m, seed=n * 100 + m * 10 + k)
     mi = MultiInstance(inst, k)
     orbit, count = item_orbits(n, m, k)
     Rk, _ = multi_item.joint_weights(mi)
     assert_same_matrix(omk_problem(mi).constraint_matrix,
                        coo_ic_monotone_rows(Rk, n, m, k, orbit, count), k)
-    umopt, loop = multi_item._umopt_problem(mi), loop_umopt_problem(mi)
-    assert_same_matrix(umopt.constraint_matrix, loop.constraint_matrix, 1)
-    np.testing.assert_allclose(umopt.objective, loop.objective, rtol=0, atol=1e-14)
-    for a, b in ((umopt.constraint_rhs, loop.constraint_rhs), (umopt.lower, loop.lower),
-                 (umopt.upper, loop.upper)):
-        assert np.array_equal(a, b)
+    assert_umopt_start_matches_the_kink_form(mi)
     assert np.array_equal(multi_item._omk_pattern(n, m, k).orbit, orbit)
+
+
+def assert_umopt_start_matches_the_kink_form(mi):
+    """UMOPT's start model is the one-item block of y, filled from the
+    one-item pattern, and the cut at y = 0: theta at most the kink form's
+    linear objective plus each kink's objective times its orbit's sum of y,
+    with the kink form's scaling."""
+    n, m = mi.base.n, mi.base.m
+    count = n * m
+    start, _ = multi_item._umopt_problem(mi)
+    loop = loop_umopt_problem(mi)
+    A, kinks = sp.csr_array(start.constraint_matrix), sp.csr_array(loop.constraint_matrix)
+    block = coo_ic_monotone_rows(mi.base.score_model, n, m, 1, np.arange(count), count)
+    rows = block.shape[0]
+    assert A.shape == (rows + 1, count + 1)
+    assert_same_matrix(A[:rows, :count], block, 1)
+    assert A[:rows, [count]].nnz == 0
+    sums = kinks[rows:, :count]   # -1 at each y of a kink's orbit
+    cut = loop.objective[:count] - sums.T @ loop.objective[count:]
+    np.testing.assert_allclose(-A[[rows], :count].toarray().ravel(), cut, rtol=0, atol=1e-14)
+    assert A[rows, count] == 1.0
+    assert np.array_equal(start.constraint_rhs, np.zeros(rows + 1))
+    assert np.array_equal(start.objective, np.eye(count + 1)[count])
+    assert np.array_equal(start.lower, np.append(np.zeros(count), -np.inf))
+    assert np.array_equal(start.upper, np.append(np.ones(count), np.inf))
 
 
 def _problem_arrays(problem):
@@ -541,9 +633,9 @@ def test_results_do_not_depend_on_the_shape_cache(monkeypatch, k):
     def solved():
         problems = []
 
-        def recording(problem, start=None):
+        def recording(problem, separate=None):
             problems.append(problem)
-            return solve_lp(problem, start=start)
+            return solve_lp(problem, separate=separate)
 
         monkeypatch.setattr(multi_item, "solve_lp", recording)
         inputs, umopt = solve_umopt(mi)
