@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import sys
 
@@ -80,6 +81,26 @@ def _emit(payload: str, out_path: str | None) -> None:
         sys.stdout.write(payload)
         if not payload.endswith("\n"):
             sys.stdout.write("\n")
+
+
+def _json(value, indent: str = "") -> str:
+    """``json.dumps(value, indent=2)``, to the byte, for a value of lists,
+    scalars and dicts with string keys, nested at ``indent``.  A list of
+    finite floats, such as a policy's innermost axis, is written by one
+    join, where ``json.dumps`` with an indent writes each element through
+    its pure-Python encoder."""
+    inner = indent + "  "
+    if isinstance(value, dict) and value:
+        body = ",\n".join(f"{inner}{json.dumps(key)}: {_json(item, inner)}"
+                          for key, item in value.items())
+        return "{\n" + body + "\n" + indent + "}"
+    if not (isinstance(value, list) and value):
+        return json.dumps(value)
+    if set(map(type, value)) == {float} and all(map(math.isfinite, value)):
+        body = inner + (",\n" + inner).join(map(float.__repr__, value))
+    else:
+        body = ",\n".join(inner + _json(item, inner) for item in value)
+    return "[\n" + body + "\n" + indent + "]"
 
 
 def _check_writable(out_path: str) -> None:
@@ -172,7 +193,7 @@ def _cmd_solve(args) -> int:
             "alpha": params.alpha, "v1_set": sorted(params.v1_set)}
     elif name == "UMOPT":
         doc["components"] = [m.matrix.tolist() for m in solved.umopt[0].mechanisms]
-    _emit(json.dumps(doc, indent=2), args.out)
+    _emit(_json(doc), args.out)
     return EXIT_OK
 
 

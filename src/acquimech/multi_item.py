@@ -5,8 +5,9 @@ two items together with its incentive audit (it is not truthful), and union
 mechanisms that run k single-item mechanisms and greedily redistribute the
 pooled acquisition mass toward the highest-quality items.  The items are
 i.i.d., so the OMk LP is solved with one variable per orbit of the item
-permutations and expanded back to a full policy; with k >= 2 its IC rows
-are generated, each added when the optimum violates it.  The greedy
+permutations and expanded back to a full policy; with k >= 2 HiGHS starts
+from its local IC rows and monotone rows, and each other IC row is built
+from the joint noise only when the optimum violates it.  The greedy
 redistribution makes the union reward a concave, piecewise-linear function
 of one component shared by all items, so UMOPT maximizes it by Kelley's
 cutting planes over that component's one-item LP.  Both add their rows
@@ -18,7 +19,7 @@ from __future__ import annotations
 import math
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -30,9 +31,10 @@ from .lp import LpProblem, OPTIMAL, ROW_TOL, solve_lp
 #: Refuse a policy tensor, and the LP behind it, beyond this many cells.
 MAX_POLICY_CELLS = 1_000_000
 
-#: Refuse an LP whose pattern would hold more orbit cells and raw entries
-#: than this before it is built (OMk at n = 7, k = 3 has 43.1M, and HiGHS ran
-#: out of memory on its dense form).
+#: Refuse an LP whose model would hold more orbit cells and raw entries than
+#: this: its start model, counted before it is built, and then each row that
+#: OMk's row generation adds (OMk at n = 7, k = 3 starts from 1.1M, where
+#: its whole LP would hold 43.1M, and HiGHS ran out of memory on that).
 MAX_IC_ENTRIES = 20_000_000
 
 #: Pooled acquisition mass at or below this is treated as exactly zero.
@@ -54,8 +56,8 @@ class SizeBudgetError(RuntimeError):
 
 def check_size(cells: int, entries: int) -> None:
     """Raise :class:`SizeBudgetError` when a problem's policy cells or
-    pattern entries are over the limits; every solver calls it before it
-    builds."""
+    model entries are over the limits; every solver calls it before it
+    builds, and OMk's row generation before it adds rows."""
     if cells > MAX_POLICY_CELLS:
         raise SizeBudgetError(f"policy of {cells} cells is over the limit "
                               f"of {MAX_POLICY_CELLS}")
@@ -64,22 +66,19 @@ def check_size(cells: int, entries: int) -> None:
                               f"over the limit of {MAX_IC_ENTRIES}")
 
 
-def omk_ic_entries(n: int, m: int, k: int) -> int:
-    """Entries of the OMk IC rows before duplicates merge: one row per
-    multiset of k (true, reported) quality pairs that are not all equal,
-    each with 2 k m^k entries."""
-    return (math.comb(n * n + k - 1, k) - math.comb(n + k - 1, k)) * 2 * k * m**k
-
-
 def omk_size(n: int, m: int, k: int) -> tuple[int, int]:
     """The policy cells and pattern entries :func:`solve_omk` is checked by.
 
     The pattern entries are the :attr:`_Pattern.size` of the OMk pattern,
-    by closed form: its orbit map, one cell per policy cell, the raw IC
-    entries and two raw entries per monotone row, one row per orbit whose
-    own score is above the lowest."""
+    by closed form: its orbit map, one cell per policy cell, 2 k m^k raw
+    entries per IC row of the start model and two per monotone row, one
+    row per orbit whose own score is above the lowest.  The start model
+    holds every IC row with one item, n (n - 1), and the local ones with
+    more, 2 (n - 1) C(n + k - 2, k - 1): one of the k items moves one
+    level, the other k - 1 form a multiset."""
     cells = k * n**k * m**k
-    return cells, (cells + omk_ic_entries(n, m, k)
+    ic_rows = n * (n - 1) if k == 1 else 2 * (n - 1) * math.comb(n + k - 2, k - 1)
+    return cells, (cells + ic_rows * 2 * k * m**k
                    + 2 * n * (m - 1) * math.comb(n * m + k - 2, k - 1))
 
 
@@ -151,80 +150,106 @@ def item_orbits(n: int, m: int, k: int) -> tuple[np.ndarray, int]:
 
 @dataclass(frozen=True)
 class _Pattern:
-    """The sparsity of one LP's constraint matrix, which (n, m, k) fixes.
+    """The sparsity of one OMk LP's start model, which (n, m, k) fixes, and
+    the IC rows it leaves out.
 
     ``orbit`` is the :func:`item_orbits` orbit, and so the LP column, of
-    every policy variable.  ``indptr`` and ``indices`` hold the matrix in
-    CSC form (int32, rows ascending in each column, no duplicates).  The raw
-    entries, before duplicates merge, take their values from the fill
-    vector of :meth:`fill`: ``first`` is the position there of each slot's
-    first raw entry, and ``later`` pairs the slot and the position of every
-    further raw entry, in raw order.  ``start`` lists the rows that row
-    generation starts from (:func:`_ic_monotone_entries`).  Every array is
-    read-only.
+    every policy variable.  ``indptr`` and ``indices`` hold the start rows'
+    raw entries in CSC form (int32, rows ascending in each column), and
+    ``source`` the position of each raw entry's value in the fill vector of
+    :meth:`fill`.  The raw entries of one slot are adjacent and in raw
+    order; with one item no slot has two.  ``left_out`` holds the (a, ap)
+    of every IC row the start model leaves out (:func:`_ic_monotone_entries`).
+    Every array is read-only.
     """
 
     shape: tuple[int, int]
     orbit: np.ndarray
-    start: np.ndarray
     indptr: np.ndarray
     indices: np.ndarray
-    first: np.ndarray
-    later: tuple[np.ndarray, np.ndarray]
+    source: np.ndarray
+    left_out: tuple[np.ndarray, np.ndarray]
 
     @property
     def size(self) -> int:
         """Orbit cells and raw entries: what the pattern cache counts."""
-        return self.orbit.size + self.first.size + self.later[0].size
+        return self.orbit.size + self.source.size
 
     def fill(self, M: np.ndarray) -> sp.csc_matrix:
-        """The matrix whose raw entries take their values from ``[M.ravel(),
-        -M.ravel(), 1, -1]``, each slot the sum of its raw entries in order."""
-        values = np.concatenate([M.ravel(), -M.ravel(), [1.0, -1.0]])
-        data = values[self.first]
-        slots, positions = self.later
-        np.add.at(data, slots, values[positions])   # unbuffered, in index order
-        A = sp.csc_matrix((data, self.indices, self.indptr), shape=self.shape)
-        A.has_canonical_format = True
-        return A
+        """The start rows, their raw entries taking their values from
+        ``[M.ravel(), -M.ravel(), 1, -1]``."""
+        return _summed(_fill_vector(M)[self.source], self.indices, self.indptr, self.shape)
 
-    def problem(self, M: np.ndarray, weights: np.ndarray) -> LpProblem:
-        """The LP over the pattern's columns in [0, 1]: maximize the reward
-        ``weights`` of the policy variables, summed per orbit, subject to
-        ``fill(M) @ x <= 0``."""
+    def problem(self, M: np.ndarray, weights: np.ndarray):
+        """The start model over the pattern's columns in [0, 1], which
+        maximizes the reward ``weights`` of the policy variables, summed per
+        orbit, subject to ``fill(M) @ x <= 0``; and the oracle of the IC
+        rows it leaves out, None if it leaves out none.
+
+        The oracle, for :func:`lp.linprog`, expands x to the policy, sums it
+        over the items into G (NV, NS) and takes P = M @ G.T: IC row (a, ap)
+        is P[a, ap] - P[a, a].  It builds the rows not yet returned that x
+        violates by more than ``tol``, or ``lp.ROW_TOL`` if that is larger,
+        as :func:`_ic_entries` gives them, and raises
+        :class:`SizeBudgetError` first if they would take the live model
+        over ``MAX_IC_ENTRIES`` raw entries."""
         count = self.shape[1]
         c = np.bincount(self.orbit, weights=weights, minlength=count)
-        return LpProblem(c, self.fill(M), np.zeros(self.shape[0]), np.zeros(count),
-                         np.ones(count))
+        start = LpProblem(c, self.fill(M), np.zeros(self.shape[0]), np.zeros(count),
+                          np.ones(count))
+        a, ap = self.left_out
+        if not a.size:
+            return start, None
+        NV, NS = M.shape
+        k = self.orbit.size // (NV * NS)
+        values, live, entries = _fill_vector(M), np.zeros(a.size, dtype=bool), self.size
+
+        def separate(x, tol):
+            nonlocal entries
+            G = x[self.orbit].reshape(k, NV, NS).sum(axis=0)
+            P = M @ G.T
+            new = np.flatnonzero(~live & (P[a, ap] - P[a, a] > max(tol, ROW_TOL)))
+            if not new.size:
+                return None
+            entries += new.size * 2 * k * NS
+            check_size(0, entries)
+            live[new] = True
+            cols, source = _ic_entries(self.orbit, k, NV, NS, a[new], ap[new])
+            indptr = np.arange(new.size + 1, dtype=np.int32) * (2 * k * NS)
+            raw = _transposed(indptr, cols, source, count)
+            return (_summed(values[raw.data], raw.indices, raw.indptr, raw.shape).tocsr(),
+                    np.zeros(new.size))
+
+        return start, separate
 
 
-def _merged(orbit: np.ndarray, start: np.ndarray, sizes: np.ndarray, cols: np.ndarray,
-            source: np.ndarray, shape: tuple[int, int]) -> _Pattern:
-    """The pattern of raw entries given row by row: ``sizes[r]`` entries in
-    row r, each with its column and its position in the fill vector.
+def _fill_vector(M: np.ndarray) -> np.ndarray:
+    """The values raw entries take by their position: ``[M, -M, 1, -1]``."""
+    return np.concatenate([M.ravel(), -M.ravel(), [1.0, -1.0]])
+
+
+def _transposed(indptr: np.ndarray, cols: np.ndarray, source: np.ndarray,
+                count: int) -> sp.csc_array:
+    """Raw entries given row by row, row r from ``indptr[r]`` to
+    ``indptr[r + 1]``, each with its column and position in the fill vector,
+    as a CSC array of positions.
 
     The CSR-to-CSC transpose is stable, so each column lists its raw
     entries by row and then in raw order, and the raw entries of one slot
     are adjacent and keep their order.
     """
-    indptr = np.zeros(sizes.size + 1, dtype=np.int32)   # raw entries are far below 2^31
-    np.cumsum(sizes, out=indptr[1:])
-    raw = sp.csr_array((source, cols, indptr), shape=shape).tocsc()
-    rows = raw.indices
-    new = np.ones(rows.size, dtype=bool)   # the raw entry opens a slot
-    np.not_equal(rows[1:], rows[:-1], out=new[1:])
-    new[raw.indptr[:-1][np.diff(raw.indptr) > 0]] = True   # each column's first entry
-    starts = np.flatnonzero(new)
-    later = np.flatnonzero(~new)
-    positions = raw.data[later].astype(np.intp)
-    later -= np.arange(1, later.size + 1)   # its slot: slots opened before it, less one
-    pattern = _Pattern(shape, orbit, start,
-                       np.searchsorted(starts, raw.indptr).astype(np.int32),
-                       rows[starts], raw.data[starts].astype(np.intp), (later, positions))
-    for array in (orbit, start, pattern.indptr, pattern.indices, pattern.first, later,
-                  positions):
-        array.flags.writeable = False
-    return pattern
+    return sp.csr_array((source, cols, indptr), shape=(indptr.size - 1, count)).tocsc()
+
+
+def _summed(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray,
+            shape: tuple[int, int]) -> sp.csc_matrix:
+    """The CSC matrix of raw entries as :func:`_transposed` orders them, the
+    raw entries of each slot summed left to right by scipy's
+    ``sum_duplicates``, on copies of ``indices`` and ``indptr``: a slot with
+    one raw entry keeps its bits, and one with more sums in raw order."""
+    A = sp.csc_matrix((data, indices.copy(), indptr.copy()), shape=shape)
+    A.sum_duplicates()
+    return A
 
 
 #: (n, m, k) -> the :func:`_omk_pattern`, least recently used first.
@@ -233,23 +258,37 @@ _PATTERNS: OrderedDict = OrderedDict()
 _PATTERNS_LOCK = threading.Lock()
 
 
+def _ic_entries(orbit: np.ndarray, k: int, NV: int, NS: int, a: np.ndarray,
+                ap: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The raw entries of IC rows (a, ap), row by row, 2 k NS a row: each
+    entry's column, through ``orbit``, and its position in the fill vector
+    ``[Rk, -Rk, 1, -1]``.
+
+    Row (a, ap) is ``sum_i sum_b Rk[a, b] (x_i(ap, b) - x_i(a, b))``, zeros
+    of Rk kept as entries, in the order (item, [reported, true], score).
+    """
+    blocks = np.arange(k)[:, None] * NV + np.stack([ap, a], axis=1)[:, None, :]
+    cols = orbit.reshape(k * NV, NS)[blocks]
+    source = ((np.stack([a, a + NV], axis=1) * NS).astype(np.int32)[:, None, :, None]
+              + np.arange(NS, dtype=np.int32))
+    return cols.ravel(), np.broadcast_to(source, cols.shape).ravel()
+
+
 def _ic_monotone_entries(n: int, m: int, k: int, orbit: np.ndarray):
-    """IC rows, then monotonicity rows, all ``<= 0``, over one column per
+    """The start rows of the OMk LP, all ``<= 0``, over one column per
     :func:`item_orbits` orbit of x_i(a, b) (quality tuple a, score tuple b),
     as raw entries: each row's entry count, and each entry's column and
     position in the fill vector ``[Rk, -Rk, 1, -1]`` of :meth:`_Pattern.fill`.
-    Then the start rows of row generation, ascending: each local IC row,
-    whose reported tuple differs from the true one in one item by one
-    level, and every monotone row.
+    Then the (a, ap) of the IC rows left out.
 
-    IC row (a, ap), a-major over distinct tuples, is ``sum_i sum_b Rk[a, b]
-    (x_i(ap, b) - x_i(a, b))``, zeros of Rk kept as entries.  Monotone row
-    (i, a, b) is ``x_i(a, b - stride_i) - x_i(a, b)`` for each b whose i-th
-    score is above the lowest.  Permuting the items maps rows onto rows, so
-    only the first row of each row orbit is emitted: IC rows per multiset of
-    (a_j, ap_j) pairs, monotone rows per orbit of x_i(a, b).  Columns go
-    through ``orbit``, and the entries of one row and column are merged by
-    :func:`_merged`; with one item none share a column.
+    Permuting the items maps rows onto rows, so there is one IC row per
+    multiset of (a_j, ap_j) pairs, the first (a, ap) of it a-major over
+    distinct tuples (:func:`_ic_entries`), and one monotone row per orbit
+    of x_i(a, b): ``x_i(a, b - stride_i) - x_i(a, b)``, for the first b in
+    the orbit whose i-th score is above the lowest.  The start rows are the
+    IC rows, every one with one item and the local ones with more, whose
+    reported tuple differs from the true one in one item by one level, in
+    that order; then every monotone row.  Columns go through ``orbit``.
     """
     NV, NS = n**k, m**k
     a, ap = np.nonzero(~np.eye(NV, dtype=bool))
@@ -258,27 +297,21 @@ def _ic_monotone_entries(n: int, m: int, k: int, orbit: np.ndarray):
     quality = np.indices((n,) * k).reshape(k, NV)
     first = _first_of_each(_multiset_key(quality[:, a] * n + quality[:, ap], n * n))
     a, ap = a[first], ap[first]
-    local = np.abs(quality[:, a] - quality[:, ap]).sum(axis=0) == 1
+    start = (k == 1) | (np.abs(quality[:, a] - quality[:, ap]).sum(axis=0) == 1)
     hi = hi[_first_of_each(orbit[hi])]
     lo = hi - m ** (k - 1 - hi // (NV * NS))
-    # IC entries in the order (row, item, [reported, true], score): +Rk[a, b]
-    # at x_i(ap, b) and -Rk[a, b] at x_i(a, b)
-    orbit = orbit.astype(np.int32)
-    blocks = np.arange(k)[:, None] * NV + np.stack([ap, a], axis=1)[:, None, :]
-    ic_cols = orbit.reshape(k * NV, NS)[blocks]
-    ic_source = ((np.stack([a, a + NV], axis=1) * NS).astype(np.int32)[:, None, :, None]
-                 + np.arange(NS, dtype=np.int32))
+    ic_cols, ic_source = _ic_entries(orbit, k, NV, NS, a[start], ap[start])
     one = 2 * NV * NS   # positions of 1 and -1 in the fill vector
-    sizes = np.concatenate([np.full(a.size, 2 * k * NS), np.full(hi.size, 2)])
-    cols = np.concatenate([ic_cols.ravel(), orbit[np.stack([lo, hi], axis=1)].ravel()])
-    source = np.concatenate([np.broadcast_to(ic_source, ic_cols.shape).ravel(),
+    sizes = np.concatenate([np.full(np.count_nonzero(start), 2 * k * NS), np.full(hi.size, 2)])
+    cols = np.concatenate([ic_cols, orbit[np.stack([lo, hi], axis=1)].ravel()])
+    source = np.concatenate([ic_source,
                              np.tile(np.array([one, one + 1], dtype=np.int32), hi.size)])
-    start = np.concatenate([np.flatnonzero(local), a.size + np.arange(hi.size)])
-    return sizes, cols, source, start
+    return sizes, cols, source, (a[~start], ap[~start])
 
 
 def _omk_pattern(n: int, m: int, k: int) -> _Pattern:
-    """The pattern of the OMk LP's rows, filled from the joint noise Rk.
+    """The pattern of the OMk LP's start rows, filled from the joint noise
+    Rk.
 
     Served from :data:`_PATTERNS`.  After a build, the least recently used
     patterns are evicted while their total :attr:`_Pattern.size` is over
@@ -290,24 +323,31 @@ def _omk_pattern(n: int, m: int, k: int) -> _Pattern:
             _PATTERNS.move_to_end(key)
             return _PATTERNS[key]
         orbit, count = item_orbits(n, m, k)
-        sizes, cols, source, start = _ic_monotone_entries(n, m, k, orbit)
-        pattern = _PATTERNS[key] = _merged(orbit, start, sizes, cols, source,
-                                           (sizes.size, count))
+        orbit = orbit.astype(np.int32)
+        sizes, cols, source, left_out = _ic_monotone_entries(n, m, k, orbit)
+        indptr = np.zeros(sizes.size + 1, dtype=np.int32)   # raw entries are far below 2^31
+        np.cumsum(sizes, out=indptr[1:])
+        raw = _transposed(indptr, cols, source, count)
+        pattern = _PATTERNS[key] = _Pattern(raw.shape, orbit, raw.indptr, raw.indices,
+                                            raw.data, left_out)
+        for array in (orbit, raw.indptr, raw.indices, raw.data) + left_out:
+            array.flags.writeable = False
         while sum(cached.size for cached in _PATTERNS.values()) > MAX_IC_ENTRIES:
             _PATTERNS.popitem(last=False)
         return pattern
 
 
-def omk_problem(mi: MultiInstance) -> LpProblem:
+def omk_problem(mi: MultiInstance):
     """The OMk LP: maximize the joint expected margin over policies
     x_i(v-tuple, s-tuple) in [0, 1], one variable per :func:`item_orbits`
-    orbit.
+    orbit.  Returns its start model and the oracle of the IC rows it
+    leaves out (:meth:`_Pattern.problem`); with one item the start model is
+    the OM1 LP, whole, and the oracle None.
 
     IC compares the owner's total expected acquisitions for every pair of
     reported quality tuples under the true tuple's noise; monotonicity is
-    per item in its own score, other scores fixed.  With one item this is
-    the OM1 LP.  The rows' pattern is built once per (n, m, k); each call
-    fills in its values.
+    per item in its own score, other scores fixed.  The start rows' pattern
+    is built once per (n, m, k); each call fills in its values.
     """
     return _omk_pattern(mi.base.n, mi.base.m, mi.item_count).problem(*joint_weights(mi))
 
@@ -322,47 +362,27 @@ def _optimum(problem: LpProblem, what: str, separate=None) -> np.ndarray:
     return np.clip(sol.values, 0.0, 1.0)
 
 
-def _left_out_rows(problem: LpProblem, start: np.ndarray):
-    """The start model of ``problem`` over its rows ``start``, and the
-    oracle of the rows left out: each call returns, in ascending order, the
-    left-out rows not yet returned that x violates by more than ``tol``, or
-    by more than ``lp.ROW_TOL`` if that is larger."""
-    rows = sp.csr_array(problem.constraint_matrix)
-    b = problem.constraint_rhs
-    live = np.zeros(b.size, dtype=bool)
-    live[start] = True
-
-    def separate(x, tol):
-        new = np.flatnonzero(~live & (rows @ x - b > max(tol, ROW_TOL)))
-        if not new.size:
-            return None
-        live[new] = True
-        return rows[new], b[new]
-
-    return replace(problem, constraint_matrix=rows[start], constraint_rhs=b[start]), separate
-
-
 def solve_omk(mi: MultiInstance) -> MultiPolicy:
     """Jointly optimal IC monotone policy via one LP over all k items.
 
     The LP has one variable per orbit and is expanded back to the k * n^k *
-    m^k policy cells; it is refused by :func:`check_size` before it is built.
-    With k >= 2, HiGHS starts from the pattern's start rows, the local IC
-    rows and every monotone row, and the oracle of :func:`_left_out_rows`
-    adds each IC row the optimum violates, re-solved warm
-    (:func:`lp.linprog`); on the paper sweeps (n = 7, k = 2) the optimum
-    needed at most 474 of the 1197 IC rows.  With one item (OM1) the LP is
-    solved whole in one run: at 42 IC rows the extra runs cost more than
-    they save.  Where the optimum is not unique, the vertex returned can
-    differ from that of one solve of the whole LP, with the same reward.
+    m^k policy cells; its start model is refused by :func:`check_size`
+    before it is built.  With k >= 2, HiGHS starts from the local IC rows
+    and every monotone row, and the oracle of :meth:`_Pattern.problem`
+    builds each IC row the optimum violates from Rk, added to the live
+    model and re-solved warm (:func:`lp.linprog`); the other IC rows are
+    never built.  On the paper sweeps (n = 7, k = 2) the optimum needed at
+    most 474 of the 1197 IC rows.  With one item (OM1) every IC row is in
+    the start model, solved whole in one run: at 42 IC rows the extra runs
+    cost more than they save.  Where the optimum is not unique, the vertex
+    returned can differ from that of one solve of the whole LP, with the
+    same reward.
     """
     inst, k = mi.base, mi.item_count
     n, m = inst.n, inst.m
     check_size(*omk_size(n, m, k))
     pattern = _omk_pattern(n, m, k)   # read once: it may be evicted during the solve
-    problem, separate = pattern.problem(*joint_weights(mi)), None
-    if k > 1:
-        problem, separate = _left_out_rows(problem, pattern.start)
+    problem, separate = pattern.problem(*joint_weights(mi))
     values = _optimum(problem, "OMk", separate)
     return MultiPolicy(values[pattern.orbit].reshape(_policy_shape(n, m, k)))
 

@@ -222,10 +222,10 @@ def om1_problem(instance: Instance) -> LpProblem:
     """The optimal-mechanism LP: maximize expected margin over acquiring
     matrices subject to incentive compatibility and score monotonicity.
 
-    This is the OMk LP with one item.  Variables are x(v, s) in [0, 1],
-    flattened row-major.
+    This is the OMk LP with one item, whose start model is the whole LP.
+    Variables are x(v, s) in [0, 1], flattened row-major.
     """
-    return multi_item.omk_problem(MultiInstance(instance, 1))
+    return multi_item.omk_problem(MultiInstance(instance, 1))[0]
 
 
 def _solved(problem: LpProblem) -> LpSolution:

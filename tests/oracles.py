@@ -6,6 +6,7 @@ search/LP code paths they check.
 """
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -13,7 +14,7 @@ from scipy.optimize import linprog
 
 from acquimech import RANK_CLASSES, RmViolation, Violation
 from acquimech.analysis import expected_reward
-from acquimech.lp import OPTIMAL, LpProblem, solve_lp
+from acquimech.lp import OPTIMAL, ROW_TOL, LpProblem, solve_lp
 from acquimech.multi_item import (_first_of_each, _multiset_key, _pair_codes, item_orbits,
                                   joint_weights)
 from acquimech.single_item import _tail, tmm_build
@@ -383,6 +384,63 @@ def coo_ic_monotone_rows(Rk, n, m, k, orbit, count):
     cols = orbit[np.concatenate([ic_cols.ravel(), np.stack([lo, hi], axis=1).ravel()])]
     data = np.concatenate([ic_data.ravel(), np.tile([1.0, -1.0], hi.size)])
     return sp.csr_matrix((data, (rows, cols)), shape=(n_rows, count))
+
+
+def ic_row_pairs(n, k):
+    """The (true, reported) quality tuples (a, ap) of each OMk IC row, the
+    first of each multiset of (a_j, ap_j) pairs, a-major over distinct
+    tuples: the row order of :func:`coo_ic_monotone_rows`."""
+    tuples = list(itertools.product(range(n), repeat=k))
+    rows = {}
+    for a in tuples:
+        for ap in tuples:
+            if a != ap:
+                rows.setdefault(tuple(sorted(zip(a, ap))), (a, ap))
+    return list(rows.values())
+
+
+def dense_omk_problem(mi):
+    """The whole OMk LP, every IC row built, as the package solved it before
+    its IC rows were generated from Rk; and the rows its row generation
+    starts from, ascending: each local IC row, whose reported tuple differs
+    from the true one in one item by one level, and every monotone row.
+
+    The rows are :func:`coo_ic_monotone_rows` over one column per
+    :func:`item_orbits` orbit, each ``<= 0``; the objective is the reward
+    weights summed per orbit, and the columns are in [0, 1].
+    """
+    inst, k = mi.base, mi.item_count
+    n, m = inst.n, inst.m
+    orbit, count = item_orbits(n, m, k)
+    Rk, weights = joint_weights(mi)
+    A = coo_ic_monotone_rows(Rk, n, m, k, orbit, count)
+    pairs = ic_row_pairs(n, k)
+    local = [row for row, (a, ap) in enumerate(pairs)
+             if sum(abs(x - y) for x, y in zip(a, ap)) == 1]
+    problem = LpProblem(np.bincount(orbit, weights=weights, minlength=count), A,
+                        np.zeros(A.shape[0]), np.zeros(count), np.ones(count))
+    return problem, np.array(local + list(range(len(pairs), A.shape[0])), dtype=np.intp)
+
+
+def left_out_rows(problem, start):
+    """The start model of ``problem`` over its rows ``start``, and the
+    oracle of the rows left out, for ``solve_lp``: each call returns, in
+    ascending order, the left-out rows not yet returned that x violates by
+    more than ``tol``, or by more than ``lp.ROW_TOL`` if that is larger.
+    The dense scan the OMk oracle is checked against."""
+    rows = sp.csr_array(problem.constraint_matrix)
+    b = problem.constraint_rhs
+    live = np.zeros(b.size, dtype=bool)
+    live[start] = True
+
+    def separate(x, tol):
+        new = np.flatnonzero(~live & (rows @ x - b > max(tol, ROW_TOL)))
+        if not new.size:
+            return None
+        live[new] = True
+        return rows[new], b[new]
+
+    return replace(problem, constraint_matrix=rows[start], constraint_rhs=b[start]), separate
 
 
 def coo_umopt_rows(inst, k, orbit, count):

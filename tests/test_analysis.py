@@ -250,7 +250,7 @@ def test_lp_optimum_reward_is_the_lp_objective():
         assert reward == float(joint_weights(mi)[1] @ omk.tensors.ravel())
         orbit, _ = item_orbits(inst.n, inst.m, 2)
         z = omk.tensors.ravel()[np.unique(orbit, return_index=True)[1]]
-        assert reward == pytest.approx(float(omk_problem(mi).objective @ z),
+        assert reward == pytest.approx(float(omk_problem(mi)[0].objective @ z),
                                        rel=0, abs=1e-15)
 
 

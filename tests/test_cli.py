@@ -9,6 +9,7 @@ import pytest
 
 from acquimech import (QualityGrid, build_score_model, discretize_prior, experiments,
                        instance_to_dict, multi_item, solve_som, validate_instance)
+from acquimech import cli
 from acquimech.cli import SOLVE_MECHANISMS, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -96,6 +97,32 @@ def test_solve_every_mechanism(capsys, example1_k2_path, name):
         assert doc["summary"]["ic"] is True
 
 
+@pytest.mark.parametrize("k", [2, 3])
+def test_solve_output_is_json_dumps_with_indent_2(tmp_path, registry, k):
+    """``solve`` writes its document with a formatter of its own; the bytes
+    are those of ``json.dumps(doc, indent=2)``, for every mechanism on the
+    six registry instances (RM at k = 2 only)."""
+    for name, inst in registry.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(instance_to_dict(inst, item_count=k)))
+        for mechanism in SOLVE_MECHANISMS:
+            if mechanism == "rm" and k != 2:
+                continue
+            out_path = tmp_path / f"{name}_{mechanism}.json"
+            assert main(["solve", "--instance", str(path), "--mechanism", mechanism,
+                         "--out", str(out_path)]) == 0
+            text = out_path.read_text()
+            assert text == json.dumps(json.loads(text), indent=2)
+
+
+@pytest.mark.parametrize("doc", [
+    {}, [], {"a": [], "b": {}}, [1, 2.5, True, None, "\u00e9\n"], [float("nan"), 1.0],
+    [float("inf"), -0.0, 5e-324, 1e300], [[], [1.0], [[2.0, 3.0]]], [1.0, [2.0]], [True, 1.0],
+    {"v1_set": [0, 2], "alpha": 0.5, "tensors": [[[0.0, 1.0], [0.25, -0.0]]]}, 3, "s", None])
+def test_json_formatter_matches_json_dumps(doc):
+    assert cli._json(doc) == json.dumps(doc, indent=2)
+
+
 def test_solve_non_finite_bar_is_bad_input(capsys, tmp_path, example1):
     doc = instance_to_dict(example1)
     doc["t"] = float("nan")
@@ -179,17 +206,37 @@ def test_solve_missing_file(capsys, tmp_path):
 
 def test_solve_budget_exceeded(capsys, tmp_path, monkeypatch):
     """27 levels at k = 2 are 1,062,882 policy cells, over MAX_POLICY_CELLS."""
-    monkeypatch.setattr(multi_item, "omk_problem", never_built)
+    monkeypatch.setattr(multi_item, "_omk_pattern", never_built)
     path = identity_instance_path(tmp_path, 27, 2)
     code, out, err = run(capsys, "solve", "--instance", path, "--mechanism", "omk")
     assert code == 3 and out == "" and "1062882 cells" in err
 
 
 def test_solve_omk_refuses_large_ic_rows_before_building(capsys, tmp_path, monkeypatch):
-    monkeypatch.setattr(multi_item, "omk_problem", never_built)
-    path = identity_instance_path(tmp_path, 7, 3)
+    """OMk with one item is OM1, solved whole: at 220 levels its LP holds
+    21,343,960 entries, over MAX_IC_ENTRIES."""
+    monkeypatch.setattr(multi_item, "_ic_monotone_entries", never_built)
+    path = identity_instance_path(tmp_path, 220, 1)
     code, out, err = run(capsys, "solve", "--instance", path, "--mechanism", "omk")
-    assert code == 3 and out == "" and "43140825 pattern entries" in err
+    assert code == 3 and out == "" and "21343960 pattern entries" in err
+
+
+def test_solve_omk_exits_3_when_row_generation_passes_the_limit(capsys, tmp_path,
+                                                                 monkeypatch):
+    """Under a limit that admits the (4, 3) start model and no generated
+    row, the solve's oracle refuses the first rows it would add: exit 3,
+    nothing on stdout, no file written."""
+    grid = np.linspace(0.0, 1.0, 4)
+    inst = validate_instance(grid, grid, discretize_prior("normal", 0.3, 0.25, grid),
+                             build_score_model("normal", 0.3, QualityGrid(grid, grid)), 0.25)
+    path, out_path = tmp_path / "paper_n4_k3.json", tmp_path / "omk.json"
+    path.write_text(json.dumps(instance_to_dict(inst, item_count=3)))
+    limit = multi_item.omk_size(4, 4, 3)[1]
+    monkeypatch.setattr(multi_item, "MAX_IC_ENTRIES", limit)
+    code, out, err = run(capsys, "solve", "--instance", str(path), "--mechanism", "omk",
+                         "--out", str(out_path))
+    assert code == 3 and out == "" and not out_path.exists()
+    assert err.startswith("error: LP would hold ") and f"over the limit of {limit}" in err
 
 
 def test_solve_umopt_refuses_large_ic_rows_before_building(capsys, tmp_path, monkeypatch):
@@ -202,8 +249,8 @@ def test_solve_umopt_refuses_large_ic_rows_before_building(capsys, tmp_path, mon
 
 
 def test_solve_umopt_at_seven_levels_and_three_items(capsys, tmp_path):
-    """The sweep's instance at (7, 3), variance 0.3: OMk is refused there,
-    UMOPT is solved by cutting planes over its one-item component."""
+    """The sweep's instance at (7, 3), variance 0.3: UMOPT is solved by
+    cutting planes over its one-item component."""
     grid = np.linspace(0.0, 1.0, 7)
     inst = validate_instance(grid, grid, discretize_prior("normal", 0.3, 0.25, grid),
                              build_score_model("normal", 0.3, QualityGrid(grid, grid)), 0.25)
@@ -396,17 +443,20 @@ def test_sweep_refuses_unwritable_out_before_running(capsys, tmp_path, monkeypat
 @pytest.mark.parametrize("mechanisms", [["OMk", "UMOPT"], ["UMOPT", "OMk"]])
 def test_sweep_refuses_large_ic_rows_before_building(capsys, tmp_path, monkeypatch,
                                                      mechanisms):
-    """OMk at seven levels and k = 3 is refused before either LP of the
-    point is built, whichever the config lists first."""
+    """Nine levels at k = 3 are refused before either LP of the point is
+    built, for the policy cells of the LP the config lists first: OMk's
+    1,594,323, or UMOPT's, which count its component's 243 too.  (Seven
+    levels, once refused for OMk's dense IC rows, now solve.)"""
+    cells = {"OMk": 1594323, "UMOPT": 1594566}[mechanisms[0]]
     for name in ("_umopt_problem", "_omk_pattern", "omk_problem"):
         monkeypatch.setattr(multi_item, name, never_built)
-    grid = [i / 6 for i in range(7)]
+    grid = [i / 8 for i in range(9)]
     config_path = tmp_path / "sweep.json"
     config_path.write_text(json.dumps({**SWEEP_CONFIG, "V": grid, "S": grid, "k": 3,
                                        "mechanisms": mechanisms}))
     code, out, err = run(capsys, "sweep", "--config", str(config_path),
                          "--out", str(tmp_path / "x.csv"))
-    assert code == 3 and out == "" and "43140825 pattern entries" in err
+    assert code == 3 and out == "" and f"policy of {cells} cells" in err
 
 
 def test_sweep_csv_does_not_depend_on_the_shape_cache(capsys, tmp_path):

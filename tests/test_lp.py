@@ -7,7 +7,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from oracles import enumerate_vertices_best, lp_from_rows, random_lp
+from oracles import (dense_omk_problem, enumerate_vertices_best, left_out_rows, lp_from_rows,
+                     random_lp)
 from scipy.optimize import linprog
 
 from acquimech import LpProblem, gen, lp, multi_item, single_item, solve_lp
@@ -379,7 +380,7 @@ def test_a_violated_row_left_out_is_added(counting):
     factorization, to the whole LP's optimum."""
     problem = _generation_lp()
     whole = solve_lp(problem)
-    generated = solve_lp(*multi_item._left_out_rows(problem, [0]))
+    generated = solve_lp(*left_out_rows(problem, [0]))
     assert counting.calls == ["passModel", "run", "passModel", "run", "addRows", "run", "run"]
     assert generated.status == whole.status == OPTIMAL
     np.testing.assert_allclose(generated.values, [2 / 3, 2 / 3], rtol=0, atol=1e-12)
@@ -395,7 +396,7 @@ def test_generated_solve_reports_infeasible():
     problem = lp_from_rows([1.0], [([-1.0], -0.5), ([1.0], 0.2)], [(0.0, 1.0)])
     assert solve_lp(problem).status == INFEASIBLE
     for start in ([0], [1], []):
-        sol = solve_lp(*multi_item._left_out_rows(problem, start))
+        sol = solve_lp(*left_out_rows(problem, start))
         assert (sol.status, sol.nit, sol.values) == (INFEASIBLE, 0, None)
         assert sol.rows == 2
 
@@ -404,7 +405,7 @@ def test_generated_solve_raises_on_an_unbounded_start():
     """A start model with no row bounding x is an error of the caller, not
     an LP outcome; solved whole in one run, it is reported unbounded."""
     problem = lp_from_rows([1.0], [([1.0], 3.0)], [(0.0, np.inf)])
-    start, separate = multi_item._left_out_rows(problem, [])
+    start, separate = left_out_rows(problem, [])
     assert solve_lp(start).status == UNBOUNDED
     with pytest.raises(RuntimeError, match="unbounded"):
         solve_lp(start, separate)
@@ -412,8 +413,7 @@ def test_generated_solve_raises_on_an_unbounded_start():
 
 def test_generated_solve_counts_the_iterations_of_every_run(counting):
     mi = MultiInstance(gen.random_instance(11, 4, 4), 2)
-    problem = multi_item.omk_problem(mi)
-    sol = solve_lp(*multi_item._left_out_rows(problem, multi_item._omk_pattern(4, 4, 2).start))
+    sol = solve_lp(*left_out_rows(*dense_omk_problem(mi)))
     assert counting.calls.count("run") == len(counting.iterations) == sol.rounds >= 3
     assert sol.nit == sum(counting.iterations) > counting.iterations[0]
 
@@ -424,7 +424,7 @@ def test_post_solve_check_asks_the_oracle_once_more(cuts):
     asked once more at ``_RESULT_TOL``; a row it reports then fails the
     solve.  (1, 0.5), the optimum of row 0 alone, violates row 1 by 0.5."""
     problem = _generation_lp()
-    start, _ = multi_item._left_out_rows(problem, [0])
+    start, _ = left_out_rows(problem, [0])
     rows, asked = sp.csr_array(problem.constraint_matrix), []
 
     def separate(x, tol):
@@ -444,7 +444,7 @@ def test_small_generated_solve_leaves_the_reused_object_cleared(interleaved):
     thread's reused object, which it leaves with no model and no basis, so
     the next solves give the bits of fresh objects."""
     problems, fresh = interleaved
-    solve_lp(*multi_item._left_out_rows(_generation_lp(), [0]))
+    solve_lp(*left_out_rows(_generation_lp(), [0]))
     solver = lp._REUSED.solver
     assert (solver.getNumRow(), solver.getNumCol()) == (0, 0)
     assert not solver.getBasis().valid

@@ -23,12 +23,13 @@ from acquimech.core import QualityGrid
 from acquimech.lp import FEASIBILITY_TOL, OPTIMAL
 from acquimech.experiments import (THM7_PRINTED_AGGREGATES, SweepConfig, build_score_model,
                                    discretize_prior)
-from acquimech.multi_item import (MAX_IC_ENTRIES, MAX_POLICY_CELLS, RankPolicy, item_orbits,
-                                  omk_ic_entries)
+from acquimech.multi_item import (MAX_IC_ENTRIES, MAX_POLICY_CELLS, RankPolicy, check_size,
+                                  item_orbits, omk_size)
 from acquimech.gen import random_instance
-from oracles import (coo_ic_monotone_rows, coupling_row_umopt, full_omk_optimum,
-                     full_umopt_optimum, greedy_union_shares, loop_umopt_problem,
-                     naive_ranking_mechanism, naive_rm_audit, naive_union_reward)
+from oracles import (coo_ic_monotone_rows, coupling_row_umopt, dense_omk_problem,
+                     full_omk_optimum, full_umopt_optimum, greedy_union_shares, ic_row_pairs,
+                     left_out_rows, loop_umopt_problem, naive_ranking_mechanism,
+                     naive_rm_audit, naive_union_reward)
 
 GRID4 = [0.0, 1 / 3, 2 / 3, 1.0]
 GRID7 = [i / 6 for i in range(7)]
@@ -94,11 +95,12 @@ def _column_key(i, vt, st):
 
 
 def test_builder_rows_agree_with_checkers():
-    """omk_problem's rows and the analysis checkers state IC and
-    monotonicity independently: a row is violated exactly when the checker
-    reports a violation in that row's orbit.  With one item every orbit is
-    one row; with two, the policies are item-symmetrized and the rows
-    evaluated at the orbit representatives."""
+    """The dense OMk rows, which the generated rows are checked against, and
+    the analysis checkers state IC and monotonicity independently: a row is
+    violated exactly when the checker reports a violation in that row's
+    orbit.  With one item every orbit is one row; with two, the policies
+    are item-symmetrized and the rows evaluated at the orbit
+    representatives."""
     rng = np.random.default_rng(11)
     tol, margin = 1e-7, 1e-9
     outcomes = set()
@@ -115,7 +117,7 @@ def test_builder_rows_agree_with_checkers():
         policy = MultiPolicy(_symmetrized(np.clip(x, 0.0, 1.0), k))
         orbit, _ = item_orbits(n, m, k)
         z = policy.tensors.ravel()[np.unique(orbit, return_index=True)[1]]
-        rows = omk_problem(mi).constraint_matrix @ z
+        rows = dense_omk_problem(mi)[0].constraint_matrix @ z
         if np.any(np.abs(rows - tol) < margin):
             continue
         vts = list(itertools.product(range(n), repeat=k))
@@ -160,7 +162,7 @@ def test_omk_zero_policy_when_everything_below_bar():
 
 def test_omk_size_budget(monkeypatch):
     """27 levels at k = 2 are 1,062,882 policy cells, over MAX_POLICY_CELLS."""
-    monkeypatch.setattr(multi_item, "omk_problem", never_built)
+    monkeypatch.setattr(multi_item, "_omk_pattern", never_built)
     with pytest.raises(SizeBudgetError, match="1062882 cells"):
         solve_omk(MultiInstance(identity_instance(27), 2))
 
@@ -168,27 +170,45 @@ def test_omk_size_budget(monkeypatch):
 @pytest.mark.parametrize("n, m, k", [(2, 2, 1), (3, 2, 1), (2, 3, 2), (3, 3, 2),
                                      (4, 3, 2), (2, 2, 3), (3, 2, 3)])
 def test_omk_ic_entry_estimate_matches_built_lp(n, m, k):
-    """The closed form counts one IC row per multiset of (true, reported)
-    quality pairs that are not all equal; the built LP has those rows and
-    one monotone row per variable orbit whose own score is above the lowest."""
+    """There is one IC row per multiset of (true, reported) quality pairs
+    that are not all equal, and one monotone row per variable orbit whose
+    own score is above the lowest.  The start model holds every monotone
+    row and the IC rows, all of them with one item and the local ones with
+    more, each with 2 k m^k raw entries; the pattern lists the other IC
+    rows as left out."""
     tuples = list(itertools.product(range(n), repeat=k))
     ic_rows = {tuple(sorted(zip(a, ap))) for a in tuples for ap in tuples if a != ap}
+    local = {row for row in ic_rows if sum(abs(a - ap) for a, ap in row) == 1}
     monotone_rows = {((a[i], b[i]), tuple(sorted(zip(a[:i] + a[i + 1:], b[:i] + b[i + 1:]))))
                      for a in tuples for b in itertools.product(range(m), repeat=k)
                      for i in range(k) if b[i] > 0}
+    start_ic = len(ic_rows) if k == 1 else len(local)
+    pattern = multi_item._omk_pattern(n, m, k)
+    assert pattern.shape[0] == start_ic + len(monotone_rows)
+    assert pattern.source.size == start_ic * 2 * k * m**k + 2 * len(monotone_rows)
+    assert pattern.left_out[0].size == len(ic_rows) - start_ic
     inst = validate_instance(np.linspace(0, 1, n), np.linspace(0, 1, m), np.full(n, 1 / n),
                              np.full((n, m), 1 / m), 0.5)
-    A = omk_problem(MultiInstance(inst, k)).constraint_matrix
-    assert A.shape[0] == len(ic_rows) + len(monotone_rows)
-    assert omk_ic_entries(n, m, k) == len(ic_rows) * 2 * k * m**k
+    dense, _ = dense_omk_problem(MultiInstance(inst, k))
+    assert dense.constraint_matrix.shape[0] == len(ic_rows) + len(monotone_rows)
 
 
 def test_omk_ic_entry_limit():
-    """Seven levels at k = 3 (42.7M entries) are refused; six levels at k = 3
-    and the benchmark's largest LPs, (4, 3) and (7, 2), are not."""
-    assert omk_ic_entries(7, 7, 3) == 42_684_978 > MAX_IC_ENTRIES
-    assert omk_ic_entries(6, 6, 3) == 10_860_480 <= MAX_IC_ENTRIES
-    assert max(omk_ic_entries(4, 4, 3), omk_ic_entries(7, 7, 2)) <= MAX_IC_ENTRIES
+    """Seven levels at k = 3 start from 1,147,335 entries, where the whole
+    LP holds 43.1M, and pass the gate; nine are refused for their policy
+    cells.  At k = 2 and 3 an admitted start model holds under six entries
+    a policy cell, so MAX_POLICY_CELLS refuses before MAX_IC_ENTRIES; with
+    one item the whole LP is the start model, and MAX_IC_ENTRIES refuses
+    220 levels (below)."""
+    assert omk_size(7, 7, 3) == (352_947, 1_147_335)
+    check_size(*omk_size(7, 7, 3))
+    with pytest.raises(SizeBudgetError, match="1594323 cells"):
+        check_size(*omk_size(9, 9, 3))
+    assert 6 * MAX_POLICY_CELLS < MAX_IC_ENTRIES
+    for k in (2, 3):
+        for n, m in itertools.product(range(1, 300), repeat=2):
+            cells, entries = omk_size(n, m, k)
+            assert cells > MAX_POLICY_CELLS or entries < 6 * cells
 
 
 @pytest.mark.parametrize("solve", [lambda inst: solve_umopt(MultiInstance(inst, 1)),
@@ -204,9 +224,11 @@ def test_one_item_ic_entry_limit(monkeypatch, solve):
 
 def pattern_entries(n, m, k):
     """Orbit cells and raw entries of the OMk pattern: one cell per policy
-    cell, the IC entries, and two entries per monotone row, one row per
-    orbit whose own score is above the lowest."""
-    return (k * n**k * m**k + omk_ic_entries(n, m, k)
+    cell, 2 k m^k entries per IC row of the start model (every row with one
+    item, the local ones with more), and two entries per monotone row, one
+    row per orbit whose own score is above the lowest."""
+    ic_rows = n * (n - 1) if k == 1 else 2 * (n - 1) * math.comb(n + k - 2, k - 1)
+    return (k * n**k * m**k + ic_rows * 2 * k * m**k
             + 2 * n * (m - 1) * math.comb(n * m + k - 2, k - 1))
 
 
@@ -220,7 +242,7 @@ def test_size_gate_counts_the_pattern_built(k):
         assert size == pattern_entries(n, m, k)
         if k == 1:
             assert multi_item.umopt_size(n, m, 2)[1] == size
-    assert multi_item.omk_size(7, 7, 3)[1] == 43_140_825
+    assert multi_item.omk_size(7, 7, 3)[1] == 1_147_335
 
 
 class _Built(Exception):
@@ -491,7 +513,7 @@ def assert_generated_omk_matches_the_whole_lp(mi):
     k >= 2, against one solve of the whole OMk LP: the same objective
     within 1e-9, every row of the whole LP within 1e-8 at the returned
     point, and IC and monotone at the package tolerance."""
-    problem = omk_problem(mi)
+    problem, _ = dense_omk_problem(mi)
     whole = solve_lp(problem)
     policy = solve_omk(mi)
     assert multi_expected_reward(mi, policy) == pytest.approx(
@@ -527,21 +549,48 @@ def test_generated_omk_matches_the_whole_lp_on_random_instances(seed):
 
 
 def test_start_rows_are_the_local_ic_rows_and_the_monotone_rows():
-    """The start rows of the (3, 2, 2) pattern, by brute force over its
-    rows: IC rows whose quality tuples differ in one item by one level,
-    then every monotone row."""
-    n, m, k = 3, 2, 2
-    tuples = list(itertools.product(range(n), repeat=k))
-    ic_rows = {}   # first (a, ap) of each multiset of pairs, a-major
-    for a in tuples:
-        for ap in tuples:
-            if a != ap:
-                ic_rows.setdefault(tuple(sorted(zip(a, ap))), (a, ap))
-    local = [row for row, (a, ap) in enumerate(ic_rows.values())
-             if sum(abs(x - y) for x, y in zip(a, ap)) == 1]
-    pattern = multi_item._omk_pattern(n, m, k)
-    assert np.array_equal(pattern.start,
-                          local + list(range(len(ic_rows), pattern.shape[0])))
+    """The start rows of the (3, 2, k) pattern, by brute force over the
+    rows of the whole LP: the IC rows whose quality tuples differ in one
+    item by one level, then every monotone row.  The IC rows left out are
+    the others, in the whole LP's order."""
+    for k in (2, 3):
+        pairs = ic_row_pairs(3, k)
+        local = [sum(abs(x - y) for x, y in zip(*pair)) == 1 for pair in pairs]
+        pattern = multi_item._omk_pattern(3, 2, k)
+        monotone = pattern.shape[0] - sum(local)
+        _, start = dense_omk_problem(MultiInstance(sparse_noise_instance(3, 2, seed=k), k))
+        assert np.array_equal(start, np.concatenate([
+            np.flatnonzero(local), len(pairs) + np.arange(monotone)]))
+        a, ap = pattern.left_out
+        shape = (3,) * k
+        assert list(zip(zip(*np.unravel_index(a, shape)), zip(*np.unravel_index(ap, shape)))) \
+            == [pair for pair, near in zip(pairs, local) if not near]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]))
+def test_oracle_rows_match_the_dense_scan(seed, k):
+    """At random points in [0, 1], the OMk oracle, which builds its rows
+    from Rk, returns the rows the dense scan of the whole LP returns: the
+    same rows in the same order, equal within 1e-15 (the same bits at
+    k = 2), then at a second point only the violated rows not yet returned,
+    and at a larger ``tol`` fewer."""
+    mi = MultiInstance(random_instance(seed, 2, 4), k)
+    _, separate = omk_problem(mi)
+    _, scan = left_out_rows(*dense_omk_problem(mi))
+    rng = np.random.default_rng(seed)
+    returned = 0
+    for tol in (0.0, 0.0, 0.05):
+        x = rng.uniform(size=item_orbits(mi.base.n, mi.base.m, k)[1])
+        got, want = separate(x, tol), scan(x, tol)
+        if want is None:
+            assert got is None
+            continue
+        assert got[0].shape == want[0].shape and np.array_equal(got[1], want[1])
+        assert_same_matrix(got[0], want[0], k)
+        returned += want[1].size
+    assert returned > 0
+    assert separate(np.zeros_like(x), 0.0) is None
 
 
 def test_orbit_cases_are_not_trivial():
@@ -579,17 +628,20 @@ PATTERN_SHAPES = [(n, m, k) for n in range(2, 6) for m in range(2, 6) for k in (
 
 @pytest.mark.parametrize("n,m,k", PATTERN_SHAPES)
 def test_lp_patterns_match_the_coo_builder(n, m, k):
-    """The OMk matrix filled from its cached pattern is the one scipy's
-    COO-to-CSR merge builds from the same raw entries; UMOPT's start model
-    agrees with the kink-form LP a loop over profiles builds."""
+    """The OMk start model filled from its cached pattern is the one scipy's
+    COO-to-CSR merge builds from the same raw entries: the whole LP with one
+    item, and its start rows with more, with the same objective; UMOPT's
+    start model agrees with the kink-form LP a loop over profiles builds."""
     inst = sparse_noise_instance(n, m, seed=n * 100 + m * 10 + k)
     mi = MultiInstance(inst, k)
-    orbit, count = item_orbits(n, m, k)
-    Rk, _ = multi_item.joint_weights(mi)
-    assert_same_matrix(omk_problem(mi).constraint_matrix,
-                       coo_ic_monotone_rows(Rk, n, m, k, orbit, count), k)
+    start, separate = omk_problem(mi)
+    dense, rows = dense_omk_problem(mi)
+    A = sp.csr_array(dense.constraint_matrix)
+    assert_same_matrix(start.constraint_matrix, A if k == 1 else A[rows], k)
+    assert np.array_equal(start.objective.view(np.int64), dense.objective.view(np.int64))
+    assert (separate is None) == (k == 1)
     assert_umopt_start_matches_the_kink_form(mi)
-    assert np.array_equal(multi_item._omk_pattern(n, m, k).orbit, orbit)
+    assert np.array_equal(multi_item._omk_pattern(n, m, k).orbit, item_orbits(n, m, k)[0])
 
 
 def assert_umopt_start_matches_the_kink_form(mi):
@@ -655,12 +707,16 @@ def test_results_do_not_depend_on_the_shape_cache(monkeypatch, k):
 
 
 def test_cached_arrays_are_read_only():
-    inst = sparse_noise_instance(3, 2, seed=0)
-    A = omk_problem(MultiInstance(inst, 2)).constraint_matrix
-    first = multi_item._omk_pattern(3, 2, 1).first   # UMOPT's block of y
-    for array in (multi_item._omk_pattern(3, 2, 2).orbit, A.indptr, A.indices, first):
-        with pytest.raises(ValueError):
-            array[0] = 1
+    """The one-item pattern is also UMOPT's block of y; only k >= 2 leaves
+    IC rows out."""
+    for k in (1, 2):
+        pattern = multi_item._omk_pattern(3, 2, k)
+        arrays = [pattern.orbit, pattern.indptr, pattern.indices, pattern.source]
+        if k > 1:
+            arrays += pattern.left_out
+        for array in arrays:
+            with pytest.raises(ValueError):
+                array[0] = 1
 
 
 def test_shape_cache_evicts_least_recently_used(monkeypatch):
@@ -685,15 +741,35 @@ def test_shape_cache_evicts_least_recently_used(monkeypatch):
     multi_item._PATTERNS.clear()
 
 
+def generated_entries(monkeypatch, mi):
+    """Raw entries of the IC rows ``solve_omk`` adds to its start model on
+    ``mi``, 2 k m^k a row."""
+    solutions = []
+
+    def recording(problem, separate=None):
+        solutions.append((problem, solve_lp(problem, separate=separate)))
+        return solutions[-1][1]
+
+    with monkeypatch.context() as patched:
+        patched.setattr(multi_item, "solve_lp", recording)
+        solve_omk(mi)
+    (start, sol), = solutions
+    return (sol.rows - start.constraint_rhs.size) * 2 * mi.item_count * mi.base.m**mi.item_count
+
+
 @pytest.mark.parametrize("solve, pattern_k", [(solve_omk, 2), (solve_umopt, 1)],
                          ids=["OMk", "UMOPT"])
 def test_one_solve_builds_its_pattern_once(monkeypatch, solve, pattern_k):
-    """The gate counts the pattern a solve builds, so the largest pattern it
-    admits fits the cache: the solve builds it once and it stays cached.
-    One entry less and the solve is refused before anything is built.
+    """The gate counts the start model a solve builds, so the largest one
+    it admits fits the cache: the solve builds its pattern once and it
+    stays cached.  One entry less and the solve is refused before anything
+    is built.  OMk's limit also leaves room for the IC rows it generates;
     UMOPT at k = 2 reads the one-item pattern of its component."""
     multi_item._PATTERNS.clear()
     size = multi_item._omk_pattern(3, 3, pattern_k).size
+    mi = MultiInstance(sparse_noise_instance(3, 3, seed=0), 2)
+    room = generated_entries(monkeypatch, mi) if solve is solve_omk else 0
+    assert (room > 0) == (solve is solve_omk)
     builds, entries = [], multi_item._ic_monotone_entries
 
     def counted(*args):
@@ -701,8 +777,7 @@ def test_one_solve_builds_its_pattern_once(monkeypatch, solve, pattern_k):
         return entries(*args)
 
     monkeypatch.setattr(multi_item, "_ic_monotone_entries", counted)
-    mi = MultiInstance(sparse_noise_instance(3, 3, seed=0), 2)
-    for limit, expected in ((size, [(3, 3, pattern_k)]), (size - 1, [])):
+    for limit, expected in ((size + room, [(3, 3, pattern_k)]), (size - 1, [])):
         multi_item._PATTERNS.clear()
         builds.clear()
         monkeypatch.setattr(multi_item, "MAX_IC_ENTRIES", limit)
@@ -712,6 +787,23 @@ def test_one_solve_builds_its_pattern_once(monkeypatch, solve, pattern_k):
             with pytest.raises(SizeBudgetError, match=f"{size} pattern entries"):
                 solve(mi)
         assert builds == expected and list(multi_item._PATTERNS) == expected
+    multi_item._PATTERNS.clear()
+
+
+def test_row_generation_stops_at_the_entry_limit(monkeypatch):
+    """(4, 3) under a limit that admits its start model and one generated
+    row less than it needs: the pattern is built and cached, and the oracle
+    raises SizeBudgetError, with the entries the live model would hold,
+    before it adds the rows that pass the limit."""
+    mi = MultiInstance(paper_instance(0.3, GRID4), 3)
+    size = omk_size(4, 4, 3)[1]
+    room = generated_entries(monkeypatch, mi)
+    assert room >= 2 * 384
+    monkeypatch.setattr(multi_item, "MAX_IC_ENTRIES", size + room - 384)
+    multi_item._PATTERNS.clear()
+    with pytest.raises(SizeBudgetError, match=f"over the limit of {size + room - 384}"):
+        solve_omk(mi)
+    assert list(multi_item._PATTERNS) == [(4, 4, 3)]
     multi_item._PATTERNS.clear()
 
 
