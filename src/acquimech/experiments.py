@@ -124,7 +124,15 @@ class SweepConfig:
         unknown = set(self.mechanisms) - set(MECHANISMS)
         if unknown:
             raise ValueError(f"unknown mechanisms {sorted(unknown)}")
+        # Every comparison with NaN is False, so the sign and order checks
+        # below would let it through.
+        for field in ("prior_mean", "prior_sd"):
+            value = getattr(self, field)
+            if not math.isfinite(value):
+                raise ValueError(f"{field} must be finite, got {value!r}")
         vg = self.variance_grid
+        if not all(math.isfinite(v) for v in vg):
+            raise ValueError(f"variance_grid must be finite, got {list(vg)!r}")
         if not vg:
             raise ValueError("variance grid must be nonempty")
         if any(v < 0 for v in vg) or any(b < a for a, b in zip(vg, vg[1:])):

@@ -1,8 +1,30 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from acquimech import paper_registry
 from acquimech.gen import random_consistent_instance, random_instance
+
+
+@pytest.fixture(scope="session")
+def fresh_python():
+    """Runs Python source in a new interpreter that imports this checkout's
+    package, and returns its standard output."""
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+    def run(source):
+        proc = subprocess.run([sys.executable, "-c", source],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    return run
 
 
 @pytest.fixture(scope="session")

@@ -411,6 +411,22 @@ def test_sweep_bad_config_values_are_bad_input(capsys, tmp_path, bad):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("field, value", [
+    ("variance_grid", [0.1, float("nan")]), ("variance_grid", [float("inf")]),
+    ("prior_mean", float("nan")), ("prior_sd", float("inf"))],
+    ids=["nan-in-variance-grid", "inf-variance-grid", "nan-mean", "inf-sd"])
+def test_sweep_names_the_non_finite_setting(capsys, tmp_path, field, value):
+    """A NaN or infinite prior or variance is refused before any solve, by
+    the name of its config key."""
+    config_path = tmp_path / "bad.json"
+    config_path.write_text(json.dumps({**SWEEP_CONFIG, field: value}))
+    out_csv = tmp_path / "x.csv"
+    code, out, err = run(capsys, "sweep", "--config", str(config_path),
+                         "--out", str(out_csv))
+    assert code == 2 and out == "" and not out_csv.exists()
+    assert err.startswith(f"error: {field} must be finite")
+
+
 @pytest.mark.parametrize("command", ["solve", "gen", "sweep"])
 def test_unwritable_out_is_bad_input(capsys, tmp_path, example1_path, command):
     config_path = tmp_path / "sweep.json"

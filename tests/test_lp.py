@@ -17,6 +17,27 @@ from acquimech.lp import INFEASIBLE, OPTIMAL, UNBOUNDED
 from acquimech.single_item import om1_problem
 
 
+@pytest.mark.parametrize("first", ["acquimech.lp", "scipy.optimize"])
+def test_highs_is_one_module_in_either_import_order(fresh_python, first):
+    """``lp`` loads the HiGHS extension from its file, and scipy.optimize
+    finds it in ``sys.modules``, or ``lp`` finds scipy.optimize's: either
+    way one module serves both, and both solve."""
+    out = fresh_python(f"""
+import sys
+import {first}
+import numpy as np
+from scipy.optimize import linprog
+from acquimech import lp
+res = linprog([-1.0, -1.0], A_ub=[[1.0, 2.0]], b_ub=[2.0], bounds=[(0, 1)] * 2,
+              method="highs")
+sol = lp.solve_lp(lp.LpProblem([1.0, 1.0], np.array([[1.0, 2.0]]), [2.0],
+                               [0.0, 0.0], [1.0, 1.0]))
+print(res.status, -res.fun, sol.status, sol.objective_value,
+      lp.highs is sys.modules["scipy.optimize._highspy._core"])
+""")
+    assert out.split() == ["0", "1.5", "optimal", "1.5", "True"]
+
+
 def test_box_only_maximum():
     sol = solve_lp(lp_from_rows([1.0], [], [(0.0, 1.0)]))
     assert sol.status == OPTIMAL
