@@ -60,6 +60,9 @@ def discretize_prior(family: str, mean: float, sd: float,
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
     values = np.asarray(grid_values, dtype=float)
+    for name, value in (("mean", mean), ("sd", sd)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     if sd < 0:
         raise ValueError("standard deviation must be nonnegative")
     if family == "lognormal" and mean <= 0:
@@ -93,8 +96,8 @@ def build_score_model(family: str, variance: float,
     """Appraiser noise rows: quality v scores like family(mean=v, var=variance)
     discretized on the score grid; variance 0 is the perfect appraiser.
     Log-normal rows for a quality <= 0 use ``LOGNORMAL_MEAN_FLOOR``."""
-    if variance < 0:
-        raise ValueError("variance must be nonnegative")
+    if not 0 <= variance < math.inf:
+        raise ValueError(f"variance must be finite and nonnegative, got {variance!r}")
     sd = math.sqrt(variance)
     means = [LOGNORMAL_MEAN_FLOOR if family == "lognormal" and v <= 0 else float(v)
              for v in grid.values]

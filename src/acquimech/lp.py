@@ -31,7 +31,7 @@ import importlib.util
 import os
 import sys
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -64,7 +64,8 @@ def _load_highs():
 
 highs = _load_highs()
 
-#: Constraint slack accepted in an optimal solution.
+#: Slack the tests and the benchmark allow the IC and monotone checks of an LP
+#: policy; :func:`linprog` accepts a point up to ``_RESULT_TOL`` off bounds or rows.
 FEASIBILITY_TOL = 1e-7
 
 OPTIMAL = "optimal"
@@ -110,7 +111,8 @@ _RESULT_TOL = np.sqrt(1e-9) * 10
 @dataclass(frozen=True)
 class LpProblem:
     """maximize ``objective @ x`` subject to ``constraint_matrix @ x <= constraint_rhs``
-    and ``lower <= x <= upper``.
+    and ``lower <= x <= upper``: the arguments of :func:`linprog`, which
+    checks them.
 
     ``constraint_matrix`` may be a dense array or any scipy sparse matrix;
     pass ``None`` (with empty rhs) for box-only problems.
@@ -122,33 +124,9 @@ class LpProblem:
     lower: np.ndarray
     upper: np.ndarray
 
-    def __post_init__(self):
-        c = np.asarray(self.objective, dtype=float)
-        rhs = np.asarray(self.constraint_rhs, dtype=float)
-        lo = np.asarray(self.lower, dtype=float)
-        hi = np.asarray(self.upper, dtype=float)
-        object.__setattr__(self, "objective", c)
-        object.__setattr__(self, "constraint_rhs", rhs)
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", hi)
-        if lo.shape != c.shape or hi.shape != c.shape:
-            raise ValueError("variable bounds must match the objective length")
-        if np.any(lo > hi):
-            raise ValueError("lower bound exceeds upper bound")
-        A = self.constraint_matrix
-        if A is not None:
-            ncols = A.shape[1]
-            if ncols != c.size:
-                raise ValueError(
-                    f"constraint matrix has {ncols} columns for {c.size} variables")
-            if A.shape[0] != rhs.size:
-                raise ValueError("constraint rhs length does not match matrix rows")
-        elif rhs.size:
-            raise ValueError("rhs given without a constraint matrix")
-
     @property
     def num_variables(self) -> int:
-        return self.objective.size
+        return np.size(self.objective)
 
 
 @dataclass(frozen=True)
@@ -176,12 +154,11 @@ def _checked(status, call: str) -> None:
 
 def _solver(nonzeros: int):
     """A HiGHS object for a model with ``nonzeros`` nonzeros: the thread's
-    reused one up to ``_REUSE_MAX_NONZEROS``, else a new one.  A reused
-    object is replaced when ``highs._Highs`` is no longer its class."""
+    reused one up to ``_REUSE_MAX_NONZEROS``, else a new one."""
     if nonzeros > _REUSE_MAX_NONZEROS:
         return highs._Highs()
     solver = getattr(_REUSED, "solver", None)
-    if type(solver) is not highs._Highs:
+    if solver is None:
         solver = _REUSED.solver = highs._Highs()
     return solver
 
@@ -218,6 +195,8 @@ def _generate(solver, separate) -> tuple[str, int, list, int]:
         if block is None:
             break
         rows, rhs = block
+        if rows.shape != (rhs.size, solver.getNumCol()):
+            raise ValueError(f"oracle block {rows.shape} does not fit its rhs or the model")
         earlier += solver.getInfo().simplex_iteration_count   # a model change voids it
         _checked(solver.addRows(rhs.size, np.full(rhs.size, -np.inf), rhs, rows.nnz,
                                 rows.indptr.astype(np.int32, copy=False),
@@ -238,15 +217,15 @@ def _generate(solver, separate) -> tuple[str, int, list, int]:
 
 
 def linprog(c, A, b, lower, upper, separate=None) -> LpSolution:
-    """minimize ``c @ x`` subject to ``A @ x <= b`` and ``lower <= x <= upper``
+    """maximize ``c @ x`` subject to ``A @ x <= b`` and ``lower <= x <= upper``
     with HiGHS dual simplex, checking inputs and result as
     ``scipy.optimize.linprog(method="highs-ds")`` does.  The reported
-    objective is ``c @ x``, of the minimized ``c``.
+    objective is ``c @ x``.
 
-    ``c``, ``b``, ``lower`` and ``upper`` are float arrays.  ``A`` is
-    anything ``scipy.sparse.csc_array`` accepts, or None.  The model goes to
-    HiGHS as column-wise arrays in one call, with every row lower bound
-    -inf.
+    ``c``, ``b``, ``lower`` and ``upper`` are taken as float arrays.  ``A``
+    is anything ``scipy.sparse.csc_array`` accepts, or None for no rows.
+    The model goes to HiGHS as column-wise arrays in one call, with every
+    row lower bound -inf.
 
     With ``separate`` None the model is solved whole in one run.  Otherwise
     it is the start model of a generated solve (:func:`_generate`):
@@ -263,22 +242,32 @@ def linprog(c, A, b, lower, upper, separate=None) -> LpSolution:
     ones too, so each solve starts cold and gives the bits and iteration
     count of a fresh object.
 
-    Raises ValueError on a non-finite ``c``, ``A`` or ``b`` entry or a NaN
-    bound, and RuntimeError on a HiGHS call that returns an error, any
-    outcome but optimal, infeasible or unbounded, an unbounded generated
-    solve, or an optimal point off its bounds or a live row by more than
-    ``sqrt(1e-9) * 10``, or that the oracle still cuts at that slack.
+    Raises ValueError unless ``A`` is ``b.size`` by ``c.size``, the
+    vectors ``lower`` and ``upper`` have the shape of the vector ``c`` and
+    ``lower <= upper``, and each oracle block is as wide as ``c`` and as tall
+    as its rhs (HiGHS reads each array to the length it is told); and on a
+    non-finite ``c``, ``A`` or ``b`` entry or a NaN bound.  Raises
+    RuntimeError on a HiGHS call that returns an error, any outcome but
+    optimal, infeasible or unbounded, an unbounded generated solve, or an
+    optimal point off its bounds or a live row by more than ``sqrt(1e-9) *
+    10``, or that the oracle still cuts at that slack.
     """
+    c, b, lower, upper = (np.asarray(v, dtype=float) for v in (c, b, lower, upper))
     A = sp.csc_array((0, c.size) if A is None else A)
+    if b.shape != A.shape[:1] or not lower.shape == upper.shape == c.shape == A.shape[1:]:
+        raise ValueError(f"LP arrays disagree in size: A {A.shape}, b {b.shape}, "
+                         f"c {c.shape}, lower {lower.shape}, upper {upper.shape}")
     if not (np.isfinite(c).all() and np.isfinite(A.data).all() and np.isfinite(b).all()):
         raise ValueError("LP objective, constraint matrix and rhs must be finite")
     if np.isnan(lower).any() or np.isnan(upper).any():
         raise ValueError("LP variable bounds must not be NaN")
+    if np.any(lower > upper):
+        raise ValueError("LP lower bound exceeds upper bound")
     solver = _solver(A.nnz)
     try:
         _checked(solver.passOptions(_OPTIONS), "passOptions")
         _checked(solver.passModel(
-            c.size, b.size, A.nnz, highs.MatrixFormat.kColwise, highs.ObjSense.kMinimize,
+            c.size, b.size, A.nnz, highs.MatrixFormat.kColwise, highs.ObjSense.kMaximize,
             0.0, c, lower, upper, np.full(b.size, -np.inf), b,
             A.indptr.astype(np.int32, copy=False), A.indices.astype(np.int32, copy=False),
             np.asarray(A.data, dtype=float), np.zeros(c.size, dtype=np.int32)),
@@ -311,12 +300,7 @@ def solve_lp(problem: LpProblem, separate=None) -> LpSolution:
 
     ``separate`` is passed to :func:`linprog`: None for one solve of the
     whole problem, or the oracle of the rows that ``problem``, the start
-    model, leaves out.  The reported objective is recomputed as ``c @ x``
-    from the returned point, so it agrees with the solution values to full
-    precision.
+    model, leaves out.
     """
-    sol = linprog(-problem.objective, problem.constraint_matrix, problem.constraint_rhs,
-                  problem.lower, problem.upper, separate=separate)
-    if sol.status != OPTIMAL:
-        return sol
-    return replace(sol, objective_value=float(problem.objective @ sol.values))
+    return linprog(problem.objective, problem.constraint_matrix, problem.constraint_rhs,
+                   problem.lower, problem.upper, separate=separate)

@@ -347,9 +347,12 @@ def omk_problem(mi: MultiInstance):
     IC compares the owner's total expected acquisitions for every pair of
     reported quality tuples under the true tuple's noise; monotonicity is
     per item in its own score, other scores fixed.  The start rows' pattern
-    is built once per (n, m, k); each call fills in its values.
+    is built once per (n, m, k), once :func:`check_size` has passed its
+    size; each call fills in its values.
     """
-    return _omk_pattern(mi.base.n, mi.base.m, mi.item_count).problem(*joint_weights(mi))
+    n, m, k = mi.base.n, mi.base.m, mi.item_count
+    check_size(*omk_size(n, m, k))
+    return _omk_pattern(n, m, k).problem(*joint_weights(mi))
 
 
 def _optimum(problem: LpProblem, what: str, separate=None) -> np.ndarray:
@@ -415,12 +418,14 @@ def ranking_mechanism(mi: MultiInstance) -> RankPolicy:
     :func:`joint_weights`, summed over the quality pairs of the reported
     order, are nonnegative, so that sum decides (ties acquire).  Rank/score
     cells no quality pair can reach are rejected (an undefined posterior
-    cannot certify the bar).
+    cannot certify the bar).  The joint weights' cells are refused by
+    :func:`check_size` before they are built.
     """
     if mi.item_count != 2:
         raise ValueError("ranking mechanism is defined for exactly two items")
     inst = mi.base
     n, m, R = inst.n, inst.m, inst.score_model
+    check_size(2 * (n * m) ** 2, 0)
     Rk, w = joint_weights(mi)
     w = w.reshape(2, n * n, m * m)
     reach = prior_product(inst.prior, 2).reshape(n * n, 1) * Rk

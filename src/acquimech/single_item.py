@@ -251,7 +251,6 @@ def om1_alternate_optimum(instance: Instance) -> Mechanism:
     :func:`solve_om1` is.
     """
     n, m = instance.n, instance.m
-    multi_item.check_size(*multi_item.omk_size(n, m, 1))
     base = om1_problem(instance)
     z = _solved(base).objective_value
     # base's CSC matrix with the nonzeros of -c appended as a last row

@@ -212,6 +212,16 @@ def test_solve_budget_exceeded(capsys, tmp_path, monkeypatch):
     assert code == 3 and out == "" and "1062882 cells" in err
 
 
+def test_solve_rm_refuses_large_joint_weights_before_building(capsys, tmp_path, monkeypatch):
+    """32 levels at k = 2 are 2,097,152 cells of joint weights, over
+    MAX_POLICY_CELLS: the ranking mechanism exits 3 as omk, um-tmm and
+    umopt do."""
+    monkeypatch.setattr(multi_item, "joint_weights", never_built)
+    path = identity_instance_path(tmp_path, 32, 2)
+    code, out, err = run(capsys, "solve", "--instance", path, "--mechanism", "rm")
+    assert code == 3 and out == "" and "2097152 cells" in err
+
+
 def test_solve_omk_refuses_large_ic_rows_before_building(capsys, tmp_path, monkeypatch):
     """OMk with one item is OM1, solved whole: at 220 levels its LP holds
     21,343,960 entries, over MAX_IC_ENTRIES."""

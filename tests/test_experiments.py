@@ -48,6 +48,24 @@ def test_discretizer_input_validation():
         discretize_prior("cauchy", 0.3, 0.1, GRID7)
 
 
+@pytest.mark.parametrize("family", ["normal", "lognormal"])
+@pytest.mark.parametrize("name, mean, sd", [
+    ("mean", math.nan, 0.0), ("mean", math.nan, 0.2), ("mean", math.inf, 0.2),
+    ("sd", 0.3, math.nan), ("sd", 0.3, math.inf)])
+def test_discretizer_rejects_non_finite_parameters(family, name, mean, sd):
+    """Every comparison with NaN is False, so unchecked, a NaN mean with sd
+    0 gives a point mass on the top cell and a NaN sd a NaN vector."""
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        discretize_prior(family, mean, sd, GRID7)
+
+
+@pytest.mark.parametrize("variance", [math.nan, math.inf, -0.1])
+def test_score_model_rejects_a_non_finite_or_negative_variance(variance):
+    grid = QualityGrid(np.array(GRID7), np.array(GRID7))
+    with pytest.raises(ValueError, match="^variance must be finite and nonnegative"):
+        build_score_model("normal", variance, grid)
+
+
 def test_renormalization_preserves_cell_ratios():
     lo, hi = _cell_edges(np.array(GRID7))
     raw = stats.norm.cdf(hi, 0.3, 0.25) - stats.norm.cdf(lo, 0.3, 0.25)

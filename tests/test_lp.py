@@ -66,12 +66,45 @@ def test_infeasible_and_unbounded_status():
 
 
 def test_malformed_problems_raise():
-    with pytest.raises(ValueError):
-        lp_from_rows([1.0, 2.0], [], [(0.0, 1.0)])
-    with pytest.raises(ValueError):
-        lp_from_rows([1.0], [], [(2.0, 1.0)])
-    with pytest.raises(ValueError):
-        lp_from_rows([1.0], [([1.0, 2.0], 0.0)], [(0.0, 1.0)])
+    """An LpProblem is a plain record; its arrays are checked at the solve."""
+    for problem in (lp_from_rows([1.0, 2.0], [], [(0.0, 1.0)]),
+                    lp_from_rows([1.0], [], [(2.0, 1.0)]),
+                    lp_from_rows([1.0], [([1.0, 2.0], 0.0)], [(0.0, 1.0)])):
+        with pytest.raises(ValueError):
+            solve_lp(problem)
+
+
+def _sized(c=3, A=(2, 3), b=2, lower=3, upper=3):
+    """linprog's arguments with these sizes: maximize sum x s.t. A x <= 1
+    over the unit box, A all ones (None for no rows)."""
+    return (np.ones(c), None if A is None else np.ones(A), np.ones(b), np.zeros(lower),
+            np.ones(upper))
+
+
+def test_linprog_rejects_arrays_whose_sizes_disagree():
+    """HiGHS reads each array to the length it is told, so a size that
+    disagrees would be read past its end or short of it, and an A two
+    columns wide for three variables, or a lower bound of one for two,
+    would come back optimal."""
+    assert lp.linprog(*_sized()).objective_value == pytest.approx(1.0)
+    for sizes in (dict(A=(2, 2)), dict(A=(2, 4)), dict(b=1), dict(b=3), dict(A=None),
+                  dict(lower=2), dict(lower=4), dict(upper=2), dict(upper=4)):
+        with pytest.raises(ValueError, match="disagree in size"):
+            lp.linprog(*_sized(**sizes))
+    c, A, b, _, upper = _sized()
+    with pytest.raises(ValueError, match="lower bound exceeds upper bound"):
+        lp.linprog(c, A, b, np.array([0.0, 2.0, 0.0]), upper)
+
+
+def test_generated_solve_rejects_an_oracle_block_that_does_not_fit():
+    """A block must be as wide as the model and as tall as its rhs."""
+    problem = _generation_lp()
+    start, _ = left_out_rows(problem, [0])
+    rows = sp.csr_array(problem.constraint_matrix)
+    for block in ((rows[[1]][:, [0]], np.ones(1)), (rows[[1]], np.ones(2))):
+        once = [block]
+        with pytest.raises(ValueError, match="oracle block"):
+            solve_lp(start, lambda x, tol: once.pop() if once and tol == 0 else None)
 
 
 def test_deterministic_resolve(example1):
@@ -210,17 +243,17 @@ def test_linprog_returns_the_solution_solve_lp_reports(example1):
     """One result type from HiGHS to the caller: solve_lp passes on what
     lp.linprog returns, with the objective of the maximized problem."""
     problem = om1_problem(example1)
-    raw = lp.linprog(-problem.objective, problem.constraint_matrix, problem.constraint_rhs,
+    raw = lp.linprog(problem.objective, problem.constraint_matrix, problem.constraint_rhs,
                      problem.lower, problem.upper)
     sol = solve_lp(problem)
     assert isinstance(raw, lp.LpSolution)
-    fields = ("status", "nit", "rows", "columns", "nonzeros")
+    fields = ("status", "objective_value", "nit", "rows", "columns", "nonzeros")
     assert [getattr(raw, f) for f in fields] == [getattr(sol, f) for f in fields]
     assert raw.status == OPTIMAL and raw.nit > 0
     assert np.array_equal(raw.values.view(np.int64), sol.values.view(np.int64))
     assert sol.objective_value == float(problem.objective @ sol.values)
     infeasible = lp_from_rows([1.0], [([1.0], -2.0)], [(0.0, 1.0)])
-    raw = lp.linprog(-infeasible.objective, infeasible.constraint_matrix,
+    raw = lp.linprog(infeasible.objective, infeasible.constraint_matrix,
                      infeasible.constraint_rhs, infeasible.lower, infeasible.upper)
     for got in (raw, solve_lp(infeasible)):
         assert (got.status, got.nit, got.values) == (INFEASIBLE, 0, None)
@@ -288,9 +321,16 @@ class _FakeHighs:
         return _OK
 
 
+def _swap_highs(monkeypatch, cls):
+    """Make ``cls`` the HiGHS class, with a fresh per-thread slot so that
+    the reused object is a ``cls`` too."""
+    monkeypatch.setattr(lp.highs, "_Highs", cls)
+    monkeypatch.setattr(lp, "_REUSED", threading.local())
+
+
 def _fake_solve(monkeypatch, status, point):
     fake = type("Fake", (_FakeHighs,), {"status": status, "point": [point]})
-    monkeypatch.setattr(lp.highs, "_Highs", fake)
+    _swap_highs(monkeypatch, fake)
     try:
         return solve_lp(lp_from_rows([1.0], [], [(0.0, 1.0)]))
     finally:
@@ -317,7 +357,7 @@ def test_optimal_point_within_result_tolerance_accepted(monkeypatch):
 def test_highs_call_error_raises(monkeypatch, call):
     fake = type("Fake", (_FakeHighs,),
                 {call: lambda self, *args: lp.highs.HighsStatus.kError})
-    monkeypatch.setattr(lp.highs, "_Highs", fake)
+    _swap_highs(monkeypatch, fake)
     with pytest.raises(RuntimeError, match=call):
         solve_lp(lp_from_rows([1.0], [([1.0], 1.0)], [(0.0, 1.0)]))
     assert fake.cleared == 1
@@ -344,7 +384,7 @@ def test_presolve_never_runs_on_a_package_lp(monkeypatch, solve, k, runs):
     and once on a fresh factorization; UMOPT on its start rows, once more
     after one cut, and once on a fresh factorization."""
     monkeypatch.setattr(_RecordingHighs, "presolve", [])
-    monkeypatch.setattr(lp.highs, "_Highs", _RecordingHighs)
+    _swap_highs(monkeypatch, _RecordingHighs)
     inst = gen.random_instance(11, 4, 4)
     solve(MultiInstance(inst, k) if k > 1 else inst)
     assert _RecordingHighs.presolve == ["off"] * runs
@@ -391,7 +431,7 @@ class _CountingHighs(_HIGHS):
 def counting(monkeypatch):
     monkeypatch.setattr(_CountingHighs, "calls", [])
     monkeypatch.setattr(_CountingHighs, "iterations", [])
-    monkeypatch.setattr(lp.highs, "_Highs", _CountingHighs)
+    _swap_highs(monkeypatch, _CountingHighs)
     return _CountingHighs
 
 
@@ -476,12 +516,12 @@ def test_small_generated_solve_leaves_the_reused_object_cleared(interleaved):
 def _one_run(problem):
     """The point and iterations of one model pass and one run of the whole
     LP on a fresh HiGHS object."""
-    c, b = -problem.objective, problem.constraint_rhs
+    c, b = problem.objective, problem.constraint_rhs
     A = sp.csc_array(problem.constraint_matrix)
     solver = _HIGHS()
     solver.passOptions(lp._OPTIONS)
     solver.passModel(c.size, b.size, A.nnz, lp.highs.MatrixFormat.kColwise,
-                     lp.highs.ObjSense.kMinimize, 0.0, c, problem.lower, problem.upper,
+                     lp.highs.ObjSense.kMaximize, 0.0, c, problem.lower, problem.upper,
                      np.full(b.size, -np.inf), b, A.indptr.astype(np.int32),
                      A.indices.astype(np.int32), A.data, np.zeros(c.size, dtype=np.int32))
     solver.run()
@@ -622,7 +662,7 @@ class _FailingOnceHighs(lp.highs._Highs):
 def test_first_solve_after_a_failure_is_unchanged(monkeypatch, interleaved, failure):
     problems, fresh = interleaved
     monkeypatch.setattr(_FailingOnceHighs, "failure", failure)
-    monkeypatch.setattr(lp.highs, "_Highs", _FailingOnceHighs)
+    _swap_highs(monkeypatch, _FailingOnceHighs)
     with pytest.raises(RuntimeError, match="LP solver failed"):
         solve_lp(problems[0])
     solver = lp._REUSED.solver
@@ -644,7 +684,7 @@ def test_model_above_limit_never_takes_the_reused_slot(monkeypatch):
     """A model of more than ``_REUSE_MAX_NONZEROS`` nonzeros gets its own
     object, one at the limit the thread's reused object."""
     monkeypatch.setattr(_TrackedHighs, "used", [])
-    monkeypatch.setattr(lp.highs, "_Highs", _TrackedHighs)
+    _swap_highs(monkeypatch, _TrackedHighs)
 
     def problem(nonzeros):   # maximize sum x s.t. sum x <= 1, 0 <= x <= 1
         return LpProblem(np.ones(nonzeros), np.ones((1, nonzeros)), np.ones(1),

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from acquimech import (Mechanism, MultiInstance, MultiPolicy, RANK_CLASSES,
                        SizeBudgetError, UnionInputs, check_ic, check_monotone,
                        expected_reward, multi_check_ic, multi_check_monotone,
-                       multi_expected_reward, om1_alternate_optimum, omk_problem,
+                       multi_expected_reward, om1_alternate_optimum, om1_problem, omk_problem,
                        ranking_mechanism, rm_ic_audit, solve_om1, solve_omk,
                        solve_umopt, tmm_optimal, union_policy, validate_instance)
 from acquimech import multi_item, solve_lp
@@ -167,6 +167,19 @@ def test_omk_size_budget(monkeypatch):
         solve_omk(MultiInstance(identity_instance(27), 2))
 
 
+@pytest.mark.parametrize("build, n, k, match", [
+    (omk_problem, 27, 2, "1062882 cells"), (omk_problem, 220, 1, "21343960 pattern entries"),
+    (lambda mi: om1_problem(mi.base), 220, 1, "21343960 pattern entries")],
+    ids=["omk_problem-cells", "omk_problem-entries", "om1_problem-entries"])
+def test_public_lp_builders_refuse_what_solve_omk_refuses(monkeypatch, build, n, k, match):
+    """``omk_problem``, and ``om1_problem`` through it, check the size
+    before they build the pattern, which at 27 levels and k = 2 would be a
+    513162 x 531441 LP that ``solve_omk`` refuses."""
+    monkeypatch.setattr(multi_item, "_ic_monotone_entries", never_built)
+    with pytest.raises(SizeBudgetError, match=match):
+        build(MultiInstance(identity_instance(n), k))
+
+
 @pytest.mark.parametrize("n, m, k", [(2, 2, 1), (3, 2, 1), (2, 3, 2), (3, 3, 2),
                                      (4, 3, 2), (2, 2, 3), (3, 2, 3)])
 def test_omk_ic_entry_estimate_matches_built_lp(n, m, k):
@@ -258,8 +271,7 @@ def test_every_solver_refuses_what_the_closed_forms_refuse(monkeypatch):
     def built(*args, **kwargs):
         raise _Built
 
-    for name in ("omk_problem", "item_orbits", "_omk_pattern", "_umopt_problem",
-                 "_union_shares"):
+    for name in ("item_orbits", "_omk_pattern", "_umopt_problem", "_union_shares"):
         monkeypatch.setattr(multi_item, name, built)
 
     def refused(solve, *args):
@@ -736,7 +748,7 @@ def test_shape_cache_evicts_least_recently_used(monkeypatch):
     multi_item._omk_pattern(2, 2, 1)   # evicts the least recently used, the k = 2 pattern
     assert list(multi_item._PATTERNS) == [(3, 3, 1), (2, 2, 1)]
     assert cached_size() <= multi_item.MAX_IC_ENTRIES
-    omk_problem(MultiInstance(sparse_noise_instance(4, 4, seed=0), 2))
+    multi_item._omk_pattern(4, 4, 2)   # over the limit alone, so omk_problem refuses it
     assert cached_size() <= multi_item.MAX_IC_ENTRIES
     multi_item._PATTERNS.clear()
 
