@@ -4,7 +4,9 @@ reproduction, and variance sweeps.
 stdout carries only JSON or CSV payloads; diagnostics go to stderr.  Exit
 codes: 0 success, 1 verification/reproduction failure, 2 bad input or an
 unwritable output, 3 a problem over ``multi_item.MAX_POLICY_CELLS`` or
-``MAX_IC_ENTRIES``.
+``MAX_IC_ENTRIES``, mapped once in :func:`main`.  Solvers and checks return
+plain records; this module names each result by its ``experiments.REGISTRY``
+name and renders it as JSON.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 
 from . import analysis, experiments, gen, multi_item, single_item
 from .core import (Instance, Mechanism, MultiInstance, instance_from_dict,
@@ -34,9 +37,7 @@ SOLVE_MECHANISMS = tuple(_SOLVE_NAMES)
 
 
 class CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_BAD_INPUT):
-        super().__init__(message)
-        self.code = code
+    """Bad input or an unwritable output: exit 2."""
 
 
 def _read_json(path: str) -> dict | list:
@@ -119,9 +120,9 @@ def _check_writable(out_path: str) -> None:
     raise CliError(f"cannot write {out_path}: {reason}")
 
 
-def _single_summary(instance: Instance, mech: Mechanism) -> dict:
+def _single_summary(instance: Instance, mech: Mechanism, name: str) -> dict:
     return {
-        "mechanism": mech.label,
+        "mechanism": name,
         "matrix": mech.matrix.tolist(),
         "summary": {
             "reward": analysis.expected_reward(instance, mech),
@@ -132,10 +133,10 @@ def _single_summary(instance: Instance, mech: Mechanism) -> dict:
     }
 
 
-def _multi_summary(mi: MultiInstance, policy, label: str) -> dict:
+def _multi_summary(mi: MultiInstance, policy, name: str) -> dict:
     reward = analysis.multi_expected_reward(mi, policy)
     return {
-        "mechanism": label,
+        "mechanism": name,
         "item_count": mi.item_count,
         "tensors": policy.tensors.tolist(),
         "summary": {
@@ -157,11 +158,7 @@ def _rank_summary(policy) -> dict:
                       for r in multi_item.RANK_CLASSES},
         "summary": {
             "ic": not violations,
-            "violations": [
-                {"v1_index": v.v1_index, "v2_index": v.v2_index,
-                 "truthful_rank": v.truthful_rank,
-                 "better_rank": v.better_rank, "gain": v.gain}
-                for v in violations],
+            "violations": [asdict(v) for v in violations],
         },
     }
 
@@ -176,12 +173,9 @@ def _cmd_solve(args) -> int:
     solved = experiments.SolveMemo(MultiInstance(instance, k))
     if kind == "rank" and k != 2:
         raise CliError("ranking mechanism requires a k=2 instance")
-    try:
-        result = solve(solved)
-    except SizeBudgetError as exc:
-        raise CliError(str(exc), EXIT_SIZE_BUDGET) from exc
+    result = solve(solved)
     if kind == "single":
-        doc = _single_summary(instance, result)
+        doc = _single_summary(instance, result, name)
     elif kind == "multi":
         doc = _multi_summary(solved.mi, result, name)
     else:
@@ -202,8 +196,7 @@ def _cmd_verify(args) -> int:
     mech = _load_matrix(args.matrix, instance)
     ic = analysis.check_ic(instance, mech)
     mono = analysis.check_monotone(mech)
-    _emit(json.dumps({"ic": ic.to_dict(), "monotone": mono.to_dict()}, indent=2),
-          None)
+    _emit(json.dumps({"ic": asdict(ic), "monotone": asdict(mono)}, indent=2), None)
     return EXIT_OK if ic.passed and mono.passed else EXIT_VIOLATION
 
 
@@ -244,8 +237,6 @@ def _cmd_sweep(args) -> int:
         raise CliError(str(exc)) from exc
     try:
         records = experiments.run_sweep(config)
-    except SizeBudgetError as exc:
-        raise CliError(str(exc), EXIT_SIZE_BUDGET) from exc
     except ValueError as exc:   # the prior, grids or bar the config describes
         raise CliError(f"invalid sweep config {args.config}: {exc}") from exc
     rendered = io.StringIO()
@@ -319,7 +310,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        return EXIT_BAD_INPUT
+    except SizeBudgetError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SIZE_BUDGET
 
 
 if __name__ == "__main__":

@@ -36,24 +36,15 @@ class Violation:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    passed: bool
-    violations: tuple[Violation, ...]
-    tolerance: float
+    """A check's verdict; its JSON form is ``dataclasses.asdict``, in field order."""
 
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "tolerance": self.tolerance,
-            "violations": [
-                {"description": v.description, "indices": list(v.indices),
-                 "magnitude": v.magnitude}
-                for v in self.violations
-            ],
-        }
+    passed: bool
+    tolerance: float
+    violations: tuple[Violation, ...]
 
 
 def _report(violations: list[Violation], tol: float) -> VerificationReport:
-    return VerificationReport(not violations, tuple(violations), tol)
+    return VerificationReport(not violations, tol, tuple(violations))
 
 
 def _ic_report(accept: np.ndarray, tol: float,
@@ -215,7 +206,6 @@ class Mechanism:
     """
 
     matrix: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         if np.ndim(self.matrix) != 2:

@@ -147,6 +147,12 @@ class SweepConfig:
         def numbers(key, ndim):
             return read_numbers(doc[key], key, ndim)
 
+        def names(key):
+            raw = doc[key]
+            if not (isinstance(raw, list) and all(isinstance(x, str) for x in raw)):
+                raise ValueError(f"{key} must be a list of names, got {raw!r}")
+            return tuple(raw)
+
         try:
             return cls(
                 family=doc["family"],
@@ -156,7 +162,7 @@ class SweepConfig:
                 values=tuple(numbers("V", 1).tolist()),
                 scores=tuple(numbers("S", 1).tolist()),
                 bar=float(numbers("t", 0)),
-                mechanisms=tuple(doc["mechanisms"]),
+                mechanisms=names("mechanisms"),
                 item_count=doc.get("k", 1),
             )
         except (KeyError, TypeError) as exc:
@@ -427,7 +433,7 @@ def paper_checks(name: str) -> list[PaperCheck]:
         checks.append(PaperCheck(name, label, float(expected), float(actual), tol))
 
     if name == "example1":
-        printed = Mechanism(EXAMPLE1_ACQUIRING_MATRIX, label="published")
+        printed = Mechanism(EXAMPLE1_ACQUIRING_MATRIX)
         ic = analysis.check_ic(instance, printed)
         mono = analysis.check_monotone(printed)
         add("ic_violations", 0, len(ic.violations), 0)
@@ -460,9 +466,8 @@ def paper_checks(name: str) -> list[PaperCheck]:
     elif name == "thm9_omk_vs_um":
         um = solved.union(solved.om1)
         add("um_om1_reward", 0.0, analysis.multi_expected_reward(solved.mi, um), 1e-6)
-        omk = REGISTRY["OMk"][1](solved)
         add("omk_objective", 0.0085264,
-            analysis.multi_expected_reward(solved.mi, omk), 1e-4)
+            analysis.multi_expected_reward(solved.mi, solved.omk), 1e-4)
     elif name == "thm9_um_vs_kxom1":
         kx = 2 * analysis.expected_reward(instance, solved.om1)
         um = solved.union(solved.om1)

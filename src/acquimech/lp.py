@@ -50,16 +50,16 @@ def _load_highs():
     name = "scipy.optimize._highspy._core"
     if name in sys.modules:
         return sys.modules[name]
-    for root in importlib.util.find_spec("scipy").submodule_search_locations:
-        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-            path = os.path.join(root, "optimize", "_highspy", "_core" + suffix)
-            if os.path.isfile(path):
-                spec = importlib.util.spec_from_file_location(name, path)
-                module = importlib.util.module_from_spec(spec)
-                sys.modules[name] = module
-                spec.loader.exec_module(module)
-                return module
-    raise ImportError(f"cannot find {name} in the scipy package")
+    roots = importlib.util.find_spec("scipy").submodule_search_locations
+    found = importlib.machinery.PathFinder.find_spec(
+        "_core", [os.path.join(root, "optimize", "_highspy") for root in roots])
+    if found is None:
+        raise ImportError(f"cannot find {name} in the scipy package")
+    spec = importlib.util.spec_from_file_location(name, found.origin)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 highs = _load_highs()
@@ -188,6 +188,12 @@ def _generate(solver, separate) -> tuple[str, int, list, int]:
     the point: warm re-solves can leave a row 1.8e-7 off.  RuntimeError if
     the start model is unbounded: added rows cut a bounded model, they are
     not there to bound it.
+
+    The rounds are not bounded here.  The loop ends because an oracle must
+    return each row at most once over a solve, so that a finite problem
+    runs out of rows: OMk's oracle keeps a ``live`` mask of the IC rows it
+    has returned and UMOPT's a ``seen`` set of the kink sets of its cuts.
+    An oracle that returns a row again makes the loop run forever.
     """
     status, earlier, added, runs = _run(solver), 0, [], 1
     while status == OPTIMAL:

@@ -617,6 +617,6 @@ def solve_umopt(mi: MultiInstance) -> tuple[UnionInputs, MultiPolicy]:
     check_size(*umopt_size(n, m, k))
     problem, separate = _umopt_problem(mi)
     values = _optimum(problem, "UMOPT", separate)
-    y = Mechanism(values[:n * m].reshape(n, m), label="UMOPT-component")
+    y = Mechanism(values[:n * m].reshape(n, m))
     inputs = UnionInputs((y,) * k)
     return inputs, union_policy(mi, inputs)

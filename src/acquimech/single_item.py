@@ -55,7 +55,7 @@ def solve_som(instance: Instance) -> Mechanism:
     """
     col = _margin(instance) @ instance.score_model
     row = (col >= 0.0).astype(float)
-    return Mechanism(np.tile(row, (instance.n, 1)), label="SOM")
+    return Mechanism(np.tile(row, (instance.n, 1)))
 
 
 @dataclass(frozen=True)
@@ -109,9 +109,8 @@ def best_threshold_mechanism(instance: Instance) -> tuple[Mechanism, float]:
         r = float(col[j:].sum())
         if r > best_reward:
             best_reward, best_j = r, j
-    label = "never" if best_j == instance.m else f"threshold[{best_j}]"
     row = _step_row(instance.m, best_j)   # best_j = m is never-acquire
-    return Mechanism(np.tile(row, (instance.n, 1)), label=label), best_reward
+    return Mechanism(np.tile(row, (instance.n, 1))), best_reward
 
 
 @dataclass(frozen=True)
@@ -157,7 +156,7 @@ def tmm_build(instance: Instance, b1_index: Optional[int], b2_index: Optional[in
                       _step_row(instance.m, b2_index))
     params = TmmParams(b1_index, b2_index, float(alpha),
                        frozenset(np.nonzero(in_v1)[0].tolist()))
-    return params, Mechanism(matrix, label="TMM")
+    return params, Mechanism(matrix)
 
 
 #: Largest (pairs x candidates x qualities) block scored at once by
@@ -239,7 +238,7 @@ def solve_om1(instance: Instance) -> Mechanism:
     """LP-optimal incentive-compatible monotone mechanism: OMk with one item,
     so it shares OMk's size limits."""
     policy = multi_item.solve_omk(MultiInstance(instance))
-    return Mechanism(policy.tensors[0], label="OM1")
+    return Mechanism(policy.tensors[0])
 
 
 def om1_alternate_optimum(instance: Instance) -> Mechanism:
@@ -263,7 +262,7 @@ def om1_alternate_optimum(instance: Instance) -> Mechanism:
     stage2 = LpProblem(np.ones(base.num_variables), A, rhs, base.lower, base.upper)
     sol = _solved(stage2)
     matrix = np.clip(sol.values.reshape(n, m), 0.0, 1.0)
-    return Mechanism(matrix, label="OM1-alt")
+    return Mechanism(matrix)
 
 
 def reduce_menu(instance: Instance, mechanism: Mechanism) -> Mechanism:
@@ -281,10 +280,10 @@ def reduce_menu(instance: Instance, mechanism: Mechanism) -> Mechanism:
     above = instance.grid.values > instance.bar
     rows = np.flatnonzero(above)
     if not rows.size:
-        return Mechanism(np.zeros_like(X), label="reduced")
+        return Mechanism(np.zeros_like(X))
     # argmax takes the first maximum, the smallest above-bar quality
     best = rows[np.argmax(instance.score_model @ X[rows].T, axis=1)]
-    return Mechanism(np.where(above[:, None], X, X[best]), label="reduced")
+    return Mechanism(np.where(above[:, None], X, X[best]))
 
 
 def menu_size(mechanism: Mechanism, tol: float = 1e-6) -> int:

@@ -1,4 +1,6 @@
 import itertools
+import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -218,7 +220,7 @@ def test_multi_rates_bounded_and_consistent():
 
 def test_verification_report_serializes(example1):
     report = check_monotone(solve_som(example1))
-    doc = report.to_dict()
+    doc = json.loads(json.dumps(asdict(report)))
     assert doc["passed"] is False
     assert doc["violations"][0]["indices"] == [0, 2, 3]
     assert isinstance(doc["tolerance"], float)
@@ -262,7 +264,7 @@ def test_single_and_multi_ic_scans_agree_at_k_one():
         mech = Mechanism(rng.uniform(0.0, 1.0, (inst.n, inst.m)))
         single = check_ic(inst, mech)
         multi = multi_check_ic(MultiInstance(inst, 1), MultiPolicy(mech.matrix[None]))
-        assert multi.to_dict() == single.to_dict()
+        assert multi == single
         found += len(single.violations)
     assert found > 0
 

@@ -296,6 +296,35 @@ def test_verify_som_matrix_fails_monotonicity(capsys, tmp_path, example1,
     assert doc["monotone"]["violations"]
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+#: A matrix that fails IC and monotonicity on example1.
+NON_IC_MATRIX = [[0.9, 0.1, 0.5, 0.2], [0.0, 0.3, 0.2, 0.8],
+                 [0.6, 0.6, 0.1, 0.4], [0.2, 0.7, 0.9, 0.3]]
+
+
+@pytest.mark.parametrize("matrix, code", [("published", 0), ("som", 1), ("non_ic", 1)])
+def test_verify_output_is_golden(capsys, tmp_path, example1, example1_path,
+                                 example1_matrix, matrix, code):
+    """The rendered reports, byte for byte as recorded in tests/golden: one
+    that passes, one with monotone violations, one with both kinds."""
+    rows = {"published": example1_matrix.tolist(),
+            "som": solve_som(example1).matrix.tolist(), "non_ic": NON_IC_MATRIX}[matrix]
+    matrix_path = tmp_path / "x.json"
+    matrix_path.write_text(json.dumps(rows))
+    got = run(capsys, "verify", "--instance", example1_path, "--matrix", str(matrix_path))
+    assert got == (code, (GOLDEN / f"verify_example1_{matrix}.json").read_text(), "")
+
+
+def test_solve_rm_output_is_golden(capsys, tmp_path, registry):
+    """RM on thm7 with two items, whose audit finds violations, byte for
+    byte as recorded in tests/golden."""
+    path = tmp_path / "thm7.json"
+    path.write_text(json.dumps(instance_to_dict(registry["thm7"], item_count=2)))
+    got = run(capsys, "solve", "--instance", str(path), "--mechanism", "rm")
+    assert got == (0, (GOLDEN / "solve_thm7_k2_rm.json").read_text(), "")
+
+
 def test_verify_dimension_mismatch(capsys, tmp_path, example1_path):
     matrix_path = tmp_path / "bad.json"
     matrix_path.write_text(json.dumps(np.zeros((2, 2)).tolist()))
@@ -419,6 +448,19 @@ def test_sweep_bad_config_values_are_bad_input(capsys, tmp_path, bad):
                          "--out", str(out_csv))
     assert code == 2 and out == "" and not out_csv.exists()
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("mechanisms", ["OMk", {"OMk": 1}], ids=["string", "object"])
+def test_sweep_mechanisms_must_be_a_list_of_names(capsys, tmp_path, mechanisms):
+    """A string is not split into characters, nor an object read as its
+    keys: both are bad input, named as such."""
+    config_path = tmp_path / "bad.json"
+    config_path.write_text(json.dumps({**SWEEP_CONFIG, "mechanisms": mechanisms}))
+    out_csv = tmp_path / "x.csv"
+    code, out, err = run(capsys, "sweep", "--config", str(config_path),
+                         "--out", str(out_csv))
+    assert code == 2 and out == "" and not out_csv.exists()
+    assert err == f"error: mechanisms must be a list of names, got {mechanisms!r}\n"
 
 
 @pytest.mark.parametrize("field, value", [

@@ -169,6 +169,18 @@ def test_sweep_config_validation():
         SweepConfig.from_dict({"family": "normal"})
 
 
+@pytest.mark.parametrize("mechanisms", ["OMk", {"OMk": 1}, ["OMk", 1], None],
+                         ids=["string", "object", "number-in-list", "null"])
+def test_sweep_config_mechanisms_must_be_a_list_of_names(mechanisms):
+    """Only a JSON list of strings names mechanisms: a string would be split
+    into its characters and an object read as its keys."""
+    doc = {"family": "normal", "prior_mean": 0.3, "prior_sd": 0.25,
+           "variance_grid": [0.0], "V": list(GRID7), "S": list(GRID7), "t": 0.25,
+           "mechanisms": mechanisms}
+    with pytest.raises(ValueError, match="^mechanisms must be a list of names, got "):
+        SweepConfig.from_dict(doc)
+
+
 @pytest.mark.parametrize("field, value", [
     ("prior_mean", math.nan), ("prior_sd", math.inf),
     ("variance_grid", (0.1, math.nan)), ("variance_grid", (math.inf,))],

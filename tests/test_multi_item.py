@@ -464,6 +464,46 @@ def test_umopt_cuts_match_the_kink_form_at_k3(grid, variance):
     assert_umopt_matches_the_kink_form(MultiInstance(paper_instance(variance, grid), 3))
 
 
+def returning_each_row_once(separate):
+    """``separate``, raising AssertionError when it returns a row it has
+    returned before, keyed by the row's indices, data and rhs."""
+    returned = set()
+
+    def checked(x, tol):
+        block = separate(x, tol)
+        if block is not None:
+            rows, rhs = block
+            for i, (lo, hi) in enumerate(zip(rows.indptr[:-1], rows.indptr[1:])):
+                key = (rows.indices[lo:hi].tobytes(), rows.data[lo:hi].tobytes(),
+                       rhs[i].tobytes())
+                assert key not in returned, f"row {i} of a block was returned before"
+                returned.add(key)
+        return block
+
+    return checked
+
+
+@pytest.mark.parametrize("points", ["normal", "lognormal", "n4-k3"])
+def test_oracles_return_each_row_once(monkeypatch, points):
+    """``lp._generate`` does not bound its rounds: its loop ends because
+    OMk's and UMOPT's oracles return each row at most once.  Both are
+    checked on every point of the two paper sweeps (n = 7, k = 2) and at
+    (4, 3), variances 0.2 to 0.5; a repeat raises at once."""
+    oracles = []
+
+    def checking(problem, separate=None):
+        oracles.append(separate)
+        return solve_lp(problem, separate=returning_each_row_once(separate))
+
+    monkeypatch.setattr(multi_item, "solve_lp", checking)
+    mis = ([mi for _, mi in sweep_points(points)] if points != "n4-k3" else
+           [MultiInstance(paper_instance(v, GRID4), 3) for v in (0.2, 0.3, 0.4, 0.5)])
+    for mi in mis:
+        solve_omk(mi)
+        solve_umopt(mi)
+    assert len(oracles) == 2 * len(mis) and None not in oracles
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]))
 def test_umopt_cuts_match_the_kink_form_on_random_instances(seed, k):
