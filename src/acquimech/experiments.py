@@ -9,10 +9,10 @@ registry of published 4-level instances used as golden reproduction targets.
 from __future__ import annotations
 
 import math
-from concurrent.futures import Executor, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence, TextIO
+from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 from scipy.special import ndtr
@@ -120,6 +120,10 @@ class SweepConfig:
     item_count: int = 1
 
     def __post_init__(self):
+        mechs = self.mechanisms
+        if not (isinstance(mechs, (list, tuple)) and all(isinstance(x, str) for x in mechs)):
+            raise ValueError(f"mechanisms must be a list of names, got {mechs!r}")
+        object.__setattr__(self, "mechanisms", tuple(mechs))
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         if not self.mechanisms:
@@ -147,12 +151,6 @@ class SweepConfig:
         def numbers(key, ndim):
             return read_numbers(doc[key], key, ndim)
 
-        def names(key):
-            raw = doc[key]
-            if not (isinstance(raw, list) and all(isinstance(x, str) for x in raw)):
-                raise ValueError(f"{key} must be a list of names, got {raw!r}")
-            return tuple(raw)
-
         try:
             return cls(
                 family=doc["family"],
@@ -162,7 +160,7 @@ class SweepConfig:
                 values=tuple(numbers("V", 1).tolist()),
                 scores=tuple(numbers("S", 1).tolist()),
                 bar=float(numbers("t", 0)),
-                mechanisms=names("mechanisms"),
+                mechanisms=doc["mechanisms"],
                 item_count=doc.get("k", 1),
             )
         except (KeyError, TypeError) as exc:
@@ -202,19 +200,19 @@ class SolveMemo:
     TMM feeds both TMM and UM_TMM, and OM1 feeds OM1, kxOM1 and UM_OM1.
     Solvers are looked up as module attributes when called.
 
-    When ``mechanisms`` names both OMk and UMOPT and a ``pool`` is given,
-    the first request for either solves the pair side by side, OMk on the
-    pool and UMOPT on the calling thread, and joins both.  Both size checks
-    run first, in ``mechanisms`` order, so a refused pair builds nothing.
-    The results are the ones solving the two in turn gives.
+    When ``mechanisms`` names both OMk and UMOPT, the first request for
+    either solves the pair side by side, OMk on a worker thread started for
+    the pair and UMOPT on the calling thread, and joins the worker before it
+    returns or raises.  Both size checks run first, in ``mechanisms`` order,
+    so a refused pair builds nothing.  The results are the ones solving the
+    two in turn gives; otherwise each runs on the calling thread.
     """
 
-    def __init__(self, mi: MultiInstance, pool: Optional[Executor] = None,
-                 mechanisms: Sequence[str] = ()):
+    def __init__(self, mi: MultiInstance, mechanisms: Sequence[str] = ()):
         self.mi = mi
         self.instance = mi.base
         self._lp_order = [name for name in dict.fromkeys(mechanisms) if name in _LP_SIZES]
-        self._pool = pool if len(self._lp_order) == 2 else None
+        self._pair = len(self._lp_order) == 2
 
     @cached_property
     def tmm(self):
@@ -228,23 +226,21 @@ class SolveMemo:
     @cached_property
     def omk(self):
         """The OMk policy."""
-        return self._side_by_side[0] if self._pool else multi_item.solve_omk(self.mi)
+        return self._side_by_side[0] if self._pair else multi_item.solve_omk(self.mi)
 
     @cached_property
     def umopt(self):
         """(components, policy) of the optimal union mechanism."""
-        return self._side_by_side[1] if self._pool else multi_item.solve_umopt(self.mi)
+        return self._side_by_side[1] if self._pair else multi_item.solve_umopt(self.mi)
 
     @cached_property
     def _side_by_side(self):
         n, m, k = self.instance.n, self.instance.m, self.mi.item_count
         for name in self._lp_order:
             multi_item.check_size(*_LP_SIZES[name](n, m, k))
-        omk = self._pool.submit(multi_item.solve_omk, self.mi)
-        try:
+        with ThreadPoolExecutor(1) as pool:   # leaving the block joins OMk
+            omk = pool.submit(multi_item.solve_omk, self.mi)
             umopt = multi_item.solve_umopt(self.mi)
-        finally:
-            wait([omk])
         return omk.result(), umopt
 
     def union(self, mechanism: Mechanism):
@@ -274,29 +270,26 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
 
     Deterministic given the config; records come out in grid order, then
     config mechanism order.  A point that needs both OMk and UMOPT solves
-    the two side by side on one worker thread (see :class:`SolveMemo`),
-    which ends before this returns or raises.
+    the two side by side, on a worker thread that lives only as long as the
+    pair (see :class:`SolveMemo`).
     """
     grid = QualityGrid(np.array(config.values), np.array(config.scores))
     prior = discretize_prior(config.family, config.prior_mean, config.prior_sd,
                              grid.values)
     records = []
-    with ThreadPoolExecutor(1) as pool:
-        for variance in config.variance_grid:
-            model = build_score_model(config.family, variance, grid)
-            instance = validate_instance(grid.values, grid.scores, prior, model,
-                                         config.bar)
-            solved = SolveMemo(MultiInstance(instance, config.item_count), pool,
-                               config.mechanisms)
-            for name in config.mechanisms:
-                kind, solve = REGISTRY[name]
-                result = solve(solved)
-                if kind == "single":
-                    triple = _single_record(instance, result)
-                else:
-                    triple = _multi_record(solved.mi, result)
-                records.append(SweepRecord(config.family, float(variance), name,
-                                           triple[0], triple[1], triple[2]))
+    for variance in config.variance_grid:
+        model = build_score_model(config.family, variance, grid)
+        instance = validate_instance(grid.values, grid.scores, prior, model, config.bar)
+        solved = SolveMemo(MultiInstance(instance, config.item_count), config.mechanisms)
+        for name in config.mechanisms:
+            kind, solve = REGISTRY[name]
+            result = solve(solved)
+            if kind == "single":
+                triple = _single_record(instance, result)
+            else:
+                triple = _multi_record(solved.mi, result)
+            records.append(SweepRecord(config.family, float(variance), name,
+                                       triple[0], triple[1], triple[2]))
     return records
 
 

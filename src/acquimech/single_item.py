@@ -79,6 +79,7 @@ def check_consistency(instance: Instance) -> ConsistencyReport:
     Unreachable scores (zero posterior denominator) are skipped but flagged
     in the diagnostics.
     """
+    # Imported per call, so a rebound core.posterior_mean (benchmarks/spans.py) sees each.
     from .core import posterior_mean
 
     diags = []

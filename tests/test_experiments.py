@@ -2,6 +2,7 @@ import io
 import json
 import math
 import pathlib
+import re
 import threading
 from collections import Counter
 
@@ -13,8 +14,8 @@ from acquimech import (SweepConfig, SweepRecord, build_score_model, discretize_p
                        multi_item, omniscient_reward, paper_checks, run_sweep,
                        single_item, validate_instance, write_sweep_csv)
 from acquimech.core import MultiInstance, QualityGrid
-from acquimech.experiments import (LOGNORMAL_MEAN_FLOOR, MECHANISMS, _cell_edges,
-                                   _multi_record, _single_record)
+from acquimech.experiments import (LOGNORMAL_MEAN_FLOOR, MECHANISMS, SolveMemo,
+                                   _cell_edges, _multi_record, _single_record)
 
 GRID7 = tuple(i / 6 for i in range(7))
 GRID5 = tuple(i / 4 for i in range(5))
@@ -169,16 +170,29 @@ def test_sweep_config_validation():
         SweepConfig.from_dict({"family": "normal"})
 
 
-@pytest.mark.parametrize("mechanisms", ["OMk", {"OMk": 1}, ["OMk", 1], None],
-                         ids=["string", "object", "number-in-list", "null"])
+def sweep_doc(mechanisms):
+    return {"family": "normal", "prior_mean": 0.3, "prior_sd": 0.25,
+            "variance_grid": [0.0], "V": list(GRID7), "S": list(GRID7), "t": 0.25,
+            "mechanisms": mechanisms}
+
+
+@pytest.mark.parametrize("mechanisms", ["OMk", {"OMk": 1}, {"OMk"}, ["OMk", 1], None],
+                         ids=["string", "object", "set", "number-in-list", "null"])
 def test_sweep_config_mechanisms_must_be_a_list_of_names(mechanisms):
-    """Only a JSON list of strings names mechanisms: a string would be split
-    into its characters and an object read as its keys."""
-    doc = {"family": "normal", "prior_mean": 0.3, "prior_sd": 0.25,
-           "variance_grid": [0.0], "V": list(GRID7), "S": list(GRID7), "t": 0.25,
-           "mechanisms": mechanisms}
-    with pytest.raises(ValueError, match="^mechanisms must be a list of names, got "):
+    """Only a list of strings names mechanisms, whether the config is read
+    from JSON or built directly: a string would be split into its characters
+    and an object read as its keys."""
+    doc = sweep_doc(mechanisms)
+    message = f"^mechanisms must be a list of names, got {re.escape(repr(mechanisms))}$"
+    with pytest.raises(ValueError, match=message):
         SweepConfig.from_dict(doc)
+    with pytest.raises(ValueError, match=message):
+        make_config(mechanisms=mechanisms)
+
+
+def test_sweep_config_stores_a_mechanism_list_as_a_tuple():
+    assert make_config(mechanisms=["SOM", "OM1"]).mechanisms == ("SOM", "OM1")
+    assert SweepConfig.from_dict(sweep_doc(["SOM", "OM1"])).mechanisms == ("SOM", "OM1")
 
 
 @pytest.mark.parametrize("field, value", [
@@ -273,6 +287,51 @@ def test_sweep_solves_omk_and_umopt_side_by_side(monkeypatch, family):
     assert run_sweep(config) == expected
     assert threading.active_count() == before
     assert len(threads) == 3 and threading.get_ident() not in threads
+
+
+def test_sweep_joins_omk_when_umopt_raises(monkeypatch):
+    """A UMOPT error reaches the caller only after the OMk solve beside it,
+    started once UMOPT has failed, has returned; no thread is left running."""
+    umopt_failed, omk_returned = threading.Event(), threading.Event()
+
+    def omk(mi, _solve=multi_item.solve_omk):
+        assert umopt_failed.wait(timeout=60)
+        policy = _solve(mi)
+        omk_returned.set()
+        return policy
+
+    def umopt(mi):
+        umopt_failed.set()
+        raise RuntimeError("UMOPT failed")
+
+    monkeypatch.setattr(multi_item, "solve_omk", omk)
+    monkeypatch.setattr(multi_item, "solve_umopt", umopt)
+    config = make_config(values=GRID5, scores=GRID5, item_count=2,
+                         variance_grid=(0.1,), mechanisms=("OMk", "UMOPT"))
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="^UMOPT failed$"):
+        run_sweep(config)
+    assert omk_returned.is_set()
+    assert threading.active_count() == before
+
+
+def test_omk_without_umopt_runs_on_the_calling_thread(monkeypatch, registry):
+    """Only the OMk/UMOPT pair starts a thread: a sweep that lists OMk
+    alone, and a SolveMemo built with no mechanism list, as ``cli solve``
+    and ``paper_checks`` build it, solve OMk where they are called."""
+    threads = []
+
+    def recorded(mi, _solve=multi_item.solve_omk):
+        threads.append((threading.get_ident(), threading.active_count()))
+        return _solve(mi)
+
+    monkeypatch.setattr(multi_item, "solve_omk", recorded)
+    here = (threading.get_ident(), threading.active_count())
+    config = make_config(values=GRID5, scores=GRID5, item_count=2,
+                         variance_grid=(0.1,), mechanisms=("OMk", "UM_TMM"))
+    run_sweep(config)
+    SolveMemo(MultiInstance(registry["thm9_omk_vs_um"], 2)).omk
+    assert threads == [here, here]
 
 
 def test_csv_schema():

@@ -8,6 +8,7 @@ from acquimech import (Mechanism, NEVER, best_threshold_mechanism,
                        expected_reward, menu_size, om1_alternate_optimum,
                        reduce_menu, solve_om1, solve_som, tmm_build,
                        tmm_optimal, validate_instance)
+from acquimech import core
 from acquimech.gen import random_consistent_instance, random_instance
 from oracles import dense_tmm_search, loop_tmm_optimal, naive_reduce_menu
 
@@ -52,6 +53,23 @@ def test_example1_inconsistent_at_top_score(example1):
     bad = [d for d in report.diagnostics if d.ok is False]
     assert [d.score_index for d in bad] == [3]
     assert bad[0].posterior == pytest.approx(0.381502172563625, abs=1e-9)
+
+
+
+def test_check_consistency_calls_posterior_mean_through_core(monkeypatch, example1):
+    """Each score's posterior goes through ``core.posterior_mean`` as it is
+    bound when called, so a rebinding of it (the benchmark's trace) sees
+    every call."""
+    expected = check_consistency(example1)
+    calls = []
+
+    def counted(instance, score_index, _original=core.posterior_mean):
+        calls.append(score_index)
+        return _original(instance, score_index)
+
+    monkeypatch.setattr(core, "posterior_mean", counted)
+    assert check_consistency(example1) == expected
+    assert calls == [0, 1, 2, 3]
 
 
 def test_unreachable_scores_skipped_but_flagged():
