@@ -13,8 +13,9 @@ import numpy as np
 
 from .core import (Instance, Mechanism, MultiInstance, MultiPolicy,
                    VerificationReport, _ic_report, _monotone_report, _report,
-                   check_mechanism_shape, noise_product, prior_product)
-from .multi_item import _policy_shape, joint_weights
+                   check_mechanism_shape, check_policy_shape, noise_product,
+                   prior_product)
+from .multi_item import joint_weights
 
 IC_TOL = 1e-7
 MONOTONE_TOL = 1e-9
@@ -72,15 +73,8 @@ def acquiring_rate(instance: Instance,
     return per_quality, float(instance.prior @ per_quality)
 
 
-def _check_shape(mi: MultiInstance, policy: MultiPolicy) -> None:
-    """A policy of the right size but the wrong shape would otherwise be
-    reshaped into a different policy."""
-    if policy.tensors.shape != _policy_shape(mi.base.n, mi.base.m, mi.item_count):
-        raise ValueError("policy shape does not match instance")
-
-
 def _flat(mi: MultiInstance, policy: MultiPolicy):
-    _check_shape(mi, policy)
+    check_policy_shape(mi, policy)
     inst, k = mi.base, mi.item_count
     n, m = inst.n, inst.m
     X = policy.tensors.reshape(k, n**k, m**k)
@@ -91,7 +85,7 @@ def _flat(mi: MultiInstance, policy: MultiPolicy):
 
 def multi_expected_reward(mi: MultiInstance, policy: MultiPolicy) -> float:
     """Joint expected margin sum_{v,s} sum_i (v_i - t) x_i prod_j r d."""
-    _check_shape(mi, policy)
+    check_policy_shape(mi, policy)
     return float(joint_weights(mi)[1] @ policy.tensors.ravel())
 
 
@@ -106,7 +100,7 @@ def multi_check_ic(mi: MultiInstance, policy: MultiPolicy,
 def multi_check_monotone(mi: MultiInstance, policy: MultiPolicy,
                          tol: float = MONOTONE_TOL) -> VerificationReport:
     """Each x_i must be nondecreasing in its own score, all else fixed."""
-    _check_shape(mi, policy)
+    check_policy_shape(mi, policy)
     return _monotone_report(policy.tensors, tol)
 
 

@@ -20,8 +20,8 @@ import sys
 from dataclasses import asdict
 
 from . import analysis, experiments, gen, multi_item, single_item
-from .core import (Instance, Mechanism, MultiInstance, instance_from_dict,
-                   instance_to_dict, read_numbers)
+from .core import (Instance, Mechanism, MultiInstance, MultiPolicy,
+                   instance_from_dict, instance_to_dict, read_numbers)
 from .multi_item import SizeBudgetError
 
 EXIT_OK = 0
@@ -169,14 +169,13 @@ def _cmd_solve(args) -> int:
     if name is None:
         raise CliError(f"unknown mechanism {args.mechanism!r}; "
                        f"pick from {SOLVE_MECHANISMS}")
-    kind, solve = experiments.REGISTRY[name]
-    solved = experiments.SolveMemo(MultiInstance(instance, k))
-    if kind == "rank" and k != 2:
+    if name == "RM" and k != 2:
         raise CliError("ranking mechanism requires a k=2 instance")
-    result = solve(solved)
-    if kind == "single":
+    solved = experiments.SolveMemo(MultiInstance(instance, k))
+    result = experiments.REGISTRY[name](solved)
+    if isinstance(result, Mechanism):
         doc = _single_summary(instance, result, name)
-    elif kind == "multi":
+    elif isinstance(result, MultiPolicy):
         doc = _multi_summary(solved.mi, result, name)
     else:
         doc = _rank_summary(result)
@@ -221,10 +220,7 @@ def _cmd_paper(args) -> int:
             raise CliError(f"unknown reproduction {args.name!r}") from exc
         for c in checks:
             ok &= c.passed
-            results.append({
-                "instance": c.name, "check": c.label, "expected": c.expected,
-                "actual": c.actual, "tolerance": c.tolerance, "pass": c.passed,
-            })
+            results.append({**asdict(c), "pass": c.passed})
     _emit(json.dumps(results, indent=2), None)
     return EXIT_OK if ok else EXIT_VIOLATION
 

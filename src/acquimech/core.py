@@ -239,10 +239,6 @@ class MultiPolicy:
     def __post_init__(self):
         object.__setattr__(self, "tensors", _unit_box(self.tensors, "policy entries"))
 
-    @property
-    def item_count(self) -> int:
-        return self.tensors.shape[0]
-
 
 def validate_instance(raw_values, raw_scores, raw_prior, raw_score_model,
                       bar) -> Instance:
@@ -304,6 +300,19 @@ def check_mechanism_shape(instance: Instance, mechanism: Mechanism) -> None:
     instance's grid."""
     if mechanism.matrix.shape != (instance.n, instance.m):
         raise ValueError("mechanism shape does not match instance grid")
+
+
+def policy_shape(n: int, m: int, k: int) -> tuple[int, ...]:
+    """The :class:`MultiPolicy` shape (k,) + (n,)*k + (m,)*k."""
+    return (k,) + (n,) * k + (m,) * k
+
+
+def check_policy_shape(mi: MultiInstance, policy: MultiPolicy) -> None:
+    """Raise ValueError unless the policy has the instance's shape: one of
+    the right size but the wrong shape would otherwise be reshaped into a
+    different policy."""
+    if policy.tensors.shape != policy_shape(mi.base.n, mi.base.m, mi.item_count):
+        raise ValueError("policy shape does not match instance")
 
 
 def acquire_probability(instance: Instance, mechanism: Mechanism,

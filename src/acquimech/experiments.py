@@ -248,20 +248,19 @@ class SolveMemo:
         return multi_item.union_policy(self.mi, inputs)
 
 
-#: Every mechanism by name: its kind ("single" solves to a Mechanism,
-#: "multi" to a MultiPolicy, "rank" to a RankPolicy) and how it is solved
-#: from a SolveMemo.  kxOM1 is k independent OM1 copies, so its per-item
-#: numbers are OM1's.
+#: Every mechanism by name and how it is solved from a SolveMemo; the
+#: result's type (Mechanism, MultiPolicy or RankPolicy) is its kind.
+#: kxOM1 is k independent OM1 copies, so its per-item numbers are OM1's.
 REGISTRY = {
-    "SOM": ("single", lambda s: single_item.solve_som(s.instance)),
-    "TMM": ("single", lambda s: s.tmm[1]),
-    "OM1": ("single", lambda s: s.om1),
-    "kxOM1": ("single", lambda s: s.om1),
-    "OMk": ("multi", lambda s: s.omk),
-    "UM_TMM": ("multi", lambda s: s.union(s.tmm[1])),
-    "UM_OM1": ("multi", lambda s: s.union(s.om1)),
-    "UMOPT": ("multi", lambda s: s.umopt[1]),
-    "RM": ("rank", lambda s: multi_item.ranking_mechanism(s.mi)),
+    "SOM": lambda s: single_item.solve_som(s.instance),
+    "TMM": lambda s: s.tmm[1],
+    "OM1": lambda s: s.om1,
+    "kxOM1": lambda s: s.om1,
+    "OMk": lambda s: s.omk,
+    "UM_TMM": lambda s: s.union(s.tmm[1]),
+    "UM_OM1": lambda s: s.union(s.om1),
+    "UMOPT": lambda s: s.umopt[1],
+    "RM": lambda s: multi_item.ranking_mechanism(s.mi),
 }
 
 
@@ -282,14 +281,10 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
         instance = validate_instance(grid.values, grid.scores, prior, model, config.bar)
         solved = SolveMemo(MultiInstance(instance, config.item_count), config.mechanisms)
         for name in config.mechanisms:
-            kind, solve = REGISTRY[name]
-            result = solve(solved)
-            if kind == "single":
-                triple = _single_record(instance, result)
-            else:
-                triple = _multi_record(solved.mi, result)
-            records.append(SweepRecord(config.family, float(variance), name,
-                                       triple[0], triple[1], triple[2]))
+            result = REGISTRY[name](solved)
+            triple = (_single_record(instance, result) if isinstance(result, Mechanism)
+                      else _multi_record(solved.mi, result))
+            records.append(SweepRecord(config.family, float(variance), name, *triple))
     return records
 
 
@@ -404,8 +399,10 @@ def paper_registry() -> dict[str, Instance]:
 
 @dataclass(frozen=True)
 class PaperCheck:
-    name: str
-    label: str
+    """One published value and its reproduction, under ``paper``'s JSON keys."""
+
+    instance: str
+    check: str
     expected: float
     actual: float
     tolerance: float
@@ -467,6 +464,4 @@ def paper_checks(name: str) -> list[PaperCheck]:
         add("kxom1_reward", 0.0, kx, 1e-6)
         add("um_om1_reward", 0.0248746,
             analysis.multi_expected_reward(solved.mi, um), 1e-4)
-    else:  # pragma: no cover
-        raise KeyError(name)
     return checks

@@ -25,7 +25,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .core import (Mechanism, MultiInstance, MultiPolicy, _ic_report,
-                   check_mechanism_shape, item_margins, noise_product, prior_product)
+                   check_mechanism_shape, item_margins, noise_product, policy_shape,
+                   prior_product)
 from .lp import LpProblem, OPTIMAL, ROW_TOL, solve_lp
 
 #: Refuse a policy tensor, and the LP behind it, beyond this many cells.
@@ -86,10 +87,6 @@ def umopt_size(n: int, m: int, k: int) -> tuple[int, int]:
     """The policy and component cells and the one-item pattern entries
     :func:`solve_umopt` is checked by."""
     return k * n**k * m**k + k * n * m, omk_size(n, m, 1)[1]
-
-
-def _policy_shape(n: int, m: int, k: int) -> tuple[int, ...]:
-    return (k,) + (n,) * k + (m,) * k
 
 
 def joint_weights(mi: MultiInstance):
@@ -387,7 +384,7 @@ def solve_omk(mi: MultiInstance) -> MultiPolicy:
     pattern = _omk_pattern(n, m, k)   # read once: it may be evicted during the solve
     problem, separate = pattern.problem(*joint_weights(mi))
     values = _optimum(problem, "OMk", separate)
-    return MultiPolicy(values[pattern.orbit].reshape(_policy_shape(n, m, k)))
+    return MultiPolicy(values[pattern.orbit].reshape(policy_shape(n, m, k)))
 
 
 @dataclass(frozen=True)

@@ -574,6 +574,23 @@ def test_gen_refuses_more_levels_than_it_can_draw(tmp_path, consistent):
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_gen_failed_write_is_bad_input(capsys):
+    """/dev/full passes the up-front check and fails the write itself."""
+    code, out, err = run(capsys, "gen", "--out", "/dev/full")
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write /dev/full: [Errno 28] ")
+    assert err.count("\n") == 1
+
+
+def test_out_without_write_permission_is_bad_input(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+    out_path = tmp_path / "inst.json"
+    code, out, err = run(capsys, "gen", "--out", str(out_path))
+    assert code == 2 and out == "" and not out_path.exists()
+    assert err == f"error: cannot write {out_path}: permission denied\n"
+
+
 def test_gen_produces_loadable_instance(capsys, tmp_path):
     out_path = tmp_path / "inst.json"
     code, _, _ = run(capsys, "gen", "--seed", "7", "--consistent",

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from acquimech import (Mechanism, MultiPolicy, acquire_probability,
                        instance_from_dict, instance_to_dict, noise_product,
                        posterior_mean, prior_product, validate_instance)
+from acquimech import gen
 from acquimech.core import read_numbers
 from acquimech.gen import MAX_LEVELS, random_consistent_instance, random_instance
 
@@ -41,6 +44,16 @@ def test_dimension_mismatch_rejected():
 def test_negative_probability_rejected():
     with pytest.raises(ValueError, match="negative"):
         validate_instance([0.0, 1.0], [0.0, 1.0], [1.1, -0.1], np.eye(2), 0.5)
+
+
+@pytest.mark.parametrize("values, model, message", [
+    ([], np.eye(2), "quality values must be a non-empty 1-d sequence"),
+    ([0.0, 1.0], [[1.1, -0.1], [0.0, 1.0]], "negative probability in score model"),
+    ([0.0, 1.0], [[0.51, 0.5], [0.0, 1.0]], r"score model rows \[0\] sum to \[1\.01"),
+], ids=["empty grid", "negative entry", "row sum 1.01"])
+def test_bad_grid_or_score_model_rejected(values, model, message):
+    with pytest.raises(ValueError, match=message):
+        validate_instance(values, [0.0, 1.0], [0.5, 0.5], model, 0.5)
 
 
 def test_non_ascending_grid_rejected():
@@ -92,6 +105,12 @@ def test_acquire_probability_bad_index(example1):
         acquire_probability(example1, mech, 4, 0)
     with pytest.raises(IndexError):
         acquire_probability(example1, mech, 0, -1)
+
+
+@pytest.mark.parametrize("matrix", [[0.5, 0.5], np.zeros((2, 2, 2))], ids=["1-d", "3-d"])
+def test_mechanism_must_be_a_matrix(matrix):
+    with pytest.raises(ValueError, match="acquiring matrix must be 2-d"):
+        Mechanism(matrix)
 
 
 def test_mechanism_box_validation():
@@ -214,3 +233,11 @@ def test_joint_product_tensors(example1):
 def test_generators_refuse_more_than_max_levels(draw):
     with pytest.raises(ValueError, match=f"at most {MAX_LEVELS} levels"):
         draw(0, max_levels=MAX_LEVELS + 1)
+
+
+def test_consistent_sampler_gives_up(monkeypatch):
+    """Every draw rejected: the sampler stops after its 10,000 tries."""
+    monkeypatch.setattr(gen, "check_consistency",
+                        lambda instance: SimpleNamespace(consistent=False))
+    with pytest.raises(RuntimeError, match="failed to sample a consistent instance"):
+        random_consistent_instance(0)

@@ -38,6 +38,27 @@ print(res.status, -res.fun, sol.status, sol.objective_value,
     assert out.split() == ["0", "1.5", "optimal", "1.5", "True"]
 
 
+def test_missing_highs_extension_is_an_import_error(fresh_python):
+    """Where scipy has no ``_highspy/_core`` file, ``lp`` fails to import
+    with the name it looked for."""
+    out = fresh_python("""
+import importlib.machinery
+import scipy
+find_spec = importlib.machinery.PathFinder.find_spec
+
+def without_core(name, path=None, target=None):
+    return None if name == "_core" else find_spec(name, path, target)
+
+importlib.machinery.PathFinder.find_spec = without_core
+try:
+    import acquimech.lp
+except ImportError as exc:
+    print(f"{type(exc).__name__}: {exc}")
+""")
+    assert out == ("ImportError: cannot find scipy.optimize._highspy._core "
+                   "in the scipy package\n")
+
+
 def test_box_only_maximum():
     sol = solve_lp(lp_from_rows([1.0], [], [(0.0, 1.0)]))
     assert sol.status == OPTIMAL
@@ -389,6 +410,18 @@ def test_presolve_never_runs_on_a_package_lp(monkeypatch, solve, k, runs):
     solve(MultiInstance(inst, k) if k > 1 else inst)
     assert _RecordingHighs.presolve == ["off"] * runs
     assert lp._OPTIONS.presolve == "off"
+
+
+@pytest.mark.parametrize("module, solve, k, what", [
+    (multi_item, multi_item.solve_omk, 2, "OMk"),
+    (multi_item, multi_item.solve_umopt, 2, "UMOPT"),
+    (single_item, single_item.om1_alternate_optimum, 1, "optimal-mechanism")],
+    ids=["OMk", "UMOPT", "OM1-alt"])
+def test_non_optimal_lp_raises(monkeypatch, example1, module, solve, k, what):
+    monkeypatch.setattr(module, "solve_lp",
+                        lambda problem, separate=None: lp.LpSolution(INFEASIBLE))
+    with pytest.raises(RuntimeError, match=f"^{what} LP unexpectedly infeasible$"):
+        solve(MultiInstance(example1, k) if k > 1 else example1)
 
 
 # -- row generation ------------------------------------------------------------

@@ -26,3 +26,37 @@ def test_every_import_is_used(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(set(imported_names(tree)) - used) == []
+
+
+def module_level_names(tree):
+    """Every name a module-level ``def``, ``class`` or assignment binds."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id
+
+
+def test_every_private_name_is_read():
+    """Each module-level ``_name`` of the package is read somewhere in it:
+    as a name, as an attribute, or by an import.  A private helper whose
+    last caller is gone fails here."""
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    private = {f"{module}:{name}" for module, tree in trees.items()
+               for name in module_level_names(tree)
+               if name.startswith("_") and not name.startswith("__")}
+    assert sorted(p for p in private if p.split(":")[1] not in read) == []
