@@ -59,8 +59,9 @@ def _ic_report(accept: np.ndarray, tol: float,
     rows = np.arange(accept.shape[0])
     truth = rows if truth is None else truth
     gain = accept - accept[rows, truth][:, None]
-    lying = np.arange(accept.shape[1]) != truth[:, None]
-    a, ap = np.nonzero((gain > tol) & lying)
+    beats = gain > tol
+    beats[rows, truth] = False   # the truth never beats itself
+    a, ap = np.nonzero(beats)
     return _report([Violation(f"reporting {j} beats truth {i}", (i, j), float(gain[i, j]))
                     for i, j in zip(a.tolist(), ap.tolist())], tol)
 
@@ -77,10 +78,13 @@ def _monotone_report(tensors: np.ndarray, tol: float) -> VerificationReport:
     k = tensors.shape[0]
     violations = []
     for i in range(k):
-        drop = -np.diff(tensors[i], axis=k + i)   # item i's own score axis
-        for idx in np.argwhere(drop > tol).tolist():
+        step = np.diff(tensors[i], axis=k + i)   # item i's own score axis
+        flagged = step < -tol   # -step > tol: negation is exact
+        if not flagged.any():
+            continue
+        for idx in np.argwhere(flagged).tolist():
             violations.append(Violation(f"item {i} decreases along its score axis",
-                                        (i, *idx), float(drop[tuple(idx)])))
+                                        (i, *idx), float(-step[tuple(idx)])))
     return _report(violations, tol)
 
 
@@ -126,16 +130,17 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 def _unit_box(raw, what: str) -> np.ndarray:
-    """``raw`` as a frozen float array clipped exactly into [0, 1], with +0.0
-    where a solver left -0.0.  Raises ValueError when an entry lies more
-    than ``ENTRY_TOL`` outside the box, or is NaN."""
-    a = np.array(raw, dtype=float)
+    """``raw`` as a new frozen float array clipped exactly into [0, 1], with
+    +0.0 where a solver left -0.0; ``raw`` itself is never written.  Raises
+    ValueError when an entry lies more than ``ENTRY_TOL`` outside the box,
+    or is NaN."""
+    a = np.asarray(raw, dtype=float)
     if not (a.min() >= -ENTRY_TOL and a.max() <= 1 + ENTRY_TOL):  # rejects NaN
         raise ValueError(f"{what} outside [0, 1]: range [{a.min()}, {a.max()}]")
-    np.clip(a, 0.0, 1.0, out=a)
-    a += 0.0   # -0.0 + 0.0 is +0.0
-    a.setflags(write=False)
-    return a
+    box = np.clip(a, 0.0, 1.0, out=np.empty(a.shape))   # the one copy, C-ordered
+    box += 0.0   # -0.0 + 0.0 is +0.0
+    box.setflags(write=False)
+    return box
 
 
 def _check_ascending(x: np.ndarray, name: str) -> None:

@@ -19,9 +19,10 @@ the GIL while it solves, a large model gets its own HiGHS object and a small
 one the calling thread's, so no object is shared between threads.
 
 The HiGHS bindings, scipy's extension ``scipy.optimize._highspy._core``, are
-loaded from their file.  Importing them by name would first run
-``scipy/optimize/__init__.py``, which imports the rest of scipy.optimize
-(221 modules, about 0.2 s and 18 MB) that the package never uses.
+loaded from their file by :func:`_load_scipy_extension`.  Importing them by
+name would first run ``scipy/optimize/__init__.py``, which imports the rest
+of scipy.optimize (221 modules, about 0.2 s and 18 MB) that the package
+never uses.
 """
 
 from __future__ import annotations
@@ -38,31 +39,32 @@ import numpy as np
 import scipy.sparse as sp
 
 
-def _load_highs():
-    """scipy's HiGHS extension module, loaded from its file without running
-    ``scipy/optimize/__init__.py``.
+def _load_scipy_extension(package: str, module: str):
+    """scipy's extension module ``scipy.<package>.<module>``, loaded from its
+    file without running the ``__init__.py`` of ``scipy.<package>``.
 
-    A module already in ``sys.modules`` under the extension's name is
-    returned as it is, as an import statement would return it: the pybind11
-    extension's initialisation, which registers its types, may run only once
-    in a process.
+    ``package`` is a dotted path below ``scipy``.  A module already in
+    ``sys.modules`` under the extension's name is returned as it is, as an
+    import statement would return it: the pybind11 HiGHS extension's
+    initialisation, which registers its types, may run only once in a
+    process.
     """
-    name = "scipy.optimize._highspy._core"
+    name = f"scipy.{package}.{module}"
     if name in sys.modules:
         return sys.modules[name]
     roots = importlib.util.find_spec("scipy").submodule_search_locations
     found = importlib.machinery.PathFinder.find_spec(
-        "_core", [os.path.join(root, "optimize", "_highspy") for root in roots])
+        module, [os.path.join(root, *package.split(".")) for root in roots])
     if found is None:
         raise ImportError(f"cannot find {name} in the scipy package")
     spec = importlib.util.spec_from_file_location(name, found.origin)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    return module
+    extension = importlib.util.module_from_spec(spec)
+    sys.modules[name] = extension
+    spec.loader.exec_module(extension)
+    return extension
 
 
-highs = _load_highs()
+highs = _load_scipy_extension("optimize._highspy", "_core")
 
 #: Slack the tests and the benchmark allow the IC and monotone checks of an LP
 #: policy; :func:`linprog` accepts a point up to ``_RESULT_TOL`` off bounds or rows.

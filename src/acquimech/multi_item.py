@@ -481,12 +481,22 @@ def _union_shares(ys, qualities) -> np.ndarray:
     all zeros (the only allocation with the right total).  ``ys[i]`` and
     ``qualities[i]`` broadcast against each other.
     """
-    gamma = sum(ys)
     q = np.stack(np.broadcast_arrays(*qualities))
     above = (q[None] > q[:, None]).sum(axis=1)
     ties = (q[None] == q[:, None]).sum(axis=1)
-    x = np.clip((gamma - above) / ties, 0.0, 1.0)
-    return np.where(gamma > GAMMA_ZERO_TOL, x, 0.0)
+    shape = np.broadcast_shapes(*map(np.shape, ys))
+    x = np.empty((len(q),) + shape)   # the one full-size array
+    gamma = x[-1]   # the last item's share overwrites Gamma in place, last
+    gamma[...] = 0.0
+    for y in ys:   # the additions of sum(ys)
+        gamma += y
+    empty = ~(gamma > GAMMA_ZERO_TOL)   # a NaN Gamma too
+    for i, xi in enumerate(x):
+        np.subtract(gamma, above[i], out=xi)
+        np.divide(xi, ties[i], out=xi)
+        np.clip(xi, 0.0, 1.0, out=xi)
+    x[:, empty] = 0.0
+    return x
 
 
 def union_policy(mi: MultiInstance, inputs: UnionInputs) -> MultiPolicy:

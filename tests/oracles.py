@@ -12,7 +12,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linprog
 
-from acquimech import RANK_CLASSES, RmViolation, Violation
+from acquimech import RANK_CLASSES, RmViolation, VerificationReport, Violation
 from acquimech.analysis import expected_reward
 from acquimech.lp import OPTIMAL, ROW_TOL, LpProblem, solve_lp
 from acquimech.multi_item import (_first_of_each, _multiset_key, _pair_codes, item_orbits,
@@ -152,6 +152,57 @@ def greedy_union_shares(ys, qualities, gamma_zero_tol=1e-12):
             x[i] = filled / len(level)
         left -= filled
     return x
+
+
+# --- the k-item kernels as whole-array expressions --------------------------
+# Each builds every intermediate as a new full-size array.  The in-place
+# kernels in ``core`` and ``multi_item`` must give their bits and reports.
+
+def expression_union_shares(ys, qualities, gamma_zero_tol=1e-12):
+    """``multi_item._union_shares`` as one clip of one quotient, then a
+    ``np.where`` that zeroes every profile whose Gamma is not above
+    ``gamma_zero_tol``."""
+    gamma = sum(ys)
+    q = np.stack(np.broadcast_arrays(*qualities))
+    above = (q[None] > q[:, None]).sum(axis=1)
+    ties = (q[None] == q[:, None]).sum(axis=1)
+    x = np.clip((gamma - above) / ties, 0.0, 1.0)
+    return np.where(gamma > gamma_zero_tol, x, 0.0)
+
+
+def expression_unit_box(raw, what, entry_tol=1e-9):
+    """``core._unit_box`` on a copy of ``raw``, clipped and signed in place."""
+    a = np.array(raw, dtype=float)
+    if not (a.min() >= -entry_tol and a.max() <= 1 + entry_tol):
+        raise ValueError(f"{what} outside [0, 1]: range [{a.min()}, {a.max()}]")
+    np.clip(a, 0.0, 1.0, out=a)
+    a += 0.0
+    a.setflags(write=False)
+    return a
+
+
+def expression_monotone_report(tensors, tol):
+    """``core._monotone_report`` from the negated differences, ``drop > tol``."""
+    k = tensors.shape[0]
+    violations = []
+    for i in range(k):
+        drop = -np.diff(tensors[i], axis=k + i)
+        for idx in np.argwhere(drop > tol).tolist():
+            violations.append(Violation(f"item {i} decreases along its score axis",
+                                        (i, *idx), float(drop[tuple(idx)])))
+    return VerificationReport(not violations, tol, tuple(violations))
+
+
+def expression_ic_report(accept, tol, truth=None):
+    """``core._ic_report`` with a full mask of the lying reports."""
+    rows = np.arange(accept.shape[0])
+    truth = rows if truth is None else truth
+    gain = accept - accept[rows, truth][:, None]
+    lying = np.arange(accept.shape[1]) != truth[:, None]
+    a, ap = np.nonzero((gain > tol) & lying)
+    violations = [Violation(f"reporting {j} beats truth {i}", (i, j), float(gain[i, j]))
+                  for i, j in zip(a.tolist(), ap.tolist())]
+    return VerificationReport(not violations, tol, tuple(violations))
 
 
 def naive_union_reward(mi, inputs):

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import expression_ic_report, expression_monotone_report, expression_unit_box
 
 from acquimech import (Mechanism, MultiPolicy, acquire_probability,
                        instance_from_dict, instance_to_dict, noise_product,
                        posterior_mean, prior_product, validate_instance)
 from acquimech import gen
-from acquimech.core import read_numbers
+from acquimech.core import ENTRY_TOL, _ic_report, _monotone_report, _unit_box, read_numbers
 from acquimech.gen import MAX_LEVELS, random_consistent_instance, random_instance
 
 GRID4 = [0.0, 1 / 3, 2 / 3, 1.0]
@@ -241,3 +242,92 @@ def test_consistent_sampler_gives_up(monkeypatch):
                         lambda instance: SimpleNamespace(consistent=False))
     with pytest.raises(RuntimeError, match="failed to sample a consistent instance"):
         random_consistent_instance(0)
+
+
+# --- the in-place kernels against their whole-array expressions --------------
+
+#: Tolerances the scans are run at: zero of both signs, the package's own,
+#: negative ones that flag ties, and NaN and the infinities.
+SCAN_TOLS = (0.0, -0.0, 1e-9, 0.05, -1e-3, -1.0, np.nan, np.inf, -np.inf)
+
+
+def bits(a):
+    """The IEEE bits of a float array, in C order: equal only where every
+    entry is the same float, -0.0 and NaN payloads included."""
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+def assert_same_report(got, want):
+    assert got == want
+    assert np.array_equal(bits([v.magnitude for v in got.violations]),
+                          bits([v.magnitude for v in want.violations]))
+
+
+def entries(rng, shape, specials):
+    """Uniform [0, 1) entries with about a third replaced by ``specials``."""
+    a = rng.uniform(size=shape)
+    pick = rng.uniform(size=shape) < 1 / 3
+    a[pick] = rng.choice(np.array(specials), size=int(pick.sum()))
+    return a
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_unit_box_matches_its_expression_bit_for_bit(seed):
+    """One new C-ordered copy with the expression's bits, from a list, a
+    read-only array, a Fortran-ordered array or a strided view, sharing no
+    memory with the input and leaving it unwritten."""
+    rng = np.random.default_rng(seed)
+    shape = tuple(int(d) for d in rng.integers(1, 5, rng.integers(1, 4)))
+    a = entries(rng, shape, [0.0, -0.0, 1.0, -ENTRY_TOL, 1 + ENTRY_TOL, -1e-12, 1 + 1e-12])
+    form = seed % 4
+    raw = a.tolist() if form == 0 else np.asfortranarray(a) if form == 1 else a
+    if form == 2:
+        raw.setflags(write=False)
+    if form == 3:
+        raw = np.repeat(a, 2, axis=-1)[..., ::2]
+    before = bits(raw)
+    box = _unit_box(raw, "entries")
+    assert np.array_equal(bits(box), bits(expression_unit_box(raw, "entries")))
+    assert box.shape == np.shape(raw) and box.flags.c_contiguous and not box.flags.writeable
+    assert np.array_equal(bits(raw), before)
+    if isinstance(raw, np.ndarray):
+        assert not np.shares_memory(box, raw)
+
+
+@pytest.mark.parametrize("bad", [np.nan, -2 * ENTRY_TOL, 1 + 2 * ENTRY_TOL, np.inf])
+def test_unit_box_refuses_what_its_expression_refuses(bad):
+    raw = np.array([[0.5, bad], [-0.0, 1.0]])
+    with pytest.raises(ValueError) as want:
+        expression_unit_box(raw, "entries")
+    with pytest.raises(ValueError, match=r"entries outside \[0, 1\]") as got:
+        _unit_box(raw, "entries")
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_monotone_report_matches_its_expression_bit_for_bit(seed):
+    """Policies of k = 1 to 3 items with ties, -0.0 and NaN cells, at every
+    tolerance in ``SCAN_TOLS``: the same violations, magnitudes to the bit."""
+    rng = np.random.default_rng(seed)
+    k, n, m = int(rng.integers(1, 4)), int(rng.integers(1, 4)), int(rng.integers(1, 4))
+    tensors = entries(rng, (k,) + (n,) * k + (m,) * k, [0.0, -0.0, 0.5, 1.0, np.nan])
+    for tol in SCAN_TOLS:
+        assert_same_report(_monotone_report(tensors, tol),
+                           expression_monotone_report(tensors, tol))
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_ic_report_matches_its_expression_bit_for_bit(seed):
+    """Acceptance tables with ties, -0.0 and NaN cells, with the diagonal or
+    a drawn truthful column per row (as the ranking audit has), at every
+    tolerance in ``SCAN_TOLS``."""
+    rng = np.random.default_rng(seed)
+    rows, cols = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+    accept = entries(rng, (rows, cols), [0.0, -0.0, 0.25, 1.0, np.nan])
+    truths = [rng.integers(0, cols, rows)]
+    if rows <= cols:
+        truths.append(None)
+    for truth in truths:
+        for tol in SCAN_TOLS:
+            assert_same_report(_ic_report(accept, tol, truth),
+                               expression_ic_report(accept, tol, truth))

@@ -110,6 +110,44 @@ def test_package_import_leaves_unused_scipy_out(fresh_python, module):
     assert out.strip() == "False"
 
 
+@pytest.mark.parametrize("first", ["acquimech.cli", "scipy.special"])
+def test_ndtr_is_scipy_special_ndtr_without_importing_scipy_special(fresh_python, first):
+    """``experiments`` loads ``ndtr`` from scipy.special's ``_special_ufuncs``
+    extension, so importing the package leaves ``scipy.special`` (about
+    0.1 s) out of ``sys.modules``; imported before or after, scipy.special
+    serves the same ufunc object."""
+    out = fresh_python(f"""
+import sys
+import {first}
+print("scipy.special" in sys.modules)
+import scipy.special
+from acquimech import experiments
+print(experiments.ndtr is scipy.special.ndtr)
+""")
+    assert out.split() == ["False" if first == "acquimech.cli" else "True", "True"]
+
+
+def test_missing_special_ufuncs_extension_is_an_import_error(fresh_python):
+    """Where scipy has no ``special/_special_ufuncs`` file, ``experiments``
+    fails to import with the name it looked for."""
+    out = fresh_python("""
+import importlib.machinery
+import scipy
+find_spec = importlib.machinery.PathFinder.find_spec
+
+def without_ufuncs(name, path=None, target=None):
+    return None if name == "_special_ufuncs" else find_spec(name, path, target)
+
+importlib.machinery.PathFinder.find_spec = without_ufuncs
+try:
+    import acquimech.experiments
+except ImportError as exc:
+    print(f"{type(exc).__name__}: {exc}")
+""")
+    assert out == ("ImportError: cannot find scipy.special._special_ufuncs "
+                   "in the scipy package\n")
+
+
 def test_lognormal_moment_matching_against_quadrature():
     mean, sd = 0.4, 0.3
     sigma2 = math.log1p((sd / mean) ** 2)

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -23,11 +24,13 @@ from acquimech.core import QualityGrid
 from acquimech.lp import FEASIBILITY_TOL, OPTIMAL
 from acquimech.experiments import (THM7_PRINTED_AGGREGATES, SweepConfig, build_score_model,
                                    discretize_prior)
-from acquimech.multi_item import (MAX_IC_ENTRIES, MAX_POLICY_CELLS, RankPolicy, check_size,
+from acquimech.multi_item import (GAMMA_ZERO_TOL, MAX_IC_ENTRIES, MAX_POLICY_CELLS, RankPolicy,
+                                  _union_shares, check_size,
                                   item_orbits, omk_size)
 from acquimech.gen import random_instance
 from oracles import (coo_ic_monotone_rows, coupling_row_umopt, dense_omk_problem,
-                     full_omk_optimum, full_umopt_optimum, greedy_union_shares, ic_row_pairs,
+                     expression_union_shares, full_omk_optimum, full_umopt_optimum,
+                     greedy_union_shares, ic_row_pairs,
                      left_out_rows, loop_umopt_problem, naive_ranking_mechanism,
                      naive_rm_audit, naive_union_reward)
 
@@ -1098,6 +1101,54 @@ def test_union_policy_mass_identity():
                 got = sum(policy.tensors[(i,) + vt + st_] for i in range(2))
                 if gamma > 1e-12:
                     assert got == pytest.approx(gamma, abs=1e-9)
+
+
+#: Pooled masses at and on either side of GAMMA_ZERO_TOL, signed zeros and NaN.
+GAMMA_EDGES = (GAMMA_ZERO_TOL, np.nextafter(GAMMA_ZERO_TOL, 0.0),
+               np.nextafter(GAMMA_ZERO_TOL, 1.0), 0.0, -0.0, np.nan, 1.0)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_union_shares_match_their_expression_bit_for_bit(seed):
+    """The in-place redistribution gives the bits of the whole-array
+    expression, with each item's component on its own axes (as
+    ``union_policy`` lays them out) or spread over the whole profile space,
+    with strict or repeated quality indices, and with Gamma exactly at, just
+    above and just below ``GAMMA_ZERO_TOL``, signed zeros and NaN."""
+    rng = np.random.default_rng(seed)
+    k, n, m = int(rng.integers(1, 4)), int(rng.integers(1, 4)), int(rng.integers(1, 4))
+    full = (n,) * k + (m,) * k
+    ys, qualities = [], []
+    for i in range(k):
+        shape = [1] * (2 * k)
+        shape[i], shape[k + i] = n, m
+        y = rng.uniform(size=full if seed % 2 else shape)
+        edge = rng.uniform(size=y.shape) < 0.4
+        y[edge] = rng.choice(np.array(GAMMA_EDGES), size=int(edge.sum()))
+        if i:   # so that Gamma itself hits the edges where item 0 does
+            y[rng.uniform(size=y.shape) < 0.5] = 0.0
+        ys.append(y)
+        levels = np.arange(n) if seed % 4 < 2 else rng.integers(0, 2, n)
+        qualities.append(levels.reshape(shape[:k] + [1] * k))
+    x = _union_shares(ys, qualities)
+    want = expression_union_shares(ys, qualities)
+    assert x.shape == want.shape == (k,) + full
+    assert np.array_equal(x.view(np.int64), want.view(np.int64))
+
+
+def test_union_policy_keeps_one_copy_beyond_its_output():
+    """Under ``tracemalloc``, ``union_policy`` on the 7-level paper instance
+    at k = 3 peaks at no more than 2.1 times the policy's bytes: the
+    redistribution's output and the one copy ``MultiPolicy`` keeps."""
+    mi = MultiInstance(paper_instance(0.3), 3)
+    inputs = UnionInputs((tmm_optimal(mi.base)[1],) * 3)
+    tracemalloc.start()
+    try:
+        policy = union_policy(mi, inputs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * policy.tensors.nbytes
 
 
 def test_union_policy_budget(monkeypatch):
