@@ -20,7 +20,7 @@ import sys
 from dataclasses import asdict
 
 from . import analysis, experiments, gen, multi_item, single_item
-from .core import (Instance, Mechanism, MultiInstance, MultiPolicy,
+from .core import (Instance, Mechanism, MultiInstance, MultiPolicy, check_mechanism_shape,
                    instance_from_dict, instance_to_dict, read_numbers)
 from .multi_item import SizeBudgetError
 
@@ -61,12 +61,9 @@ def _load_matrix(path: str, instance: Instance) -> Mechanism:
     if isinstance(doc, dict) and "matrix" in doc:
         doc = doc["matrix"]
     try:
-        matrix = read_numbers(doc, "matrix", 2)
-        if matrix.shape != (instance.n, instance.m):
-            raise ValueError(
-                f"matrix shape {matrix.shape} does not match instance "
-                f"({instance.n}, {instance.m})")
-        return Mechanism(matrix)
+        mech = Mechanism(read_numbers(doc, "matrix", 2))
+        check_mechanism_shape(instance, mech)
+        return mech
     except (ValueError, TypeError) as exc:
         raise CliError(f"invalid acquiring matrix {path}: {exc}") from exc
 
@@ -169,10 +166,11 @@ def _cmd_solve(args) -> int:
     if name is None:
         raise CliError(f"unknown mechanism {args.mechanism!r}; "
                        f"pick from {SOLVE_MECHANISMS}")
-    if name == "RM" and k != 2:
-        raise CliError("ranking mechanism requires a k=2 instance")
     solved = experiments.SolveMemo(MultiInstance(instance, k))
-    result = experiments.REGISTRY[name](solved)
+    try:
+        result = experiments.REGISTRY[name](solved)
+    except ValueError as exc:   # input the solver refuses, such as RM at k != 2
+        raise CliError(str(exc)) from exc
     if isinstance(result, Mechanism):
         doc = _single_summary(instance, result, name)
     elif isinstance(result, MultiPolicy):
@@ -242,18 +240,14 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    if args.levels < 2:
-        raise CliError("--levels must be at least 2")
-    if args.k < 1:
-        raise CliError("--k must be a positive integer")
     if args.seed < 0:
         raise CliError("--seed must be a nonnegative integer")
     draw = gen.random_consistent_instance if args.consistent else gen.random_instance
     try:
-        instance = draw(args.seed, max_levels=args.levels)
+        doc = instance_to_dict(draw(args.seed, max_levels=args.levels), args.k)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    _emit(json.dumps(instance_to_dict(instance, args.k), indent=2), args.out)
+    _emit(json.dumps(doc, indent=2), args.out)
     return EXIT_OK
 
 

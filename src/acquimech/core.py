@@ -304,7 +304,8 @@ def check_mechanism_shape(instance: Instance, mechanism: Mechanism) -> None:
     """Raise ValueError unless the acquiring matrix is n x m for the
     instance's grid."""
     if mechanism.matrix.shape != (instance.n, instance.m):
-        raise ValueError("mechanism shape does not match instance grid")
+        raise ValueError(f"mechanism shape does not match instance grid: "
+                         f"{mechanism.matrix.shape}, expected {(instance.n, instance.m)}")
 
 
 def policy_shape(n: int, m: int, k: int) -> tuple[int, ...]:
@@ -365,7 +366,9 @@ def item_margins(instance: Instance, k: int) -> np.ndarray:
 
 
 def instance_to_dict(instance: Instance, item_count: int = 1) -> dict:
-    """Serialize to the instance JSON schema (keys V, S, d, R, t, k)."""
+    """Serialize to the instance JSON schema (keys V, S, d, R, t, k); raises
+    ValueError on an item count :func:`instance_from_dict` would refuse."""
+    k = check_item_count(item_count)
     doc = {
         "V": instance.grid.values.tolist(),
         "S": instance.grid.scores.tolist(),
@@ -373,8 +376,8 @@ def instance_to_dict(instance: Instance, item_count: int = 1) -> dict:
         "R": instance.score_model.tolist(),
         "t": instance.bar,
     }
-    if item_count != 1:
-        doc["k"] = int(item_count)
+    if k != 1:
+        doc["k"] = k
     return doc
 
 

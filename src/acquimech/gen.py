@@ -17,10 +17,10 @@ def _rng(seed) -> np.random.Generator:
     return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
 
 
-def _check_levels(max_levels: int) -> None:
-    if max_levels > MAX_LEVELS:
-        raise ValueError(f"at most {MAX_LEVELS} levels can be drawn, "
-                         f"not {max_levels}")
+def _check_levels(min_levels: int, max_levels: int) -> None:
+    if not min_levels <= max_levels <= MAX_LEVELS:
+        raise ValueError(f"at least {min_levels} and at most {MAX_LEVELS} "
+                         f"levels can be drawn, not {max_levels}")
 
 
 def _grid(rng: np.random.Generator, levels: int) -> np.ndarray:
@@ -32,7 +32,7 @@ def _grid(rng: np.random.Generator, levels: int) -> np.ndarray:
 
 def random_instance(seed, min_levels: int = 2, max_levels: int = 5) -> Instance:
     """A random valid instance; quality and score grids drawn independently."""
-    _check_levels(max_levels)
+    _check_levels(min_levels, max_levels)
     rng = _rng(seed)
     n = int(rng.integers(min_levels, max_levels + 1))
     m = int(rng.integers(min_levels, max_levels + 1))
@@ -52,7 +52,7 @@ def random_consistent_instance(seed, min_levels: int = 2,
     Uses a shared quality/score grid and a diagonally dominant noise model to
     keep the acceptance rate high; draws are deterministic given the seed.
     """
-    _check_levels(max_levels)
+    _check_levels(min_levels, max_levels)
     rng = _rng(seed)
     for _ in range(10_000):
         n = int(rng.integers(min_levels, max_levels + 1))

@@ -419,7 +419,7 @@ def ranking_mechanism(mi: MultiInstance) -> RankPolicy:
     :func:`check_size` before they are built.
     """
     if mi.item_count != 2:
-        raise ValueError("ranking mechanism is defined for exactly two items")
+        raise ValueError("ranking mechanism requires a k=2 instance")
     inst = mi.base
     n, m, R = inst.n, inst.m, inst.score_model
     check_size(2 * (n * m) ** 2, 0)

@@ -5,6 +5,7 @@ exhaustive enumeration, naive loops) so they cannot share a bug with the
 search/LP code paths they check.
 """
 
+import functools
 import itertools
 from dataclasses import replace
 
@@ -107,6 +108,15 @@ def random_lp(rng):
     return lp_from_rows(c, rows, list(zip(lo, hi)))
 
 
+@functools.lru_cache(maxsize=None)
+def _row_combinations(rows, n):
+    """Every n-subset of ``range(rows)`` in ``itertools.combinations`` order,
+    as one read-only index array shared by the problems of that size."""
+    combos = np.array(list(itertools.combinations(range(rows), n)))
+    combos.flags.writeable = False
+    return combos
+
+
 def enumerate_vertices_best(problem):
     """Exhaustive oracle: best objective over all basic feasible points, or
     None when no vertex is feasible (infeasible problem)."""
@@ -119,7 +129,7 @@ def enumerate_vertices_best(problem):
     M = np.vstack(blocks)
     rhs = np.concatenate(rhs_blocks)
     best, feasible = -np.inf, False
-    combos = np.array(list(itertools.combinations(range(M.shape[0]), n)))
+    combos = _row_combinations(M.shape[0], n)
     for start in range(0, len(combos), 20_000):
         idx = combos[start:start + 20_000]
         mats = M[idx]

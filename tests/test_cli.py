@@ -192,6 +192,32 @@ def test_solve_rm_requires_two_items(capsys, example1_path):
     assert out == "" and "k=2" in err
 
 
+def test_solve_rm_refusal_is_the_solvers_message(capsys, example1_path):
+    """``ranking_mechanism`` owns the k = 2 rule; ``solve`` prints its words."""
+    got = run(capsys, "solve", "--instance", example1_path, "--mechanism", "rm")
+    assert got == (2, "", "error: ranking mechanism requires a k=2 instance\n")
+
+
+def test_solve_maps_only_a_solvers_value_error_to_bad_input(capsys, example1_path,
+                                                            monkeypatch):
+    """A ValueError from a solver is input it refuses: exit 2, one line.  Any
+    other error, such as a failed LP's RuntimeError, is not bad input and
+    propagates."""
+    def refuse(solved):
+        raise ValueError("refused input")
+
+    def fail(solved):
+        raise RuntimeError("LP not optimal")
+
+    monkeypatch.setitem(experiments.REGISTRY, "SOM", refuse)
+    monkeypatch.setitem(experiments.REGISTRY, "TMM", fail)
+    got = run(capsys, "solve", "--instance", example1_path, "--mechanism", "som")
+    assert got == (2, "", "error: refused input\n")
+    with pytest.raises(RuntimeError, match="LP not optimal"):
+        main(["solve", "--instance", example1_path, "--mechanism", "tmm"])
+    assert capsys.readouterr().out == ""
+
+
 def test_solve_unknown_mechanism(capsys, example1_path):
     code, _, err = run(capsys, "solve", "--instance", example1_path,
                        "--mechanism", "vcg")
@@ -331,6 +357,15 @@ def test_verify_dimension_mismatch(capsys, tmp_path, example1_path):
     code, _, err = run(capsys, "verify", "--instance", example1_path,
                        "--matrix", str(matrix_path))
     assert code == 2 and "does not match" in err
+
+
+def test_verify_wrong_shape_names_both_shapes(capsys, tmp_path, example1_path):
+    matrix_path = tmp_path / "bad.json"
+    matrix_path.write_text(json.dumps(np.zeros((3, 4)).tolist()))
+    code, out, err = run(capsys, "verify", "--instance", example1_path,
+                         "--matrix", str(matrix_path))
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert err.startswith("error: ") and "(3, 4)" in err and "(4, 4)" in err
 
 
 def test_solve_verify_round_trip(capsys, tmp_path, example1_path):

@@ -10,7 +10,8 @@ from acquimech import (Mechanism, MultiPolicy, acquire_probability,
                        instance_from_dict, instance_to_dict, noise_product,
                        posterior_mean, prior_product, validate_instance)
 from acquimech import gen
-from acquimech.core import ENTRY_TOL, _ic_report, _monotone_report, _unit_box, read_numbers
+from acquimech.core import (ENTRY_TOL, _ic_report, _monotone_report, _unit_box,
+                            check_mechanism_shape, read_numbers)
 from acquimech.gen import MAX_LEVELS, random_consistent_instance, random_instance
 
 GRID4 = [0.0, 1 / 3, 2 / 3, 1.0]
@@ -234,6 +235,38 @@ def test_joint_product_tensors(example1):
 def test_generators_refuse_more_than_max_levels(draw):
     with pytest.raises(ValueError, match=f"at most {MAX_LEVELS} levels"):
         draw(0, max_levels=MAX_LEVELS + 1)
+
+
+@pytest.mark.parametrize("draw", [random_instance, random_consistent_instance])
+@pytest.mark.parametrize("min_levels, max_levels", [(2, 1), (3, 2)])
+def test_generators_refuse_fewer_levels_than_min_levels(draw, min_levels, max_levels):
+    """Refused by the generator itself, not by numpy's ``low >= high``."""
+    with pytest.raises(ValueError, match=f"at least {min_levels} and at most {MAX_LEVELS} "
+                                         f"levels can be drawn, not {max_levels}"):
+        draw(0, min_levels, max_levels)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_instance_to_dict_round_trips_item_count(example1, k):
+    assert instance_from_dict(instance_to_dict(example1, k))[1] == k
+
+
+@pytest.mark.parametrize("k", [0, -3, 2.5, True, "2"])
+def test_instance_to_dict_refuses_what_instance_from_dict_refuses(example1, k):
+    """The writer refuses each item count its reader refuses, with the same
+    message, rather than writing a document that cannot be read back."""
+    with pytest.raises(ValueError) as read:
+        instance_from_dict({**instance_to_dict(example1), "k": k})
+    with pytest.raises(ValueError) as written:
+        instance_to_dict(example1, k)
+    assert str(written.value) == str(read.value) == f"k must be a positive integer, got {k!r}"
+
+
+def test_check_mechanism_shape_names_both_shapes(example1):
+    with pytest.raises(ValueError) as info:
+        check_mechanism_shape(example1, Mechanism(np.zeros((3, 4))))
+    assert str(info.value) == ("mechanism shape does not match instance grid: "
+                               "(3, 4), expected (4, 4)")
 
 
 def test_consistent_sampler_gives_up(monkeypatch):

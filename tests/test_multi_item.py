@@ -900,6 +900,12 @@ def test_ranking_requires_two_items(example1):
         ranking_mechanism(MultiInstance(example1, 1))
 
 
+@pytest.mark.parametrize("k", [1, 3])
+def test_ranking_refuses_other_item_counts_by_name(example1, k):
+    with pytest.raises(ValueError, match=r"^ranking mechanism requires a k=2 instance$"):
+        ranking_mechanism(MultiInstance(example1, k))
+
+
 def test_ranking_registry_entries(registry):
     policy = ranking_mechanism(MultiInstance(registry["thm7"], 2))
     assert policy.aggregate["greater"][2, 0] == pytest.approx(0.7820, abs=1e-9)
